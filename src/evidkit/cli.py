@@ -21,6 +21,7 @@ from .evidence import Activation
 from .gradcheck import run_grid
 from .losses import Loss
 from .metrics import (
+    CensusBuckets,
     accuracy_vacuity_curve,
     auroc,
     evidence_census,
@@ -244,14 +245,17 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_census(args) -> int:
-    records = load_records(args.records)
-    census = evidence_census(records)
-    out = Path(args.out) if args.out else _out_dir(args) / "census.csv"
-    out.write_text(
+def _write_census(census: CensusBuckets, path: Path) -> None:
+    path.write_text(
         "le_0.01,le_0.1,le_1.0,gt_1.0,n\n"
         f"{census.le_001},{census.le_01},{census.le_1},{census.gt_1},{census.n}\n"
     )
+
+
+def cmd_census(args) -> int:
+    census = evidence_census(load_records(args.records))
+    out = Path(args.out) if args.out else _out_dir(args) / "census.csv"
+    _write_census(census, out)
     print(f"census of {census.n} records at {out}")
     return EXIT_OK
 
@@ -276,11 +280,7 @@ def cmd_report(args) -> int:
         lines.append(f"{_fmt(f)},{count},{_fmt(acc)}")
     (out / "topk.csv").write_text("\n".join(lines) + "\n")
 
-    census = evidence_census(records)
-    (out / "census.csv").write_text(
-        "le_0.01,le_0.1,le_1.0,gt_1.0,n\n"
-        f"{census.le_001},{census.le_01},{census.le_1},{census.gt_1},{census.n}\n"
-    )
+    _write_census(evidence_census(records), out / "census.csv")
 
     merged = list(records) + list(ood_records)
     mean_ind, mean_ood = vacuity_summary(merged)

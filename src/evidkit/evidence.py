@@ -24,14 +24,10 @@ __all__ = [
     "is_zero_evidence",
 ]
 
-# Logits are clamped to at most this value before exponentiation inside
-# evidence_state, keeping evidence <= ~1e13 and never producing inf/nan.
+# Under EXP, logits are clamped to at most this value before
+# exponentiation, keeping evidence <= ~1e13 and never producing inf/nan.
 # Gradient checks skip coordinates at or above the clamp.
 LOGIT_CLAMP = 30.0
-
-# Default mean-evidence thresholds for the zero-evidence predicate: tau = 0
-# is the exact stall condition under ReLU, the rest are census buckets.
-ZERO_EVIDENCE_TAUS = (0.0, 0.01, 0.1, 1.0)
 
 
 class Activation(str, Enum):
@@ -72,14 +68,18 @@ def _sigmoid(o: np.ndarray) -> np.ndarray:
 
 
 def activation_apply(kind: Activation, o) -> np.ndarray:
-    """Map logits to evidence: ReLU, SoftPlus, or exp, elementwise."""
+    """Map logits to evidence: ReLU, SoftPlus, or exp, elementwise.
+
+    Works on any shape, so one call maps a whole (N, K) logit batch.
+    Under EXP the logits are clamped to LOGIT_CLAMP first.
+    """
     o = np.asarray(o, dtype=float)
+    if kind == Activation.EXP:
+        return np.exp(np.minimum(o, LOGIT_CLAMP))
     if kind == Activation.RELU:
         return np.maximum(o, 0.0)
     if kind == Activation.SOFTPLUS:
         return np.logaddexp(0.0, o)
-    if kind == Activation.EXP:
-        return np.exp(o)
     raise ValueError(f"unknown activation kind: {kind!r}")
 
 
@@ -87,7 +87,8 @@ def activation_grad(kind: Activation, o):
     """Derivative of the activation at o (scalar or array, elementwise).
 
     ReLU uses the case split d/do = 1 if o > 0 else 0, so the derivative
-    at exactly 0 is 0.
+    at exactly 0 is 0. EXP returns the clamped evidence, the subgradient
+    described in evidence_dact.
     """
     arr = np.asarray(o, dtype=float)
     if kind == Activation.RELU:
@@ -96,7 +97,7 @@ def activation_grad(kind: Activation, o):
         out = _sigmoid(np.atleast_1d(arr))
         out = out.reshape(arr.shape)
     elif kind == Activation.EXP:
-        out = np.exp(arr)
+        out = activation_apply(kind, arr)
     else:
         raise ValueError(f"unknown activation kind: {kind!r}")
     if np.isscalar(o) or arr.ndim == 0:
@@ -107,8 +108,8 @@ def activation_grad(kind: Activation, o):
 def evidence_state(kind: Activation, o) -> EvidenceState:
     """Build the EvidenceState for one logit vector.
 
-    Under EXP the logits are clamped to LOGIT_CLAMP before exponentiation
-    so the state is always finite.
+    The evidence comes from activation_apply, so under EXP it is clamped
+    and the state is always finite.
     """
     o = np.array(o, dtype=float)  # private copy: the state keeps it
     if o.ndim != 1:
@@ -117,10 +118,7 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
         raise ValueError("need at least 2 classes")
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
-    if kind == Activation.EXP:
-        e = np.exp(np.minimum(o, LOGIT_CLAMP))
-    else:
-        e = activation_apply(kind, o)
+    e = activation_apply(kind, o)
     k = o.shape[0]
     strength = k + float(e.sum())
     alpha = e + 1.0

@@ -243,10 +243,15 @@ def load_checkpoint(path) -> Network:
     for i, layer in enumerate(doc["layers"]):
         spec = LayerSpec(int(layer["in_dim"]), int(layer["out_dim"]), bool(layer["hidden"]))
         w = np.asarray(layer["weights"], dtype=float)
+        b = np.asarray(layer["biases"], dtype=float)
         if w.size != spec.out_dim * spec.in_dim:
             raise ValueError(f"layer {i}: weight count does not match dimensions")
+        if b.shape != (spec.out_dim,):
+            raise ValueError(f"layer {i}: bias count does not match out_dim")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError(f"layer {i}: non-finite weights or biases")
         specs.append(spec)
         weights.append(w.reshape(spec.out_dim, spec.in_dim))
-        biases.append(np.asarray(layer["biases"], dtype=float))
+        biases.append(b)
     _validate_specs(specs)
     return Network(specs=specs, weights=weights, biases=biases, seed=int(doc["seed"]))

@@ -127,13 +127,15 @@ def reg_correct(
 
     The weight is the vacuity captured as a constant: no gradient flows
     through it. The gt gradient is exactly -weight under EXP (the evidence
-    factors cancel), and every non-gt coordinate gets exactly 0.
+    factors cancel, even where exp underflows to 0), and every non-gt
+    coordinate gets exactly 0.
     """
     if dact is None:
         dact = evidence_dact(state)
     gt = int(gt)
     e_gt = float(state.evidence[gt])
-    if e_gt <= 0.0:
+    exp_head = state.kind == Activation.EXP
+    if e_gt <= 0.0 and not exp_head:
         raise ValueError(
             "correct-evidence regularizer requires alpha_gt > 1; "
             "use the exp activation"
@@ -142,9 +144,7 @@ def reg_correct(
         weight = state.vacuity
     loss = -weight * float(np.log(e_gt + CORRECT_REG_EPS))
     grad = np.zeros(state.k)
-    # Grouped so that under EXP the ratio dact/e is exactly 1.0 and the
-    # gt gradient comes out as exactly -weight, not -weight up to an ulp.
-    grad[gt] = -weight * (float(dact[gt]) / e_gt)
+    grad[gt] = -weight if exp_head else -weight * (float(dact[gt]) / e_gt)
     return LossGrad(loss, grad)
 
 

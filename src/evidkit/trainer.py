@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
-from .evidence import Activation, evidence_state, is_zero_evidence, predict_class
-from .losses import Loss, softmax
-from .metrics import CensusBuckets, SampleRecord, evidence_census
+from .evidence import Activation, activation_apply
+from .losses import Loss
+from .metrics import CENSUS_THRESHOLDS, CensusBuckets, SampleRecord, evidence_census
 from .network import (
     Network,
     OptKind,
@@ -42,8 +42,6 @@ __all__ = [
     "epoch_csv_header",
     "save_epoch_csv",
 ]
-
-DEFAULT_ZERO_EV_TAUS = (0.01, 0.1, 1.0)
 
 
 class ConfigError(ValueError):
@@ -158,7 +156,7 @@ class ExperimentConfig:
     batch_size: int = 32
     seed: int = 0
     eval_every: int = 1
-    zero_ev_taus: list = field(default_factory=lambda: list(DEFAULT_ZERO_EV_TAUS))
+    zero_ev_taus: list = field(default_factory=lambda: list(CENSUS_THRESHOLDS))
 
     def validate(self) -> None:
         try:
@@ -261,52 +259,45 @@ class RunResult:
         return self.logs[-1].test_acc
 
 
-def _predict_rows(logits: np.ndarray, act: Activation, baseline: bool) -> np.ndarray:
-    if baseline:
-        return logits.argmax(axis=1)
-    preds = np.empty(logits.shape[0], dtype=int)
-    for i, row in enumerate(logits):
-        preds[i] = predict_class(evidence_state(act, row))
-    return preds
+def _score(logits: np.ndarray, act: Activation, baseline: bool) -> tuple:
+    """Per-sample (pred, vacuity, mean evidence, max softmax) columns of one batch.
+
+    Each column equals, exactly, what evidence_state and softmax give row by
+    row. Max softmax is None unless baseline, whose pred is the logit argmax.
+    """
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("logits must be finite")
+    k = logits.shape[1]
+    e = activation_apply(act, logits)
+    e_sum = e.sum(axis=1)
+    vacuity, mean_ev = k / (k + e_sum), e_sum / k
+    if not baseline:
+        return e.argmax(axis=1), vacuity, mean_ev, None
+    # Rounded division is monotone, so max(z / sum z) == max z / sum z.
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return logits.argmax(axis=1), vacuity, mean_ev, z.max(axis=1) / z.sum(axis=1)
 
 
 def evaluate(net: Network, ds: Dataset, act: Activation, baseline: bool = False) -> list:
     """One SampleRecord per sample; never mutates the network."""
     if net.out_dim != ds.k:
         raise ValueError(f"network emits {net.out_dim} logits but dataset has {ds.k} classes")
-    logits, _ = forward(net, ds.features)
-    records = []
-    for row, label in zip(logits, ds.labels):
-        state = evidence_state(act, row)
-        pred = int(row.argmax()) if baseline else predict_class(state)
-        records.append(
-            SampleRecord(
-                predicted=pred,
-                actual=int(label),
-                vacuity=state.vacuity,
-                mean_evidence=float(state.evidence.sum()) / state.k,
-                max_softmax=float(softmax(row).max()) if baseline else None,
-                is_ood=ds.ood,
-            )
-        )
-    return records
+    pred, vacuity, mean_ev, max_sm = _score(forward(net, ds.features)[0], act, baseline)
+    max_sm = [None] * ds.n if max_sm is None else max_sm.tolist()
+    labels = ds.labels.astype(int).tolist()
+    rows = zip(pred.tolist(), labels, vacuity.tolist(), mean_ev.tolist(), max_sm)
+    # Positional fields: predicted, actual, vacuity, mean_evidence, max_softmax.
+    return [SampleRecord(*row, is_ood=ds.ood) for row in rows]
 
 
 def _train_stats(
     net: Network, ds: Dataset, act: Activation, baseline: bool, taus
 ) -> tuple[float, dict, float]:
-    logits, _ = forward(net, ds.features)
-    preds = _predict_rows(logits, act, baseline)
-    acc = float((preds == ds.labels).mean())
-    counts = {float(t): 0 for t in taus}
-    vac = 0.0
-    for row in logits:
-        state = evidence_state(act, row)
-        vac += state.vacuity
-        for t in taus:
-            if is_zero_evidence(state, t):
-                counts[float(t)] += 1
-    return acc, counts, vac / ds.n
+    pred, vacuity, mean_ev, _ = _score(forward(net, ds.features)[0], act, baseline)
+    acc = float((pred == ds.labels).mean())
+    counts = {float(t): int((mean_ev <= t).sum()) for t in taus}
+    # cumsum adds strictly left to right, keeping epochs.csv bit-stable.
+    return acc, counts, float(np.cumsum(vacuity)[-1]) / ds.n
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -359,8 +350,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
             step(net, opt, backward(net, cache, g / len(rows)))
         train_acc, zero_ev, mean_vac = _train_stats(net, train, act, baseline, cfg.zero_ev_taus)
         if test is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1):
-            preds = _predict_rows(forward(net, test.features)[0], act, baseline)
-            test_acc = float((preds == test.labels).mean())
+            pred = _score(forward(net, test.features)[0], act, baseline)[0]
+            test_acc = float((pred == test.labels).mean())
         logs.append(
             EpochLog(
                 epoch=epoch,

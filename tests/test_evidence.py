@@ -106,6 +106,9 @@ def test_exp_clamp_behavior():
     # ordering preserved even past the clamp
     st2 = evidence_state(Activation.EXP, [40.0, 50.0])
     assert st2.evidence[0] == st2.evidence[1] == math.exp(LOGIT_CLAMP)
+    # the head itself clamps, so its value and slope stay finite far out
+    assert activation_apply(Activation.EXP, 800.0) == math.exp(LOGIT_CLAMP)
+    assert activation_grad(Activation.EXP, 800.0) == math.exp(LOGIT_CLAMP)
 
 
 def test_activation_grad_ordering_unit_scale():

@@ -1,5 +1,7 @@
 """Tests for the dense network, manual backprop, optimizers, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -278,3 +280,15 @@ def test_load_checkpoint_rejects_foreign_and_corrupt_files(tmp_path):
     p.write_text(doc)
     with pytest.raises(ValueError, match="weight count"):
         load_checkpoint(p)
+    # right weight count, but one bias too many or a non-finite value
+    for weights, biases, match in (
+        ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0], "layer 0: bias count"),
+        ([1.0, float("nan"), 3.0, 4.0], [0.0, 0.0], "layer 0: non-finite"),
+        ([1.0, 2.0, 3.0, 4.0], [0.0, float("-inf")], "layer 0: non-finite"),
+    ):
+        layer = {"in_dim": 2, "out_dim": 2, "hidden": False, "weights": weights, "biases": biases}
+        p.write_text(json.dumps(
+            {"format": "evidkit-network", "version": 1, "seed": 0, "layers": [layer]}
+        ))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(p)

@@ -248,6 +248,18 @@ def test_composite_correct_reg_requires_exp():
             composite_loss(Loss.EV_MSE, IncReg.NONE, act, weights, np.array([1.0, 1.0]), 0)
 
 
+def test_composite_correct_reg_survives_exp_underflow():
+    # exp(-750) underflows to 0; the gt gradient is still exactly -vacuity
+    o = np.array([-750.0, 0.0, 1.0])
+    weights = RegWeights(lambda1=0.0, use_correct_reg=True, epoch_index=3)
+    st = evidence_state(Activation.EXP, o)
+    assert st.evidence[0] == 0.0
+    got = composite_loss(Loss.EV_LOG, IncReg.NONE, Activation.EXP, weights, o, 0)
+    assert np.isfinite(got.loss)
+    assert np.isfinite(got.grad).all()
+    assert got.grad[0] == -st.vacuity
+
+
 def test_composite_frozen_weight_matches_manual():
     o = np.array([0.2, 0.9])
     weights = RegWeights(lambda1=0.0, use_correct_reg=True, epoch_index=12)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from evidkit.datasets import make_toy4
-from evidkit.evidence import Activation
+from evidkit.evidence import Activation, evidence_state, predict_class
+from evidkit.losses import softmax
 from evidkit.network import dense_specs, init_network
 from evidkit.trainer import (
     ConfigError,
@@ -17,6 +18,7 @@ from evidkit.trainer import (
     run_experiment,
     save_epoch_csv,
     sweep,
+    _score,
 )
 
 
@@ -194,6 +196,28 @@ def test_ood_records_are_flagged():
     assert result.ood_records is not None
     assert all(r.is_ood for r in result.ood_records)
     assert all(not r.is_ood for r in result.records)
+
+
+def test_batched_scores_equal_per_row_states():
+    rng = np.random.default_rng(21)
+    for k in (2, 10, 100):
+        logits = rng.uniform(-900.0, 900.0, (24, k))
+        logits[:8] = rng.normal(0.0, 3.0, (8, k))
+        logits[8] = 800.0  # every coordinate past the clamp: evidence ties
+        logits[9] = -800.0  # exp underflows in every coordinate
+        logits[10, 0] = 800.0
+        logits[11, 1:] = -750.0
+        for act in Activation:
+            for baseline in (False, True):
+                pred, vac, mean_ev, max_sm = _score(logits, act, baseline)
+                assert (max_sm is not None) == baseline
+                for i, row in enumerate(logits):
+                    st = evidence_state(act, row)
+                    assert pred[i] == (int(row.argmax()) if baseline else predict_class(st))
+                    assert vac[i] == st.vacuity
+                    assert mean_ev[i] == float(st.evidence.sum()) / k
+                    if baseline:
+                        assert max_sm[i] == float(softmax(row).max())
 
 
 def test_evaluate_rejects_class_mismatch():
