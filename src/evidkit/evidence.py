@@ -2,7 +2,8 @@
 
 The non-negative activation replaces the softmax layer. Every gradient
 formula downstream is composed against the activation derivative exposed
-here.
+here. States are built from one (K,) logit vector or an (N, K) batch;
+per-sample quantities always live on the last axis.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .special import _unbox
 
 __all__ = [
     "LOGIT_CLAMP",
@@ -38,24 +41,25 @@ class Activation(str, Enum):
 
 @dataclass(frozen=True)
 class EvidenceState:
-    """Per-sample Dirichlet bundle derived from one logit vector.
+    """Dirichlet bundle derived from one logit vector or an (N, K) batch.
 
     The state remembers the activation kind and the raw logits it was
     built from, so downstream terms can recover d e_k / d o_k without the
-    caller re-threading them (see evidence_dact).
+    caller re-threading them (see evidence_dact). Strength and vacuity are
+    floats for one vector and (N,) arrays for a batch.
     """
 
     evidence: np.ndarray  # e_k >= 0
     alpha: np.ndarray  # e_k + 1
-    strength: float  # S = K + sum e
-    vacuity: float  # K / S
+    strength: float | np.ndarray  # S = K + sum e
+    vacuity: float | np.ndarray  # K / S
     beliefs: np.ndarray  # e_k / S
     kind: Activation
     logits: np.ndarray  # raw (unclamped) logits o
 
     @property
     def k(self) -> int:
-        return self.evidence.shape[0]
+        return self.evidence.shape[-1]
 
 
 def _sigmoid(o: np.ndarray) -> np.ndarray:
@@ -94,35 +98,32 @@ def activation_grad(kind: Activation, o):
     if kind == Activation.RELU:
         out = (arr > 0.0).astype(float)
     elif kind == Activation.SOFTPLUS:
-        out = _sigmoid(np.atleast_1d(arr))
-        out = out.reshape(arr.shape)
+        out = _sigmoid(np.atleast_1d(arr)).reshape(arr.shape)
     elif kind == Activation.EXP:
         out = activation_apply(kind, arr)
     else:
         raise ValueError(f"unknown activation kind: {kind!r}")
-    if np.isscalar(o) or arr.ndim == 0:
-        return float(out)
-    return out
+    return _unbox(out)
 
 
 def evidence_state(kind: Activation, o) -> EvidenceState:
-    """Build the EvidenceState for one logit vector.
+    """Build the EvidenceState for one (K,) logit vector or an (N, K) batch.
 
     The evidence comes from activation_apply, so under EXP it is clamped
     and the state is always finite.
     """
     o = np.array(o, dtype=float)  # private copy: the state keeps it
-    if o.ndim != 1:
-        raise ValueError(f"expected a 1-d logit vector, got shape {o.shape}")
-    if o.shape[0] < 2:
+    if o.ndim not in (1, 2):
+        raise ValueError(f"expected (K,) or (N, K) logits, got shape {o.shape}")
+    if o.shape[-1] < 2:
         raise ValueError("need at least 2 classes")
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
     e = activation_apply(kind, o)
-    k = o.shape[0]
-    strength = k + float(e.sum())
+    k = o.shape[-1]
+    strength = _unbox(k + e.sum(axis=-1))
     alpha = e + 1.0
-    beliefs = e / strength
+    beliefs = e / np.asarray(strength)[..., None]
     for arr in (e, alpha, beliefs, o):
         arr.flags.writeable = False
     return EvidenceState(
@@ -144,18 +145,16 @@ def evidence_dact(state: EvidenceState) -> np.ndarray:
     subgradient so saturated coordinates still receive signal. Gradient
     checks skip coordinates at the clamp for exactly this reason.
     """
-    if state.kind == Activation.EXP:
-        return state.evidence
-    return np.asarray(activation_grad(state.kind, state.logits), dtype=float)
+    return activation_grad(state.kind, state.logits)
 
 
-def predict_class(state: EvidenceState) -> int:
-    """Class with the greatest evidence; ties go to the lowest index."""
-    return int(np.argmax(state.evidence))
+def predict_class(state: EvidenceState):
+    """Class with the greatest evidence per sample; ties go to the lowest index."""
+    return _unbox(np.argmax(state.evidence, axis=-1))
 
 
-def is_zero_evidence(state: EvidenceState, tau: float) -> bool:
-    """True iff the mean evidence (sum e_k)/K is at most tau."""
+def is_zero_evidence(state: EvidenceState, tau: float):
+    """True iff the mean evidence (sum e_k)/K is at most tau, per sample."""
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    return float(state.evidence.sum()) / state.k <= tau
+    return _unbox(state.evidence.sum(axis=-1) / state.k <= tau)

@@ -2,6 +2,8 @@
 
 All gradients are composed as (dL/d alpha_k) * (d e_k / d o_k) and are
 validated against central finite differences by the gradcheck module.
+Every function takes one sample or a batch: a (K,) state or logit vector
+with an int label, or an (N, K) one with an (N,) label array.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .evidence import Activation, EvidenceState, evidence_dact, evidence_state
-from .special import digamma, trigamma
+from .special import _unbox, digamma, trigamma
 
 __all__ = [
     "Loss",
@@ -38,89 +40,95 @@ EVIDENTIAL_LOSSES = (Loss.EV_MSE, Loss.EV_CE, Loss.EV_LOG)
 
 
 class LossGrad(NamedTuple):
-    """Scalar loss plus d loss / d logits."""
+    """Loss (a float for one sample, (N,) for a batch) plus d loss / d logits."""
 
-    loss: float
+    loss: float | np.ndarray
     grad: np.ndarray
 
 
-def one_hot(gt: int, k: int) -> np.ndarray:
-    if not 0 <= gt < k:
-        raise ValueError(f"label {gt} out of range for {k} classes")
-    y = np.zeros(k)
-    y[gt] = 1.0
-    return y
+def one_hot(gt, k: int) -> np.ndarray:
+    """(K,) indicator of an int label, or (N, K) rows for an (N,) label array."""
+    gt = np.asarray(gt).astype(int)
+    bad = (gt < 0) | (gt >= k)
+    if bad.any():
+        raise ValueError(f"label {gt[bad].flat[0]} out of range for {k} classes")
+    return (np.arange(k) == gt[..., None]).astype(float)
 
 
-def _check_gt(state_k: int, gt: int) -> int:
-    gt = int(gt)
-    if not 0 <= gt < state_k:
-        raise ValueError(f"label {gt} out of range for {state_k} classes")
-    return gt
+def _col(x):
+    """Per-sample values as a trailing axis that broadcasts over the K classes."""
+    return np.asarray(x)[..., None]
 
 
-def loss_ev_mse(state: EvidenceState, gt: int) -> float:
+def _gather(x: np.ndarray, y: np.ndarray):
+    """The ground-truth entry of each row; adding the zeros keeps it exact."""
+    return _unbox((x * y).sum(axis=-1))
+
+
+def loss_ev_mse(state: EvidenceState, gt) -> float | np.ndarray:
     """Sum-of-squares Bayes risk, sum_j (y_j - a_j/S)^2 + a_j(S-a_j)/(S^2(S+1)).
 
     Bounded in [0, 2] for any valid state.
     """
-    gt = _check_gt(state.k, gt)
-    a, s = state.alpha, state.strength
     y = one_hot(gt, state.k)
-    return float(((y - a / s) ** 2).sum() + (a * (s - a)).sum() / (s * s * (s + 1.0)))
-
-
-def loss_ev_ce(state: EvidenceState, gt: int) -> float:
-    """Cross-entropy Bayes risk, psi(S) - psi(alpha_gt)."""
-    gt = _check_gt(state.k, gt)
-    return digamma(state.strength) - digamma(float(state.alpha[gt]))
-
-
-def loss_ev_log(state: EvidenceState, gt: int) -> float:
-    """Type II maximum likelihood loss, log S - log alpha_gt."""
-    gt = _check_gt(state.k, gt)
-    return float(np.log(state.strength) - np.log(state.alpha[gt]))
-
-
-def softmax(o) -> np.ndarray:
-    """Softmax with max-shift for numerical stability."""
-    o = np.asarray(o, dtype=float)
-    z = np.exp(o - o.max())
-    return z / z.sum()
-
-
-def loss_softmax_ce(o, gt: int) -> LossGrad:
-    """Standard cross-entropy on logits; grad_k = softmax_k - y_k in [-1, 1]."""
-    o = np.asarray(o, dtype=float)
-    gt = _check_gt(o.shape[0], gt)
-    m = float(o.max())
-    loss = m + float(np.log(np.exp(o - m).sum())) - float(o[gt])
-    grad = softmax(o)
-    grad[gt] -= 1.0
-    return LossGrad(loss, grad)
-
-
-def _dalpha_ev_mse(state: EvidenceState, gt: int) -> np.ndarray:
     a, s = state.alpha, state.strength
-    y = one_hot(gt, state.k)
-    # pair_sum = sum over unordered pairs i < j of a_i a_j
-    pair_sum = (s * s - float(a @ a)) / 2.0
-    return (
-        2.0 * a[gt] / s**2
-        - 2.0 * y / s
-        - 2.0 * (s - a) / (s * (s + 1.0))
-        + 2.0 * (2.0 * s + 1.0) * pair_sum / (s * s + s) ** 2
+    s1 = _col(s)
+    return _unbox(
+        ((y - a / s1) ** 2).sum(axis=-1) + (a * (s1 - a)).sum(axis=-1) / (s * s * (s + 1.0))
     )
 
 
-def _dalpha_ev_ce(state: EvidenceState, gt: int) -> np.ndarray:
+def loss_ev_ce(state: EvidenceState, gt) -> float | np.ndarray:
+    """Cross-entropy Bayes risk, psi(S) - psi(alpha_gt)."""
     y = one_hot(gt, state.k)
-    return trigamma(state.strength) - y * trigamma(float(state.alpha[gt]))
+    return digamma(state.strength) - digamma(_gather(state.alpha, y))
 
 
-def _dalpha_ev_log(state: EvidenceState, gt: int) -> np.ndarray:
+def loss_ev_log(state: EvidenceState, gt) -> float | np.ndarray:
+    """Type II maximum likelihood loss, log S - log alpha_gt."""
     y = one_hot(gt, state.k)
-    return 1.0 / state.strength - y / state.alpha
+    return _unbox(np.log(state.strength) - np.log(_gather(state.alpha, y)))
+
+
+def softmax(o) -> np.ndarray:
+    """Softmax over the last axis, with max-shift for numerical stability."""
+    o = np.asarray(o, dtype=float)
+    z = np.exp(o - o.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
+
+
+def loss_softmax_ce(o, gt) -> LossGrad:
+    """Standard cross-entropy on logits; grad_k = softmax_k - y_k in [-1, 1]."""
+    o = np.asarray(o, dtype=float)
+    y = one_hot(gt, o.shape[-1])
+    m = o.max(axis=-1, keepdims=True)
+    z = np.exp(o - m)
+    z_sum = z.sum(axis=-1, keepdims=True)
+    loss = m[..., 0] + np.log(z_sum[..., 0]) - _gather(o, y)
+    return LossGrad(_unbox(loss), z / z_sum - y)
+
+
+def _dalpha_ev_mse(state: EvidenceState, y: np.ndarray) -> np.ndarray:
+    a, s = state.alpha, _col(state.strength)
+    a_gt = _col(_gather(a, y))
+    # pair_sum = sum over unordered pairs i < j of a_i a_j; the batched
+    # matmul rounds exactly as the 1-d dot a @ a does
+    pair_sum = (s * s - (a[..., None, :] @ a[..., None])[..., 0]) / 2.0
+    s2_plus_s = s * s + s
+    return (
+        2.0 * a_gt / (s * s)
+        - 2.0 * y / s
+        - 2.0 * (s - a) / (s * (s + 1.0))
+        + 2.0 * (2.0 * s + 1.0) * pair_sum / (s2_plus_s * s2_plus_s)
+    )
+
+
+def _dalpha_ev_ce(state: EvidenceState, y: np.ndarray) -> np.ndarray:
+    return _col(trigamma(state.strength)) - y * _col(trigamma(_gather(state.alpha, y)))
+
+
+def _dalpha_ev_log(state: EvidenceState, y: np.ndarray) -> np.ndarray:
+    return 1.0 / _col(state.strength) - y / state.alpha
 
 
 _DALPHA = {
@@ -136,14 +144,15 @@ _LOSS_VALUE = {
 }
 
 
-def grad_logits(kind: Loss, act: Activation, o, gt: int) -> LossGrad:
-    """Loss value and analytic d loss / d o for one sample."""
-    o = np.asarray(o, dtype=float)
-    gt = _check_gt(o.shape[0], gt)
+def _state_loss_grad(kind: Loss, state: EvidenceState, gt) -> LossGrad:
+    """Evidential loss and its logit gradient at an already built state."""
+    value = _LOSS_VALUE[kind](state, gt)
+    grad = _DALPHA[kind](state, one_hot(gt, state.k)) * evidence_dact(state)
+    return LossGrad(value, grad)
+
+
+def grad_logits(kind: Loss, act: Activation, o, gt) -> LossGrad:
+    """Loss value and analytic d loss / d o for one sample or a batch."""
     if kind == Loss.SOFTMAX_CE:
         return loss_softmax_ce(o, gt)
-    state = evidence_state(act, o)
-    dact = evidence_dact(state)
-    value = _LOSS_VALUE[kind](state, gt)
-    grad = _DALPHA[kind](state, gt) * dact
-    return LossGrad(value, grad)
+    return _state_loss_grad(kind, evidence_state(act, o), gt)

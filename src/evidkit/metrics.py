@@ -145,15 +145,13 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     if pos.size == 0 or neg.size == 0:
         raise ValueError("both score lists must be nonempty")
     scores = np.concatenate([pos, neg])
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("scores must be finite")
     order = np.argsort(scores, kind="mergesort")
+    _, first, count = np.unique(scores[order], return_index=True, return_counts=True)
     ranks = np.empty(scores.size)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # each tie group shares its average rank, 1-based: first + (count + 1) / 2
+    ranks[order] = np.repeat(first + 0.5 * (count - 1) + 1.0, count)
     u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
     return float(u / (pos.size * neg.size))
 
@@ -185,18 +183,23 @@ def load_records(path) -> list[SampleRecord]:
         if len(parts) != 6:
             raise ValueError(f"{path} row {lineno}: expected 6 columns, got {len(parts)}")
         try:
-            records.append(
-                SampleRecord(
-                    predicted=int(parts[0]),
-                    actual=int(parts[1]),
-                    vacuity=float(parts[2]),
-                    mean_evidence=float(parts[3]),
-                    max_softmax=float(parts[4]) if parts[4] else None,
-                    is_ood=bool(int(parts[5])),
-                )
-            )
+            pred, actual, flag = int(parts[0]), int(parts[1]), int(parts[5])
+            vac, mean_ev = float(parts[2]), float(parts[3])
+            max_sm = float(parts[4]) if parts[4] else None
         except ValueError:
             raise ValueError(f"{path} row {lineno}: could not parse values") from None
+        # one test per field; NaN fails every comparison, so it is caught too
+        bad = (
+            "class ids must be >= 0" if pred < 0 or actual < 0
+            else "vacuity must lie in (0, 1]" if not 0.0 < vac <= 1.0
+            else "mean_evidence must be finite and >= 0" if not 0.0 <= mean_ev < math.inf
+            else "max_softmax must lie in (0, 1]" if max_sm is not None and not 0.0 < max_sm <= 1.0
+            else "is_ood must be 0 or 1" if flag not in (0, 1)
+            else None
+        )
+        if bad:
+            raise ValueError(f"{path} row {lineno}: {bad}")
+        records.append(SampleRecord(pred, actual, vac, mean_ev, max_sm, bool(flag)))
     if not records:
         raise ValueError(f"{path}: no data rows")
     return records

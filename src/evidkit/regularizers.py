@@ -2,9 +2,9 @@
 regularizer, the annealing schedule, and the composite training objective.
 
 Each regularizer returns the loss plus its gradient with respect to the
-logits. The activation derivative dact = d e_k / d o_k defaults to the
-state's own (evidence_dact); callers that already computed it, like
-composite_loss, pass it in to avoid recomputing.
+logits, composed against the state's own activation derivative
+(evidence_dact). Like the losses, every term takes a (K,) state with an
+int label or an (N, K) batch with an (N,) label array.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .evidence import Activation, EvidenceState, evidence_dact, evidence_state
-from .losses import Loss, LossGrad, grad_logits, one_hot
-from .special import digamma, log_gamma, trigamma
+from .losses import Loss, LossGrad, _col, _gather, _state_loss_grad, loss_softmax_ce, one_hot
+from .special import _unbox, digamma, log_gamma, trigamma
 
 __all__ = [
     "CORRECT_REG_EPS",
@@ -57,72 +57,52 @@ class RegWeights:
             raise ValueError("epoch_index must be >= 0")
 
 
-def reg_edl_kl(
-    state: EvidenceState, gt: int, dact: np.ndarray | None = None
-) -> LossGrad:
+def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
     """Forward KL from Dir(alpha~) to the uniform Dirichlet, alpha~ = y + (1-y)*alpha.
 
     The gradient at the gt coordinate is exactly 0; elsewhere it is
     ((alpha_k - 1) psi1(alpha_k) - (A - K) psi1(A)) * dact_k with
     A = sum alpha~ = S - alpha_gt + 1.
     """
-    if dact is None:
-        dact = evidence_dact(state)
+    y = one_hot(gt, state.k)
     k = state.k
-    at = state.alpha.copy()
-    at[gt] = 1.0
-    a_sum = float(at.sum())
+    at = np.where(y > 0.0, 1.0, state.alpha)
+    a_sum = _unbox(at.sum(axis=-1))
+    # cumsum adds strictly left to right, as the per-class sums always have
     loss = (
         log_gamma(a_sum)
         - log_gamma(float(k))
-        - sum(log_gamma(float(v)) for v in at)
-        + float(sum((v - 1.0) * (digamma(float(v)) - digamma(a_sum)) for v in at))
+        - np.cumsum(log_gamma(at), axis=-1)[..., -1]
+        + np.cumsum((at - 1.0) * (digamma(at) - _col(digamma(a_sum))), axis=-1)[..., -1]
     )
-    tri_sum = trigamma(a_sum)
-    coef = np.array(
-        [(v - 1.0) * trigamma(float(v)) - (a_sum - k) * tri_sum for v in at]
-    )
-    coef[gt] = 0.0
-    return LossGrad(loss, coef * dact)
+    coef = (at - 1.0) * trigamma(at) - _col((a_sum - k) * trigamma(a_sum))
+    return LossGrad(_unbox(loss), np.where(y > 0.0, 0.0, coef) * evidence_dact(state))
 
 
-def reg_adl_sum(
-    state: EvidenceState, gt: int, dact: np.ndarray | None = None
-) -> LossGrad:
+def reg_adl_sum(state: EvidenceState, gt) -> LossGrad:
     """Sum of incorrect evidence, sum_k e_k (1 - y_k)."""
-    if dact is None:
-        dact = evidence_dact(state)
     y = one_hot(gt, state.k)
-    loss = float((state.evidence * (1.0 - y)).sum())
-    return LossGrad(loss, (1.0 - y) * dact)
+    loss = _unbox((state.evidence * (1.0 - y)).sum(axis=-1))
+    return LossGrad(loss, (1.0 - y) * evidence_dact(state))
 
 
-def reg_units_belief(
-    state: EvidenceState, gt: int, dact: np.ndarray | None = None
-) -> LossGrad:
+def reg_units_belief(state: EvidenceState, gt) -> LossGrad:
     """Sum of incorrect beliefs, sum_k (e_k/S)(1 - y_k), bounded in [0, 1].
 
     Both coordinate groups carry gradient: the non-gt derivative is
     (e_gt + K)/S^2 and the gt derivative is -(S - K - alpha_gt + 1)/S^2,
     since the loss depends on alpha_gt through S.
     """
-    if dact is None:
-        dact = evidence_dact(state)
+    y = one_hot(gt, state.k)
     k = state.k
     s = state.strength
-    a_gt = float(state.alpha[gt])
+    a_gt = _gather(state.alpha, y)
     inc = s - k - a_gt + 1.0
-    coef = np.full(k, (a_gt - 1.0 + k) / (s * s))
-    coef[gt] = -inc / (s * s)
-    return LossGrad(inc / s, coef * dact)
+    coef = np.where(y > 0.0, _col(-inc / (s * s)), _col((a_gt - 1.0 + k) / (s * s)))
+    return LossGrad(inc / s, coef * evidence_dact(state))
 
 
-def reg_correct(
-    state: EvidenceState,
-    gt: int,
-    dact: np.ndarray | None = None,
-    weight: float | None = None,
-) -> LossGrad:
+def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
     """Vacuity-weighted correct-evidence term, -nu * log(alpha_gt - 1 + eps).
 
     The weight is the vacuity captured as a constant: no gradient flows
@@ -130,22 +110,19 @@ def reg_correct(
     factors cancel, even where exp underflows to 0), and every non-gt
     coordinate gets exactly 0.
     """
-    if dact is None:
-        dact = evidence_dact(state)
-    gt = int(gt)
-    e_gt = float(state.evidence[gt])
+    y = one_hot(gt, state.k)
+    e_gt = _gather(state.evidence, y)
     exp_head = state.kind == Activation.EXP
-    if e_gt <= 0.0 and not exp_head:
+    if not exp_head and np.any(e_gt <= 0.0):
         raise ValueError(
             "correct-evidence regularizer requires alpha_gt > 1; "
             "use the exp activation"
         )
-    if weight is None:
-        weight = state.vacuity
-    loss = -weight * float(np.log(e_gt + CORRECT_REG_EPS))
-    grad = np.zeros(state.k)
-    grad[gt] = -weight if exp_head else -weight * (float(dact[gt]) / e_gt)
-    return LossGrad(loss, grad)
+    # one weight per sample, also where a single frozen weight is given
+    weight = np.broadcast_to(state.vacuity if weight is None else weight, np.shape(e_gt))
+    loss = -weight * np.log(e_gt + CORRECT_REG_EPS)
+    g_gt = -weight if exp_head else -weight * (_gather(evidence_dact(state), y) / e_gt)
+    return LossGrad(_unbox(loss), np.where(y > 0.0, _col(g_gt), 0.0))
 
 
 def anneal_eta1(lambda1: float, epoch: int) -> float:
@@ -170,35 +147,34 @@ def composite_loss(
     act: Activation,
     weights: RegWeights,
     o,
-    gt: int,
-    correct_weight: float | None = None,
+    gt,
+    correct_weight=None,
 ) -> LossGrad:
-    """Overall objective L_evid + eta1 * L_inc + L_cor for one sample.
+    """Overall objective L_evid + eta1 * L_inc + L_cor, per sample of o.
 
-    The correct-evidence term is included only when weights.use_correct_reg
-    and requires the EXP activation. correct_weight overrides the vacuity
-    weight; gradient checks use it to hold the weight fixed while logits
-    are perturbed.
+    o is one (K,) logit vector with an int label or an (N, K) batch with
+    (N,) labels; one EvidenceState serves every term. The correct-evidence
+    term is included only when weights.use_correct_reg and requires the
+    EXP activation. correct_weight overrides the vacuity weight; gradient
+    checks use it to hold the weight fixed while logits are perturbed.
     """
     o = np.asarray(o, dtype=float)
-    base = grad_logits(kind, act, o, gt)
-    total = base.loss
-    grad = base.grad.copy()
-    needs_state = (inc != IncReg.NONE) or weights.use_correct_reg
-    if not needs_state:
-        return LossGrad(total, grad)
-    state = evidence_state(act, o)
-    dact = evidence_dact(state)
+    needs_state = kind != Loss.SOFTMAX_CE or inc != IncReg.NONE or weights.use_correct_reg
+    state = evidence_state(act, o) if needs_state else None
+    if kind == Loss.SOFTMAX_CE:
+        total, grad = loss_softmax_ce(o, gt)
+    else:
+        total, grad = _state_loss_grad(kind, state, gt)
     if inc != IncReg.NONE:
         eta1 = anneal_eta1(weights.lambda1, weights.epoch_index)
         if eta1 != 0.0:
-            r = _INC_REG[inc](state, gt, dact)
-            total += eta1 * r.loss
-            grad += eta1 * r.grad
+            r = _INC_REG[inc](state, gt)
+            total = total + eta1 * r.loss
+            grad = grad + eta1 * r.grad
     if weights.use_correct_reg:
         if act != Activation.EXP:
             raise ValueError("use_correct_reg requires the exp activation")
-        r = reg_correct(state, gt, dact, weight=correct_weight)
-        total += r.loss
-        grad += r.grad
+        r = reg_correct(state, gt, weight=correct_weight)
+        total = total + r.loss
+        grad = grad + r.grad
     return LossGrad(total, grad)

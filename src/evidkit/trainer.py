@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
-from .evidence import Activation, activation_apply
-from .losses import Loss
+from .evidence import Activation, evidence_state, predict_class
+from .losses import Loss, softmax
 from .metrics import CENSUS_THRESHOLDS, CensusBuckets, SampleRecord, evidence_census
 from .network import (
     Network,
@@ -262,20 +262,13 @@ class RunResult:
 def _score(logits: np.ndarray, act: Activation, baseline: bool) -> tuple:
     """Per-sample (pred, vacuity, mean evidence, max softmax) columns of one batch.
 
-    Each column equals, exactly, what evidence_state and softmax give row by
-    row. Max softmax is None unless baseline, whose pred is the logit argmax.
+    Max softmax is None unless baseline, whose pred is the logit argmax.
     """
-    if not np.all(np.isfinite(logits)):
-        raise ValueError("logits must be finite")
-    k = logits.shape[1]
-    e = activation_apply(act, logits)
-    e_sum = e.sum(axis=1)
-    vacuity, mean_ev = k / (k + e_sum), e_sum / k
+    st = evidence_state(act, logits)
+    mean_ev = st.evidence.sum(axis=1) / st.k
     if not baseline:
-        return e.argmax(axis=1), vacuity, mean_ev, None
-    # Rounded division is monotone, so max(z / sum z) == max z / sum z.
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return logits.argmax(axis=1), vacuity, mean_ev, z.max(axis=1) / z.sum(axis=1)
+        return predict_class(st), st.vacuity, mean_ev, None
+    return logits.argmax(axis=1), st.vacuity, mean_ev, softmax(logits).max(axis=1)
 
 
 def evaluate(net: Network, ds: Dataset, act: Activation, baseline: bool = False) -> list:
@@ -336,12 +329,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 raise RuntimeError(
                     f"non-finite logits at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            g = np.zeros((len(rows), train.k))
-            batch_loss = 0.0
-            for j, r in enumerate(rows):
-                lg = composite_loss(loss_kind, inc, act, weights, logits[j], int(labels[r]))
-                batch_loss += lg.loss
-                g[j] = lg.grad
+            batch_loss, g = composite_loss(loss_kind, inc, act, weights, logits, labels[rows])
+            # cumsum adds strictly left to right, keeping epochs.csv bit-stable.
+            batch_loss = float(np.cumsum(batch_loss)[-1])
             if not np.isfinite(batch_loss):
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"

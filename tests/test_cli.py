@@ -281,6 +281,16 @@ def test_report_without_ood_has_null_auroc(tmp_path):
     assert summary["mean_vacuity_ood"] is None
 
 
+def test_report_rejects_nan_vacuity_exits_one(tmp_path, capsys):
+    recs = tmp_path / "r.csv"
+    some_records(recs)
+    recs.write_text(recs.read_text() + "1,1,nan,0.5,,0\n")
+    out = tmp_path / "rep"
+    assert main(["report", "--records", str(recs), "--out", str(out)]) == 1
+    assert "row 5: vacuity" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 def test_report_with_ood_scores_vacuity(tmp_path):
     recs = tmp_path / "r.csv"
     oods = tmp_path / "o.csv"

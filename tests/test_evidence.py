@@ -149,7 +149,7 @@ def test_evidence_state_input_validation():
     with pytest.raises(ValueError):
         evidence_state(Activation.EXP, [1.0])  # K < 2
     with pytest.raises(ValueError):
-        evidence_state(Activation.EXP, [[1.0, 2.0]])  # not 1-d
+        evidence_state(Activation.EXP, [[[1.0, 2.0]]])  # neither (K,) nor (N, K)
     with pytest.raises(ValueError):
         evidence_state(Activation.EXP, [1.0, float("nan")])
     with pytest.raises(ValueError):
@@ -162,3 +162,20 @@ def test_evidence_state_is_immutable():
         st.vacuity = 0.1
     with pytest.raises(Exception):
         st.evidence[0] = 99.0
+
+
+def test_batched_state_matches_per_row_states():
+    rng = np.random.default_rng(17)
+    o = rng.uniform(-40.0, 40.0, (9, 6))
+    for kind in Activation:
+        batch = evidence_state(kind, o)
+        assert batch.k == 6
+        assert batch.strength.shape == batch.vacuity.shape == (9,)
+        zero = is_zero_evidence(batch, 0.01)
+        for i, row in enumerate(o):
+            one = evidence_state(kind, row)
+            assert type(one.strength) is float and type(one.vacuity) is float
+            assert one.strength == batch.strength[i] and one.vacuity == batch.vacuity[i]
+            assert np.array_equal(one.beliefs, batch.beliefs[i])
+            assert predict_class(one) == predict_class(batch)[i]
+            assert is_zero_evidence(one, 0.01) == zero[i]

@@ -23,8 +23,8 @@ def test_central_diff_exact_on_quadratic():
     c = np.array([2.0, -0.5, 3.0])
     d = np.array([1.0, 4.0, -2.0])
 
-    def f(o):
-        return float(c @ (o * o) + d @ o)
+    def f(rows):
+        return (rows * rows) @ c + rows @ d
 
     o = np.array([0.3, -1.2, 2.5])
     g = central_diff(f, o, h=1e-5)
@@ -34,8 +34,8 @@ def test_central_diff_exact_on_quadratic():
 def test_central_diff_cubic_error_is_h_squared():
     # f = sum o^3 has f''' = 6, so the central-difference error per
     # coordinate is h^2 * f'''/6 = h^2.
-    def f(o):
-        return float((o**3).sum())
+    def f(rows):
+        return (rows**3).sum(axis=1)
 
     o = np.array([1.0, -2.0, 0.5])
     for h in (1e-3, 1e-4):
@@ -45,9 +45,9 @@ def test_central_diff_cubic_error_is_h_squared():
 
 
 def test_central_diff_matches_known_gradient_of_logsumexp():
-    def f(o):
-        m = o.max()
-        return float(m + np.log(np.exp(o - m).sum()))
+    def f(rows):
+        m = rows.max(axis=1, keepdims=True)
+        return m[:, 0] + np.log(np.exp(rows - m).sum(axis=1))
 
     o = np.array([0.2, -1.0, 3.0, 0.0])
     g = central_diff(f, o, h=1e-5)
@@ -100,6 +100,13 @@ def test_compare_grads_skip_mask_excludes_coordinate():
     ok, worst = compare_grads(a, n, skip=np.array([False, True]))
     assert ok
     assert worst == 0.0
+
+
+def test_compare_grads_nan_fails():
+    ok, _ = compare_grads(np.array([1.0, float("nan")]), np.array([1.0, 0.5]))
+    assert not ok
+    ok, _ = compare_grads(np.array([1.0, 1e-7]), np.array([1.0, float("nan")]))
+    assert not ok
 
 
 # --- grid_cells ------------------------------------------------------------
@@ -159,6 +166,22 @@ def test_check_case_skips_clamped_exp_coordinates():
     o = np.array([1.0, 0.5])
     _, _, skip = check_case(Loss.EV_LOG, Activation.EXP, "none", o, gt=1)
     assert skip.tolist() == [False, False]
+
+
+def test_check_case_checks_the_batched_objective_in_two_calls(monkeypatch):
+    import evidkit.gradcheck as gradcheck
+
+    shapes = []
+    real = gradcheck.composite_loss
+
+    def counting(*args, **kwargs):
+        shapes.append(np.shape(args[4]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "composite_loss", counting)
+    check_case(Loss.EV_CE, Activation.EXP, "edl_kl", np.array([0.3, -0.8, 1.1]), gt=0)
+    # one analytic sample, then the 2K perturbed rows as one batch
+    assert shapes == [(3,), (6, 3)]
 
 
 def test_check_case_red_freezes_the_vacuity_weight():

@@ -143,6 +143,10 @@ def test_auroc_matches_brute_force_exactly():
         pos = rng.integers(0, 10, 7).astype(float)
         neg = rng.integers(0, 10, 9).astype(float)
         assert auroc(pos, neg) == brute_auroc(pos, neg)
+    # tie-heavy: three distinct scores, long runs shared by both sides
+    pos = rng.integers(0, 3, 60) * 0.25
+    neg = rng.integers(0, 3, 45) * 0.25
+    assert auroc(pos, neg) == brute_auroc(pos, neg)
 
 
 def test_auroc_extremes_and_ties():
@@ -159,6 +163,12 @@ def test_auroc_invariant_under_monotone_transform():
     base = auroc(pos, neg)
     assert auroc(pos**3, neg**3) == base  # x^3 preserves order on all reals
     assert auroc(2.0 * pos + 7.0, 2.0 * neg + 7.0) == base
+
+
+def test_auroc_rejects_non_finite_scores():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            auroc([0.5, bad], [0.25])
 
 
 def test_auroc_rejects_empty():
@@ -207,4 +217,29 @@ def test_load_records_errors(tmp_path):
         load_records(p)
     p.write_text("predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,0.5\n")
     with pytest.raises(ValueError, match="row 2: expected 6 columns"):
+        load_records(p)
+
+
+@pytest.mark.parametrize(
+    "row, field",
+    [
+        ("0,0,nan,1.0,,0", "vacuity"),
+        ("0,0,1.5,1.0,,0", "vacuity"),
+        ("0,0,0.0,1.0,,0", "vacuity"),
+        ("0,0,0.5,-2.0,,0", "mean_evidence"),
+        ("0,0,0.5,nan,,0", "mean_evidence"),
+        ("0,0,0.5,inf,,0", "mean_evidence"),
+        ("0,0,0.5,1.0,0.0,0", "max_softmax"),
+        ("0,0,0.5,1.0,1.5,0", "max_softmax"),
+        ("0,0,0.5,1.0,nan,0", "max_softmax"),
+        ("0,0,0.5,1.0,,7", "is_ood"),
+        ("0,0,0.5,1.0,,-1", "is_ood"),
+        ("-3,0,0.5,1.0,,0", "class ids"),
+        ("0,-1,0.5,1.0,,0", "class ids"),
+    ],
+)
+def test_load_records_rejects_out_of_range_fields(tmp_path, row, field):
+    p = tmp_path / "r.csv"
+    p.write_text(f"predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,1.0,0.0,1.0,1\n{row}\n")
+    with pytest.raises(ValueError, match=f"row 3: {field}"):
         load_records(p)

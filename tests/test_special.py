@@ -135,3 +135,56 @@ def test_trigamma_positive_and_decreasing():
 def test_non_positive_or_non_finite_rejected(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)
+
+
+def loop_digamma(z):
+    """Reference: the step-by-step recurrence and series on one float."""
+    acc = 0.0
+    while z < 10.0:
+        acc -= 1.0 / z
+        z += 1.0
+    w = 1.0 / (z * z)
+    poly = 1 / 12 - w * (1 / 120 - w * (1 / 252 - w * (1 / 240 - w * (1 / 132 - w * (691 / 32760)))))
+    return acc + (math.log(z) - 0.5 / z - w * poly)
+
+
+def loop_trigamma(z):
+    acc = 0.0
+    while z < 10.0:
+        acc += 1.0 / (z * z)
+        z += 1.0
+    w = 1.0 / (z * z)
+    poly = 1 / 6 - w * (1 / 30 - w * (1 / 42 - w * (1 / 30 - w * (5 / 66 - w * (691 / 2730)))))
+    return acc + (1.0 / z + 0.5 * w + (w / z) * poly)
+
+
+def test_batched_lift_equals_step_by_step_loop_exactly():
+    rng = np.random.default_rng(108)
+    z = np.concatenate(
+        [np.exp(rng.uniform(-30.0, 32.0, 3000)), rng.uniform(0.0, 10.0, 3000)[1:],
+         [1e-150, 9.999999999999998, 10.0, 1.0]]
+    )
+    assert np.array_equal(digamma(z), [loop_digamma(v) for v in z.tolist()])
+    assert np.array_equal(trigamma(z), [loop_trigamma(v) for v in z.tolist()])
+
+
+@pytest.mark.parametrize("fn", [digamma, trigamma, log_gamma])
+def test_array_argument_is_elementwise_and_scalar_gives_float(fn):
+    rng = np.random.default_rng(106)
+    z = np.exp(rng.uniform(-5.0, 30.0, (7, 13)))  # below and far above the lift
+    got = fn(z)
+    assert got.shape == z.shape
+    assert all(got[i, j] == fn(float(z[i, j])) for i in range(7) for j in range(13))
+    assert type(fn(2.5)) is float
+
+
+def test_scipy_oracle_over_log_uniform_range():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(107)
+    z = np.exp(rng.uniform(0.0, math.log(1e14), 20_000))
+    for ours, ref in (
+        (digamma(z), special.digamma(z)),
+        (trigamma(z), special.polygamma(1, z)),
+        (log_gamma(z), special.gammaln(z)),
+    ):
+        assert np.all(np.abs(ours - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))

@@ -128,6 +128,22 @@ def test_run_experiment_shapes_and_log_fields():
         assert counts == sorted(counts)  # cumulative in tau
 
 
+def test_one_objective_call_per_mini_batch(monkeypatch):
+    import evidkit.trainer as trainer
+
+    shapes = []
+    real = trainer.composite_loss
+
+    def counting(*args, **kwargs):
+        shapes.append(np.shape(args[4]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "composite_loss", counting)
+    run_experiment(tiny_cfg(train_data=blob_data(n_per_class=5), epochs=2, batch_size=4))
+    # 10 samples in batches of 4: rows 4, 4, 2 in each of 2 epochs
+    assert shapes == [(4, 2), (4, 2), (2, 2)] * 2
+
+
 def test_run_is_deterministic_bit_exact():
     cfg = dict(
         name="det",
