@@ -22,10 +22,10 @@ from .gradcheck import run_grid
 from .losses import Loss
 from .metrics import (
     CensusBuckets,
+    RecordColumns,
     accuracy_vacuity_curve,
     auroc,
     evidence_census,
-    load_records,
     save_records,
     topk_confident_accuracy,
     vacuity_summary,
@@ -35,7 +35,7 @@ from .trainer import (
     ConfigError,
     DataConfig,
     ExperimentConfig,
-    evaluate,
+    _evaluate_columns,
     run_experiment,
     save_epoch_csv,
     sweep,
@@ -114,12 +114,14 @@ def cmd_train(args) -> int:
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
+    records = RecordColumns.from_records(result.records)
+    ood = None if result.ood_records is None else RecordColumns.from_records(result.ood_records)
     save_epoch_csv(result.logs, cfg.zero_ev_taus, out / "epochs.csv")
     save_checkpoint(result.net, out / "checkpoint.json")
-    save_records(result.records, out / "records.csv")
-    if result.ood_records is not None:
-        save_records(result.ood_records, out / "ood_records.csv")
-    census = evidence_census(result.records)
+    save_records(records, out / "records.csv")
+    if ood is not None:
+        save_records(ood, out / "ood_records.csv")
+    census = evidence_census(records)
     metrics = {
         "name": cfg.name,
         "final_train_acc": result.final_train_acc,
@@ -131,14 +133,10 @@ def cmd_train(args) -> int:
             "gt_1.0": census.gt_1,
         },
     }
-    ind_mean, _ = vacuity_summary(result.records)
-    metrics["mean_vacuity"] = ind_mean
-    if result.ood_records is not None:
-        ood_vac = [r.vacuity for r in result.ood_records]
-        metrics["mean_vacuity_ood"] = sum(ood_vac) / len(ood_vac)
-        metrics["auroc_vacuity"] = auroc(
-            ood_vac, [r.vacuity for r in result.records]
-        )
+    metrics["mean_vacuity"] = vacuity_summary(records)[0]
+    if ood is not None:
+        metrics["mean_vacuity_ood"] = ood.mean_vacuity
+        metrics["auroc_vacuity"] = auroc(ood.vacuity, records.vacuity)
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1))
     print(f"final test accuracy: {_fmt(result.final_test_acc)}")
     return EXIT_OK
@@ -150,11 +148,10 @@ def cmd_evaluate(args) -> int:
     data.validate("data")
     ds = data.build()
     act = Activation(args.activation)
-    records = evaluate(net, ds, act, baseline=args.baseline)
+    records = _evaluate_columns(net, ds, act, baseline=args.baseline)
     out = Path(args.out) if args.out else _out_dir(args) / "records.csv"
     save_records(records, out)
-    acc = sum(r.correct for r in records) / len(records)
-    print(f"evaluated {len(records)} samples, accuracy {_fmt(acc)}, records at {out}")
+    print(f"evaluated {len(records)} samples, accuracy {_fmt(records.accuracy)}, records at {out}")
     return EXIT_OK
 
 
@@ -253,7 +250,7 @@ def _write_census(census: CensusBuckets, path: Path) -> None:
 
 
 def cmd_census(args) -> int:
-    census = evidence_census(load_records(args.records))
+    census = evidence_census(RecordColumns.load(args.records))
     out = Path(args.out) if args.out else _out_dir(args) / "census.csv"
     _write_census(census, out)
     print(f"census of {census.n} records at {out}")
@@ -261,8 +258,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = load_records(args.records)
-    ood_records = load_records(args.ood_records) if args.ood_records else []
+    records = RecordColumns.load(args.records)
+    ood = RecordColumns.load(args.ood_records) if args.ood_records else None
     out = _out_dir(args)
     thresholds = _parse_floats(args.thresholds, "--thresholds") if args.thresholds else None
     fractions = _parse_floats(args.fractions, "--fractions") if args.fractions else None
@@ -282,29 +279,26 @@ def cmd_report(args) -> int:
 
     _write_census(evidence_census(records), out / "census.csv")
 
-    merged = list(records) + list(ood_records)
-    mean_ind, mean_ood = vacuity_summary(merged)
+    # InD and OOD are told apart by each record's flag, in either file
+    mean_ind, mean_ood = vacuity_summary(records, ood)
     summary = {
         "n": len(records),
-        "n_ood": len(ood_records),
-        "accuracy": sum(r.correct for r in records) / len(records),
+        "n_ood": 0 if ood is None else len(ood),
+        "accuracy": records.accuracy,
         "mean_vacuity_ind": mean_ind,
         "mean_vacuity_ood": mean_ood,
         "auroc": None,
         "score_kind": None,
     }
-    ind = [r for r in merged if not r.is_ood]
-    ood = [r for r in merged if r.is_ood]
-    if ood:
-        if all(r.max_softmax is not None for r in merged):
-            summary["score_kind"] = "one_minus_max_softmax"
-            pos = [1.0 - r.max_softmax for r in ood]
-            neg = [1.0 - r.max_softmax for r in ind]
-        else:
-            summary["score_kind"] = "vacuity"
-            pos = [r.vacuity for r in ood]
-            neg = [r.vacuity for r in ind]
-        summary["auroc"] = auroc(pos, neg)
+    if mean_ood is not None:
+        sets = [c for c in (records, ood) if c is not None]
+        softmax = not any(np.isnan(c.max_softmax).any() for c in sets)
+        summary["score_kind"] = "one_minus_max_softmax" if softmax else "vacuity"
+        scores = [(1.0 - c.max_softmax if softmax else c.vacuity, c.is_ood) for c in sets]
+        summary["auroc"] = auroc(
+            np.concatenate([s[flag] for s, flag in scores]),
+            np.concatenate([s[~flag] for s, flag in scores]),
+        )
     (out / "summary.json").write_text(json.dumps(summary, indent=1))
     print(f"report written to {out}")
     return EXIT_OK

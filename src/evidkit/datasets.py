@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -165,12 +166,12 @@ def save_csv(ds: Dataset, path) -> None:
 def load_csv(path, k: int | None = None) -> Dataset:
     """Load a dataset CSV; the sidecar, when present, supplies K/name/ood.
 
-    Malformed rows are rejected with their line number.
+    Malformed rows are rejected with their file line number.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    lines, lineno = _numbered_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: empty dataset (need a header and at least one row)")
     header = lines[0].split(",")
@@ -183,31 +184,102 @@ def load_csv(path, k: int | None = None) -> Dataset:
         meta = json.loads(sidecar.read_text())
     if k is None:
         k = meta.get("k")
-    feats = []
-    labels = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != d + 1:
-            raise ValueError(f"{path} row {lineno}: expected {d + 1} columns, got {len(parts)}")
-        try:
-            row = [float(v) for v in parts[:-1]]
-            label = int(parts[-1])
-        except ValueError:
-            raise ValueError(f"{path} row {lineno}: could not parse values") from None
-        if not all(np.isfinite(row)):
-            raise ValueError(f"{path} row {lineno}: non-finite feature")
-        if label < 0 or (k is not None and label >= k):
-            raise ValueError(f"{path} row {lineno}: label {label} out of range [0, {k})")
-        feats.append(row)
-        labels.append(label)
-    labels_arr = np.asarray(labels, dtype=int)
+
+    def parse(tokens: list, m: int) -> tuple:
+        labels = np.fromiter(map(int, tokens[d :: d + 1]), np.int64, m)
+        del tokens[d :: d + 1]
+        return np.fromiter(map(float, tokens), float, m * d).reshape(m, d), labels
+
+    def checks(feats, labels) -> list:
+        bad_label = labels < 0 if k is None else (labels < 0) | (labels >= k)
+        return [
+            (~np.isfinite(feats).all(axis=1), "non-finite feature"),
+            (bad_label, lambda r: f"label {labels[r]} out of range [0, {k})"),
+        ]
+
+    feats, labels = _parse_table(path, lines, lineno, d + 1, parse, checks)
     if k is None:
-        k = int(labels_arr.max()) + 1
+        k = int(labels.max()) + 1
     return Dataset(
-        features=np.asarray(feats, dtype=float),
-        labels=labels_arr,
+        features=feats,
+        labels=labels,
         k=int(k),
         name=meta.get("name", path.stem),
         ood=bool(meta.get("ood", False)),
         seed=meta.get("seed"),
     )
+
+
+# A loader parses rows in chunks of about this many comma-separated fields,
+# so it never holds more than one chunk of split text.
+_CHUNK_FIELDS = 1 << 14
+
+
+def _numbered_lines(path: Path) -> tuple[list, np.ndarray]:
+    """The non-blank lines of a text file and their 1-based file line numbers."""
+    lines = path.read_text().splitlines()
+    lineno = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
+    if lineno.size < len(lines):
+        lines = [lines[i - 1] for i in lineno.tolist()]
+    return lines, lineno
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _parse_table(path: Path, lines: list, lineno: np.ndarray, width: int, parse, checks) -> tuple:
+    """Columns of the data rows lines[1:]; raises for the first bad row.
+
+    parse(fields, m) turns the flat fields of m rows, `width` a row, into a
+    tuple of arrays with m rows, and raises ValueError or OverflowError when
+    a field does not convert. checks(*columns) lists (mask, message) value
+    checks; a callable message takes the row index. A row is checked for
+    its field count, then parsed, then checked in list order, and the error
+    of the first bad row in file order is raised with its file line.
+    """
+    rows = lines[1:]
+    n = len(rows)
+    ncols = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n) + 1
+    stop = _first(ncols != width)
+    stop = n if stop is None else stop
+    cols, parsed = _parse_rows(rows[:stop], width, parse)
+    bad = [
+        (stop if stop < n else None, lambda r: f"expected {width} columns, got {ncols[r]}"),
+        (parsed if parsed < stop else None, "could not parse values"),
+    ]
+    bad += [(_first(mask), msg) for mask, msg in checks(*cols)]
+    bad = [(r, msg) for r, msg in bad if r is not None]
+    if bad:
+        r, msg = min(bad, key=lambda b: b[0])  # min keeps the first check of a row
+        raise ValueError(f"{path} row {lineno[r + 1]}: {msg(r) if callable(msg) else msg}")
+    return cols
+
+
+def _parse_rows(rows: list, width: int, parse) -> tuple[tuple, int]:
+    """(columns, m) for the first m rows, all of which parse; m < len(rows)
+    means row m does not."""
+
+    def run(chunk):
+        return parse(",".join(chunk).split(",") if chunk else [], len(chunk))
+
+    parts = [run([])]  # typed empty columns, so no rows still concatenate
+    step = max(1, _CHUNK_FIELDS // width)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        try:
+            parts.append(run(chunk))
+        except (ValueError, OverflowError):
+            m = next(i for i in range(len(chunk)) if not _parses(run, chunk[i]))
+            parts.append(run(chunk[:m]))
+            return tuple(np.concatenate(col) for col in zip(*parts)), start + m
+    return tuple(np.concatenate(col) for col in zip(*parts)), len(rows)
+
+
+def _parses(run, row: str) -> bool:
+    try:
+        run([row])
+    except (ValueError, OverflowError):
+        return False
+    return True

@@ -2,6 +2,8 @@
 
 Includes the accuracy-vacuity curve, top-K%-confident accuracy, the
 zero-evidence census, InD/OOD vacuity summary, and rank-based AUROC.
+Records are held as NumPy columns (`RecordColumns`); every metric also
+accepts a `SampleRecord` sequence, which it converts to columns first.
 """
 
 from __future__ import annotations
@@ -9,13 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
+from .datasets import _numbered_lines, _parse_table
+
 __all__ = [
     "CENSUS_THRESHOLDS",
     "SampleRecord",
+    "RecordColumns",
     "CensusBuckets",
     "accuracy_vacuity_curve",
     "topk_confident_accuracy",
@@ -61,19 +67,115 @@ class CensusBuckets:
         return self.le_1 + self.gt_1
 
 
-def _require_records(records: Sequence[SampleRecord]) -> None:
-    if not records:
+# Column name -> dtype, in SampleRecord field order.
+_COLUMN_DTYPES = {
+    "predicted": np.int64,
+    "actual": np.int64,
+    "vacuity": np.float64,
+    "mean_evidence": np.float64,
+    "max_softmax": np.float64,
+    "is_ood": np.bool_,
+}
+
+
+@dataclass(frozen=True, eq=False)
+class RecordColumns:
+    """Evaluation records as parallel (N,) columns, one per SampleRecord field.
+
+    `max_softmax` is NaN where a record has none (every row outside the
+    softmax baseline).
+    """
+
+    predicted: np.ndarray
+    actual: np.ndarray
+    vacuity: np.ndarray
+    mean_evidence: np.ndarray
+    max_softmax: np.ndarray
+    is_ood: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMN_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype))
+        if self.vacuity.ndim != 1 or any(
+            getattr(self, name).shape != self.vacuity.shape for name in _COLUMN_DTYPES
+        ):
+            raise ValueError("record columns must be 1-D and of one length")
+
+    def __len__(self) -> int:
+        return self.vacuity.size
+
+    @property
+    def correct(self) -> np.ndarray:
+        return self.predicted == self.actual
+
+    @property
+    def accuracy(self) -> float:
+        return int(np.count_nonzero(self.correct)) / len(self)
+
+    @property
+    def mean_vacuity(self) -> float:
+        return _mean(self.vacuity)
+
+    @classmethod
+    def from_records(cls, records: Sequence[SampleRecord]) -> RecordColumns:
+        n = len(records)
+        cols = {
+            name: np.fromiter((getattr(r, name) for r in records), dtype, n)
+            for name, dtype in _COLUMN_DTYPES.items()
+            if name != "max_softmax"
+        }
+        sm = (math.nan if r.max_softmax is None else r.max_softmax for r in records)
+        return cls(max_softmax=np.fromiter(sm, float, n), **cols)
+
+    def to_records(self) -> list[SampleRecord]:
+        sm = [None if math.isnan(v) else v for v in self.max_softmax.tolist()]
+        fields = (self.predicted, self.actual, self.vacuity, self.mean_evidence)
+        rows = zip(*(c.tolist() for c in fields), sm, self.is_ood.tolist())
+        return [SampleRecord(*row) for row in rows]
+
+    @classmethod
+    def load(cls, path) -> RecordColumns:
+        """Read a records CSV; a malformed row is rejected with its file line."""
+        path = Path(path)
+        if not path.exists():
+            raise FileNotFoundError(f"records file not found: {path}")
+        lines, lineno = _numbered_lines(path)
+        if not lines or lines[0] != RECORDS_HEADER:
+            raise ValueError(f"{path}: expected header '{RECORDS_HEADER}'")
+        if len(lines) < 2:
+            raise ValueError(f"{path}: no data rows")
+        cols = _parse_table(path, lines, lineno, 6, _parse_records, _record_checks)
+        pred, actual, vac, mean_ev, max_sm, _, flag = cols
+        return cls(pred, actual, vac, mean_ev, max_sm, flag == 1)
+
+
+def _columns(records: RecordColumns | Sequence[SampleRecord]) -> RecordColumns:
+    if isinstance(records, RecordColumns):
+        return records
+    return RecordColumns.from_records(records)
+
+
+def _nonempty(records: RecordColumns | Sequence[SampleRecord]) -> RecordColumns:
+    cols = _columns(records)
+    if not len(cols):
         raise ValueError("empty record list")
+    return cols
+
+
+def _mean(x: np.ndarray) -> float:
+    """Mean summed strictly left to right, the order Python's sum used
+    before 3.12 and the one every stored mean was computed in."""
+    return float(np.cumsum(x)[-1]) / x.size
 
 
 def accuracy_vacuity_curve(
-    records: Sequence[SampleRecord], thresholds: Sequence[float] | None = None
+    records: RecordColumns | Sequence[SampleRecord], thresholds: Sequence[float] | None = None
 ) -> list[tuple[float, float, float | None]]:
     """(threshold, coverage, accuracy) over records with vacuity <= threshold.
 
     Accuracy over an empty retained subset is None, never 0.
     """
-    _require_records(records)
+    cols = _nonempty(records)
     if thresholds is None:
         thresholds = DEFAULT_CURVE_THRESHOLDS
     ts = [float(t) for t in thresholds]
@@ -81,43 +183,43 @@ def accuracy_vacuity_curve(
         raise ValueError("thresholds must lie in (0, 1]")
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise ValueError("thresholds must be strictly ascending")
-    n = len(records)
+    n = len(cols)
+    correct = cols.correct
     rows = []
     for t in ts:
-        kept = [r for r in records if r.vacuity <= t]
-        coverage = len(kept) / n
-        acc = sum(r.correct for r in kept) / len(kept) if kept else None
-        rows.append((t, coverage, acc))
+        kept = cols.vacuity <= t
+        m = int(np.count_nonzero(kept))
+        acc = int(np.count_nonzero(correct & kept)) / m if m else None
+        rows.append((t, m / n, acc))
     return rows
 
 
 def topk_confident_accuracy(
-    records: Sequence[SampleRecord], fractions: Sequence[float] | None = None
+    records: RecordColumns | Sequence[SampleRecord], fractions: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:
     """Accuracy on the ceil(fraction*N) most confident (lowest vacuity) records.
 
     Ties in vacuity are broken by stable input order.
     """
-    _require_records(records)
+    cols = _nonempty(records)
     if fractions is None:
         fractions = DEFAULT_TOPK_FRACTIONS
     fs = [float(f) for f in fractions]
     if any(not 0.0 < f <= 1.0 for f in fs):
         raise ValueError("fractions must lie in (0, 1]")
-    by_conf = sorted(records, key=lambda r: r.vacuity)  # stable sort
-    n = len(records)
+    # hits[m - 1]: correct records among the m most confident
+    hits = np.cumsum(cols.correct[np.argsort(cols.vacuity, kind="stable")])
+    n = len(cols)
     rows = []
     for f in fs:
         m = math.ceil(f * n)
-        kept = by_conf[:m]
-        rows.append((f, sum(r.correct for r in kept) / m))
+        rows.append((f, int(hits[m - 1]) / m))
     return rows
 
 
-def evidence_census(records: Sequence[SampleRecord]) -> CensusBuckets:
+def evidence_census(records: RecordColumns | Sequence[SampleRecord]) -> CensusBuckets:
     """Cumulative mean-evidence census with the fixed bucket edges."""
-    _require_records(records)
-    me = np.array([r.mean_evidence for r in records])
+    me = _nonempty(records).mean_evidence
     t1, t2, t3 = CENSUS_THRESHOLDS
     return CensusBuckets(
         le_001=int((me <= t1).sum()),
@@ -127,15 +229,18 @@ def evidence_census(records: Sequence[SampleRecord]) -> CensusBuckets:
     )
 
 
-def vacuity_summary(records: Sequence[SampleRecord]) -> tuple[float, float | None]:
-    """(mean InD vacuity, mean OOD vacuity); the OOD mean is None if absent."""
-    ind = [r.vacuity for r in records if not r.is_ood]
-    ood = [r.vacuity for r in records if r.is_ood]
-    if not ind:
+def vacuity_summary(
+    records: RecordColumns | Sequence[SampleRecord],
+    ood_records: RecordColumns | Sequence[SampleRecord] | None = None,
+) -> tuple[float, float | None]:
+    """(mean InD vacuity, mean OOD vacuity) over records, then ood_records,
+    split by each record's is_ood flag; the OOD mean is None if absent."""
+    sets = [_columns(r) for r in (records, ood_records) if r is not None]
+    ind = np.concatenate([c.vacuity[~c.is_ood] for c in sets])
+    ood = np.concatenate([c.vacuity[c.is_ood] for c in sets])
+    if not ind.size:
         raise ValueError("need at least one in-distribution record")
-    mean_ind = sum(ind) / len(ind)
-    mean_ood = sum(ood) / len(ood) if ood else None
-    return mean_ind, mean_ood
+    return _mean(ind), _mean(ood) if ood.size else None
 
 
 def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
@@ -159,47 +264,42 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
 RECORDS_HEADER = "predicted,actual,vacuity,mean_evidence,max_softmax,is_ood"
 
 
-def save_records(records: Sequence[SampleRecord], path) -> None:
-    lines = [RECORDS_HEADER]
-    for r in records:
-        sm = "" if r.max_softmax is None else f"{r.max_softmax:.17g}"
-        lines.append(
-            f"{r.predicted},{r.actual},{r.vacuity:.17g},{r.mean_evidence:.17g},"
-            f"{sm},{int(r.is_ood)}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def save_records(records: RecordColumns | Sequence[SampleRecord], path) -> None:
+    cols = _columns(records)
+    sm = ["" if math.isnan(v) else "%.17g" % v for v in cols.max_softmax.tolist()]
+    fields = (cols.predicted, cols.actual, cols.vacuity, cols.mean_evidence)
+    rows = zip(*(c.tolist() for c in fields), sm, cols.is_ood.tolist())
+    lines = map("%d,%d,%.17g,%.17g,%s,%d".__mod__, rows)
+    Path(path).write_text("\n".join([RECORDS_HEADER, *lines]) + "\n")
 
 
 def load_records(path) -> list[SampleRecord]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"records file not found: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != RECORDS_HEADER:
-        raise ValueError(f"{path}: expected header '{RECORDS_HEADER}'")
-    records = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"{path} row {lineno}: expected 6 columns, got {len(parts)}")
-        try:
-            pred, actual, flag = int(parts[0]), int(parts[1]), int(parts[5])
-            vac, mean_ev = float(parts[2]), float(parts[3])
-            max_sm = float(parts[4]) if parts[4] else None
-        except ValueError:
-            raise ValueError(f"{path} row {lineno}: could not parse values") from None
-        # one test per field; NaN fails every comparison, so it is caught too
-        bad = (
-            "class ids must be >= 0" if pred < 0 or actual < 0
-            else "vacuity must lie in (0, 1]" if not 0.0 < vac <= 1.0
-            else "mean_evidence must be finite and >= 0" if not 0.0 <= mean_ev < math.inf
-            else "max_softmax must lie in (0, 1]" if max_sm is not None and not 0.0 < max_sm <= 1.0
-            else "is_ood must be 0 or 1" if flag not in (0, 1)
-            else None
-        )
-        if bad:
-            raise ValueError(f"{path} row {lineno}: {bad}")
-        records.append(SampleRecord(pred, actual, vac, mean_ev, max_sm, bool(flag)))
-    if not records:
-        raise ValueError(f"{path}: no data rows")
-    return records
+    return RecordColumns.load(path).to_records()
+
+
+def _parse_records(fields: list, m: int) -> tuple:
+    """Columns of m records CSV rows, plus the mask of non-empty max_softmax
+    fields (an empty one is absent, NaN in the column)."""
+
+    def ints(j):
+        return np.fromiter(map(int, fields[j::6]), np.int64, m)
+
+    def floats(j):
+        return np.fromiter(map(float, fields[j::6]), float, m)
+
+    sm = fields[4::6]
+    present = np.fromiter(map(bool, sm), bool, m)
+    max_sm = np.full(m, math.nan)
+    max_sm[present] = np.fromiter(map(float, compress(sm, sm)), float, int(present.sum()))
+    return ints(0), ints(1), floats(2), floats(3), max_sm, present, ints(5)
+
+
+def _record_checks(pred, actual, vac, mean_ev, max_sm, present, flag) -> list:
+    # NaN fails every comparison, so it is caught too
+    return [
+        ((pred < 0) | (actual < 0), "class ids must be >= 0"),
+        (~((0.0 < vac) & (vac <= 1.0)), "vacuity must lie in (0, 1]"),
+        (~((0.0 <= mean_ev) & (mean_ev < math.inf)), "mean_evidence must be finite and >= 0"),
+        (present & ~((0.0 < max_sm) & (max_sm <= 1.0)), "max_softmax must lie in (0, 1]"),
+        ((flag != 0) & (flag != 1), "is_ood must be 0 or 1"),
+    ]

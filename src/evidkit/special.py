@@ -13,6 +13,7 @@ checks.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -24,6 +25,12 @@ __all__ = ["log_gamma", "digamma", "trigamma"]
 _ASYMPTOTIC_Z = 10.0
 # Rungs 0..10 of the recurrence ladder: 10 unit steps lift any z > 0 past 10.
 _LIFT_RUNGS = 11
+# Smallest arguments accepted. digamma(z) ~ -1/z, which overflows below
+# _DIGAMMA_MIN_Z. trigamma(z) ~ 1/z**2: below _TRIGAMMA_MIN_Z, z*z is no
+# longer a normal float, and 1/z**2 overflows at about half of it.
+_MIN_POSITIVE = math.nextafter(0.0, 1.0)
+_TRIGAMMA_MIN_Z = math.sqrt(sys.float_info.min)
+_DIGAMMA_MIN_Z = math.nextafter(1.0 / sys.float_info.max, 1.0)
 
 
 def _unbox(x):
@@ -32,11 +39,13 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
-def _check_arg(z, name: str) -> np.ndarray:
+def _check_arg(z, name: str, min_z: float = _MIN_POSITIVE) -> np.ndarray:
     z = np.asarray(z, dtype=float)
-    ok = np.isfinite(z) & (z > 0.0)
+    ok = (z >= min_z) & (z < math.inf)  # NaN fails both
     if not ok.all():
         bad = float(z[~ok].flat[0])
+        if 0.0 < bad < math.inf:
+            raise ValueError(f"{name} overflows for arguments below {min_z!r}, got {bad!r}")
         raise ValueError(f"{name} requires a positive finite argument, got {bad!r}")
     return z
 
@@ -47,7 +56,7 @@ def _elementwise(fn, z: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in z.ravel().tolist()]).reshape(z.shape)
 
 
-def _lift(z, name: str, step) -> tuple[np.ndarray, np.ndarray]:
+def _lift(z, name: str, min_z: float, step) -> tuple[np.ndarray, np.ndarray]:
     """Lift every entry of z to at least _ASYMPTOTIC_Z by the unit recurrence.
 
     Returns (lifted z, acc) with f(z) = acc + f(lifted z), where step(v) is
@@ -55,7 +64,7 @@ def _lift(z, name: str, step) -> tuple[np.ndarray, np.ndarray]:
     each addition, and both cumsums add in rung order, so every entry gets
     exactly what a step-by-step loop gives it.
     """
-    z = _check_arg(z, name)
+    z = _check_arg(z, name, min_z)
     ladder = np.ones((_LIFT_RUNGS,) + z.shape)
     ladder[0] = z
     np.cumsum(ladder, axis=0, out=ladder)
@@ -79,11 +88,12 @@ def log_gamma(z):
 
 
 def digamma(z):
-    """Digamma psi(z) = d/dz ln Gamma(z) for z > 0.
+    """Digamma psi(z) = d/dz ln Gamma(z) for z >= about 5.6e-309, below
+    which -1/z and so psi(z) overflow.
 
     Satisfies the recurrence psi(z+1) = psi(z) + 1/z to ~1e-15 absolute.
     """
-    z, acc = _lift(z, "digamma", lambda v: -1.0 / v)
+    z, acc = _lift(z, "digamma", _DIGAMMA_MIN_Z, lambda v: -1.0 / v)
     w = 1.0 / (z * z)
     # psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
     poly = _nested(w, (1 / 12, 1 / 120, 1 / 252, 1 / 240, 1 / 132, 691 / 32760))
@@ -91,12 +101,13 @@ def digamma(z):
 
 
 def trigamma(z):
-    """Trigamma psi1(z) = d/dz psi(z) for z > 0.
+    """Trigamma psi1(z) = d/dz psi(z) for z >= about 1.5e-154, below which
+    z*z is no longer a normal float and 1/z**2 soon overflows.
 
     Satisfies the recurrence psi1(z+1) = psi1(z) - 1/z**2 and, for z >= 1,
     the bound 1/z**2 < psi1(z) < 1/z**2 + pi**2/6.
     """
-    z, acc = _lift(z, "trigamma", lambda v: 1.0 / (v * v))
+    z, acc = _lift(z, "trigamma", _TRIGAMMA_MIN_Z, lambda v: 1.0 / (v * v))
     w = 1.0 / (z * z)
     # psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
     poly = _nested(w, (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730))

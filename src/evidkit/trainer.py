@@ -14,7 +14,7 @@ import numpy as np
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class
 from .losses import Loss, softmax
-from .metrics import CENSUS_THRESHOLDS, CensusBuckets, SampleRecord, evidence_census
+from .metrics import CENSUS_THRESHOLDS, CensusBuckets, RecordColumns, evidence_census
 from .network import (
     Network,
     OptKind,
@@ -271,16 +271,21 @@ def _score(logits: np.ndarray, act: Activation, baseline: bool) -> tuple:
     return logits.argmax(axis=1), st.vacuity, mean_ev, softmax(logits).max(axis=1)
 
 
-def evaluate(net: Network, ds: Dataset, act: Activation, baseline: bool = False) -> list:
-    """One SampleRecord per sample; never mutates the network."""
+def _evaluate_columns(
+    net: Network, ds: Dataset, act: Activation, baseline: bool = False
+) -> RecordColumns:
+    """One record per sample, as columns; never mutates the network."""
     if net.out_dim != ds.k:
         raise ValueError(f"network emits {net.out_dim} logits but dataset has {ds.k} classes")
     pred, vacuity, mean_ev, max_sm = _score(forward(net, ds.features)[0], act, baseline)
-    max_sm = [None] * ds.n if max_sm is None else max_sm.tolist()
-    labels = ds.labels.astype(int).tolist()
-    rows = zip(pred.tolist(), labels, vacuity.tolist(), mean_ev.tolist(), max_sm)
-    # Positional fields: predicted, actual, vacuity, mean_evidence, max_softmax.
-    return [SampleRecord(*row, is_ood=ds.ood) for row in rows]
+    if max_sm is None:
+        max_sm = np.full(ds.n, np.nan)
+    return RecordColumns(pred, ds.labels, vacuity, mean_ev, max_sm, np.full(ds.n, ds.ood))
+
+
+def evaluate(net: Network, ds: Dataset, act: Activation, baseline: bool = False) -> list:
+    """One SampleRecord per sample; never mutates the network."""
+    return _evaluate_columns(net, ds, act, baseline).to_records()
 
 
 def _train_stats(
@@ -395,14 +400,14 @@ def _sweep_point(args: tuple) -> SweepRow:
     cfg.seed = derive_sweep_seed(base_doc["seed"], index)
     cfg.name = f"{cfg.name}-lam{lam:g}"
     result = run_experiment(cfg)
-    vac = [r.vacuity for r in result.records]
+    records = RecordColumns.from_records(result.records)
     return SweepRow(
         lambda1=float(lam),
         seed=cfg.seed,
         final_train_acc=result.final_train_acc,
         final_test_acc=result.final_test_acc,
-        census=evidence_census(result.records),
-        mean_test_vacuity=sum(vac) / len(vac),
+        census=evidence_census(records),
+        mean_test_vacuity=records.mean_vacuity,
     )
 
 

@@ -179,6 +179,31 @@ def test_evaluate_class_mismatch_exits_one(tmp_path, capsys):
     assert "4 logits but dataset has 2 classes" in capsys.readouterr().err
 
 
+def test_read_path_builds_no_sample_records(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path)  # toy4: K=4 logits, D=2
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    ind, ood = tmp_path / "ind.csv", tmp_path / "ood.csv"
+    assert main(["gen-data", "--kind", "toy4", "--out", str(ind)]) == 0
+    assert main(["gen-data", "--kind", "blobs", "--k", "4", "--n-per-class", "3",
+                 "--shift", "9,9", "--out", str(ood)]) == 0
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a SampleRecord was built on the read path")
+
+    monkeypatch.setattr(SampleRecord, "__init__", refuse)
+    ck = str(run / "checkpoint.json")
+    for data, recs, extra in ((ind, "r.csv", []), (ood, "o.csv", ["--baseline"])):
+        argv = ["evaluate", "--checkpoint", ck, "--data", str(data), "--out", str(tmp_path / recs)]
+        assert main(argv + extra) == 0
+    rep = tmp_path / "rep"
+    assert main(["report", "--records", str(tmp_path / "r.csv"),
+                 "--ood-records", str(tmp_path / "o.csv"), "--out", str(rep)]) == 0
+    assert json.loads((rep / "summary.json").read_text())["n_ood"] == 12
+    assert main(["census", "--records", str(tmp_path / "o.csv"), "--out", str(tmp_path / "c.csv")]) == 0
+    assert "census of 12 records" in capsys.readouterr().out
+
+
 # --- gradcheck --------------------------------------------------------------------
 
 

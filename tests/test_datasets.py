@@ -152,6 +152,24 @@ def test_load_errors_carry_row_numbers(tmp_path):
     p.write_text("f0,f1,label\n1.0,inf,0\n")
     with pytest.raises(ValueError, match="row 2: non-finite"):
         load_csv(p)
+    # blank lines count: the bad row sits on file line 5
+    p.write_text("f0,f1,label\n1,2,0\n\n\n3,x,1\n")
+    with pytest.raises(ValueError, match="row 5: could not parse"):
+        load_csv(p)
+    # the first bad row in file order wins, whichever check it fails
+    p.write_text("f0,f1,label\n1,2,0\n1,nan,0\n1,2,7\n3,x,1\n3,1\n")
+    with pytest.raises(ValueError, match="row 3: non-finite"):
+        load_csv(p, k=2)
+    p.write_text("f0,f1,label\n1,2,0\n1,2,7\n3,x,1\n3,1\n")
+    with pytest.raises(ValueError, match="row 3: label 7 out of range"):
+        load_csv(p, k=2)
+    p.write_text("f0,f1,label\n1,2,0\n3,1\n3,x,1\n")
+    with pytest.raises(ValueError, match="row 3: expected 3 columns"):
+        load_csv(p)
+    # within one row: a parse failure is reported before a bad label
+    p.write_text("f0,f1,label\n1,x,9\n")
+    with pytest.raises(ValueError, match="row 2: could not parse"):
+        load_csv(p, k=2)
 
 
 def test_load_rejects_bad_header_and_empty(tmp_path):
@@ -161,4 +179,29 @@ def test_load_rejects_bad_header_and_empty(tmp_path):
         load_csv(p)
     p.write_text("f0,f1,label\n")
     with pytest.raises(ValueError, match="empty dataset"):
+        load_csv(p)
+
+
+def test_load_csv_across_parse_chunks(tmp_path):
+    """Rows past the first parse chunk keep their values and file lines."""
+    rng = np.random.default_rng(8)
+    n = 20_000  # several chunks at D = 2
+    feats = rng.normal(0.0, 1e3, (n, 2))
+    labels = rng.integers(0, 3, n)
+    p = tmp_path / "big.csv"
+    save_csv(Dataset(features=feats, labels=labels, k=3, name="big"), p)
+    ds = load_csv(p)
+    assert ds.features.tobytes() == feats.tobytes()
+    assert np.array_equal(ds.labels, labels)
+    lines = p.read_text().splitlines()
+    lines[n - 5] = lines[n - 5].replace(",", ",oops", 1)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"row {n - 4}: could not parse"):
+        load_csv(p)
+
+
+def test_load_csv_label_outside_int64_does_not_parse(tmp_path):
+    p = tmp_path / "huge.csv"
+    p.write_text(f"f0,f1,label\n1.0,2.0,0\n1.0,2.0,{2**64}\n")
+    with pytest.raises(ValueError, match="row 3: could not parse"):
         load_csv(p)

@@ -218,6 +218,12 @@ def test_load_records_errors(tmp_path):
     p.write_text("predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,0.5\n")
     with pytest.raises(ValueError, match="row 2: expected 6 columns"):
         load_records(p)
+    # blank lines count: the bad row sits on file line 5
+    p.write_text(
+        "predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,0.5,1.0,,0\n\n\n1,1,x,1.0,,0\n"
+    )
+    with pytest.raises(ValueError, match="row 5: could not parse"):
+        load_records(p)
 
 
 @pytest.mark.parametrize(

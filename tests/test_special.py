@@ -6,6 +6,7 @@ of the tests.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,22 @@ def test_trigamma_positive_and_decreasing():
 def test_non_positive_or_non_finite_rejected(fn, bad):
     with pytest.raises(ValueError):
         fn(bad)
+
+
+@pytest.mark.parametrize(
+    "fn, z, bound",
+    [(trigamma, 1e-300, "1.49"), (trigamma, 1.4e-154, "1.49"), (digamma, 5e-324, "5.56")],
+)
+def test_arguments_whose_result_overflows_are_rejected(fn, z, bound):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning escapes
+        with pytest.raises(ValueError, match=rf"{fn.__name__} overflows .* below {bound}"):
+            fn(z)
+        with pytest.raises(ValueError, match=fn.__name__):
+            fn(np.array([2.0, z]))
+        # just above the bound the result is finite
+        at = 1.5e-154 if fn is trigamma else 5.57e-309
+        assert math.isfinite(fn(at))
 
 
 def loop_digamma(z):
