@@ -6,174 +6,28 @@ network trained by manual backprop, toy datasets, uncertainty metrics, a
 deterministic trainer, and a CLI.
 """
 
-from .evidence import (
-    LOGIT_CLAMP,
-    Activation,
-    EvidenceState,
-    activation_apply,
-    activation_grad,
-    evidence_dact,
-    evidence_state,
-    is_zero_evidence,
-    predict_class,
-)
-from .losses import (
-    EVIDENTIAL_LOSSES,
-    Loss,
-    LossGrad,
-    grad_logits,
-    loss_ev_ce,
-    loss_ev_log,
-    loss_ev_mse,
-    loss_softmax_ce,
-    one_hot,
-    softmax,
-)
-from .regularizers import (
-    CORRECT_REG_EPS,
-    IncReg,
-    RegWeights,
-    anneal_eta1,
-    composite_loss,
-    reg_adl_sum,
-    reg_correct,
-    reg_edl_kl,
-    reg_units_belief,
-)
-from .gradcheck import CellResult, central_diff, compare_grads, check_case, grid_cells, run_grid
-from .network import (
-    LayerSpec,
-    Network,
-    OptimizerState,
-    OptKind,
-    backward,
-    dense_specs,
-    forward,
-    init_network,
-    load_checkpoint,
-    save_checkpoint,
-    step,
-)
-from .datasets import (
-    BlobSpec,
-    Dataset,
-    circle_means,
-    load_csv,
-    make_blobs,
-    make_ood_shift,
-    make_toy4,
-    save_csv,
-)
-from .metrics import (
-    CensusBuckets,
-    RecordColumns,
-    SampleRecord,
-    accuracy_vacuity_curve,
-    auroc,
-    evidence_census,
-    load_records,
-    save_records,
-    topk_confident_accuracy,
-    vacuity_summary,
-)
-from .trainer import (
-    ConfigError,
-    DataConfig,
-    EpochLog,
-    ExperimentConfig,
-    OptConfig,
-    RunResult,
-    SweepRow,
-    derive_sweep_seed,
-    epoch_csv_header,
-    evaluate,
-    run_experiment,
-    save_epoch_csv,
-    sweep,
-)
-from .special import digamma, log_gamma, trigamma
+# Each star import also binds its submodule, whose __all__ is joined below.
+from .datasets import *
+from .evidence import *
+from .gradcheck import *
+from .losses import *
+from .metrics import *
+from .network import *
+from .regularizers import *
+from .special import *
+from .trainer import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LOGIT_CLAMP",
-    "Activation",
-    "EvidenceState",
-    "activation_apply",
-    "activation_grad",
-    "evidence_dact",
-    "evidence_state",
-    "is_zero_evidence",
-    "predict_class",
-    "EVIDENTIAL_LOSSES",
-    "Loss",
-    "LossGrad",
-    "grad_logits",
-    "loss_ev_ce",
-    "loss_ev_log",
-    "loss_ev_mse",
-    "loss_softmax_ce",
-    "one_hot",
-    "softmax",
-    "CORRECT_REG_EPS",
-    "IncReg",
-    "RegWeights",
-    "anneal_eta1",
-    "composite_loss",
-    "reg_adl_sum",
-    "reg_correct",
-    "reg_edl_kl",
-    "reg_units_belief",
-    "CellResult",
-    "central_diff",
-    "compare_grads",
-    "check_case",
-    "grid_cells",
-    "run_grid",
-    "LayerSpec",
-    "Network",
-    "OptimizerState",
-    "OptKind",
-    "backward",
-    "dense_specs",
-    "forward",
-    "init_network",
-    "load_checkpoint",
-    "save_checkpoint",
-    "step",
-    "BlobSpec",
-    "Dataset",
-    "circle_means",
-    "load_csv",
-    "make_blobs",
-    "make_ood_shift",
-    "make_toy4",
-    "save_csv",
-    "CensusBuckets",
-    "RecordColumns",
-    "SampleRecord",
-    "accuracy_vacuity_curve",
-    "auroc",
-    "evidence_census",
-    "load_records",
-    "save_records",
-    "topk_confident_accuracy",
-    "vacuity_summary",
-    "ConfigError",
-    "DataConfig",
-    "EpochLog",
-    "ExperimentConfig",
-    "OptConfig",
-    "RunResult",
-    "SweepRow",
-    "derive_sweep_seed",
-    "epoch_csv_header",
-    "evaluate",
-    "run_experiment",
-    "save_epoch_csv",
-    "sweep",
-    "digamma",
-    "log_gamma",
-    "trigamma",
+    *evidence.__all__,
+    *losses.__all__,
+    *regularizers.__all__,
+    *gradcheck.__all__,
+    *network.__all__,
+    *datasets.__all__,
+    *metrics.__all__,
+    *trainer.__all__,
+    *special.__all__,
     "__version__",
 ]

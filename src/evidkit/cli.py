@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import save_csv
 from .evidence import Activation
-from .gradcheck import run_grid
+from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, run_grid
 from .losses import Loss
 from .metrics import (
     CensusBuckets,
@@ -35,7 +35,7 @@ from .trainer import (
     ConfigError,
     DataConfig,
     ExperimentConfig,
-    _evaluate_columns,
+    evaluate,
     run_experiment,
     save_epoch_csv,
     sweep,
@@ -68,7 +68,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _load_config(path: str) -> ExperimentConfig:
+def _read_config(path: str) -> dict:
+    """The JSON object in a config file; any other content is a ConfigError."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
@@ -76,7 +77,13 @@ def _load_config(path: str) -> ExperimentConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {p}: invalid JSON ({e})") from None
-    cfg = ExperimentConfig.from_dict(doc)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {p}: expected a JSON object")
+    return doc
+
+
+def _load_config(path: str) -> ExperimentConfig:
+    cfg = ExperimentConfig.from_dict(_read_config(path))
     cfg.validate()
     return cfg
 
@@ -109,34 +116,25 @@ def cmd_gen_data(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config)
     out = _out_dir(args)
-    try:
-        result = run_experiment(cfg)
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    records = RecordColumns.from_records(result.records)
-    ood = None if result.ood_records is None else RecordColumns.from_records(result.ood_records)
+    result = run_experiment(cfg)
+    records, ood = result.columns, result.ood_columns
+    # every metric is computed before the first file is written, so a run
+    # whose metrics fail leaves no partial output
+    metrics = {
+        "name": cfg.name,
+        "final_train_acc": result.final_train_acc,
+        "final_test_acc": result.final_test_acc,
+        "census": evidence_census(records).as_dict(),
+        "mean_vacuity": vacuity_summary(records)[0],
+    }
+    if ood is not None:
+        metrics["mean_vacuity_ood"] = ood.mean_vacuity
+        metrics["auroc_vacuity"] = auroc(ood.vacuity, records.vacuity)
     save_epoch_csv(result.logs, cfg.zero_ev_taus, out / "epochs.csv")
     save_checkpoint(result.net, out / "checkpoint.json")
     save_records(records, out / "records.csv")
     if ood is not None:
         save_records(ood, out / "ood_records.csv")
-    census = evidence_census(records)
-    metrics = {
-        "name": cfg.name,
-        "final_train_acc": result.final_train_acc,
-        "final_test_acc": result.final_test_acc,
-        "census": {
-            "le_0.01": census.le_001,
-            "le_0.1": census.le_01,
-            "le_1.0": census.le_1,
-            "gt_1.0": census.gt_1,
-        },
-    }
-    metrics["mean_vacuity"] = vacuity_summary(records)[0]
-    if ood is not None:
-        metrics["mean_vacuity_ood"] = ood.mean_vacuity
-        metrics["auroc_vacuity"] = auroc(ood.vacuity, records.vacuity)
     (out / "metrics.json").write_text(json.dumps(metrics, indent=1))
     print(f"final test accuracy: {_fmt(result.final_test_acc)}")
     return EXIT_OK
@@ -148,7 +146,7 @@ def cmd_evaluate(args) -> int:
     data.validate("data")
     ds = data.build()
     act = Activation(args.activation)
-    records = _evaluate_columns(net, ds, act, baseline=args.baseline)
+    records = evaluate(net, ds, act, baseline=args.baseline)
     out = Path(args.out) if args.out else _out_dir(args) / "records.csv"
     save_records(records, out)
     print(f"evaluated {len(records)} samples, accuracy {_fmt(records.accuracy)}, records at {out}")
@@ -156,15 +154,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    doc = {}
-    if args.config:
-        p = Path(args.config)
-        if not p.exists():
-            raise ConfigError(f"config file not found: {p}")
-        doc = json.loads(p.read_text())
-    samples = args.samples if args.samples is not None else int(doc.get("samples", 200))
-    h = args.h if args.h is not None else float(doc.get("h", 1e-5))
-    tol = args.tol if args.tol is not None else float(doc.get("tol", 1e-4))
+    doc = _read_config(args.config) if args.config else {}
+    samples = args.samples if args.samples is not None else int(doc.get("samples", DEFAULT_CASES))
+    h = args.h if args.h is not None else float(doc.get("h", DEFAULT_H))
+    tol = args.tol if args.tol is not None else float(doc.get("tol", DEFAULT_TOL))
     if samples < 1:
         raise ConfigError("--samples: must be >= 1")
     if h <= 0:
@@ -174,20 +167,16 @@ def cmd_gradcheck(args) -> int:
     losses = [Loss(v) for v in doc["losses"]] if "losses" in doc else None
     acts = [Activation(v) for v in doc["activations"]] if "activations" in doc else None
     regs = list(doc["regularizers"]) if "regularizers" in doc else None
-    try:
-        results = run_grid(
-            losses=losses,
-            acts=acts,
-            regs=regs,
-            n_cases=samples,
-            h=h,
-            tol=tol,
-            seed=args.seed,
-            corrupt=args.corrupt,
-        )
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    results = run_grid(
+        losses=losses,
+        acts=acts,
+        regs=regs,
+        n_cases=samples,
+        h=h,
+        tol=tol,
+        seed=args.seed,
+        corrupt=args.corrupt,
+    )
     failed = []
     for cell in results:
         status = "ok" if cell.passed else "FAIL"
@@ -217,21 +206,14 @@ def cmd_sweep(args) -> int:
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     out = _out_dir(args)
-    try:
-        rows = sweep(cfg, grid, workers=args.workers)
-    except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    header = (
-        "lambda1,seed,final_train_acc,final_test_acc,"
-        "census_le_0.01,census_le_0.1,census_le_1.0,census_gt_1.0,mean_test_vacuity"
-    )
-    lines = [header]
+    rows = sweep(cfg, grid, workers=args.workers)
+    census_cols = ",".join(f"census_{c}" for c in CensusBuckets.COLUMNS)
+    lines = [f"lambda1,seed,final_train_acc,final_test_acc,{census_cols},mean_test_vacuity"]
     for row in rows:
+        census = ",".join(map(str, row.census.as_dict().values()))
         lines.append(
             f"{_fmt(row.lambda1)},{row.seed},{_fmt(row.final_train_acc)},"
-            f"{_fmt(row.final_test_acc)},{row.census.le_001},{row.census.le_01},"
-            f"{row.census.le_1},{row.census.gt_1},{_fmt(row.mean_test_vacuity)}"
+            f"{_fmt(row.final_test_acc)},{census},{_fmt(row.mean_test_vacuity)}"
         )
         print(
             f"lambda1={row.lambda1:g}: train_acc={_fmt(row.final_train_acc)} "
@@ -243,10 +225,9 @@ def cmd_sweep(args) -> int:
 
 
 def _write_census(census: CensusBuckets, path: Path) -> None:
-    path.write_text(
-        "le_0.01,le_0.1,le_1.0,gt_1.0,n\n"
-        f"{census.le_001},{census.le_01},{census.le_1},{census.gt_1},{census.n}\n"
-    )
+    counts = census.as_dict()
+    rows = ([*counts, "n"], [*counts.values(), census.n])
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def cmd_census(args) -> int:
@@ -338,7 +319,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--h", type=float, default=None)
     p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--corrupt", help="cell loss:act:reg to fault-inject (self-test)")
     p.set_defaults(func=cmd_gradcheck)
 

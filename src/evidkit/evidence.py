@@ -22,7 +22,6 @@ __all__ = [
     "activation_apply",
     "activation_grad",
     "evidence_state",
-    "evidence_dact",
     "predict_class",
     "is_zero_evidence",
 ]
@@ -45,7 +44,7 @@ class EvidenceState:
 
     The state remembers the activation kind and the raw logits it was
     built from, so downstream terms can recover d e_k / d o_k without the
-    caller re-threading them (see evidence_dact). Strength and vacuity are
+    caller re-threading them (see activation_grad). Strength and vacuity are
     floats for one vector and (N,) arrays for a batch.
     """
 
@@ -91,8 +90,10 @@ def activation_grad(kind: Activation, o):
     """Derivative of the activation at o (scalar or array, elementwise).
 
     ReLU uses the case split d/do = 1 if o > 0 else 0, so the derivative
-    at exactly 0 is 0. EXP returns the clamped evidence, the subgradient
-    described in evidence_dact.
+    at exactly 0 is 0. Under EXP this is the clamped evidence itself: past
+    the clamp the forward map is flat, but training keeps the pre-clamp
+    slope as a subgradient so saturated coordinates still receive signal.
+    Gradient checks skip coordinates at the clamp for exactly this reason.
     """
     arr = np.asarray(o, dtype=float)
     if kind == Activation.RELU:
@@ -135,17 +136,6 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
         kind=Activation(kind),
         logits=o,
     )
-
-
-def evidence_dact(state: EvidenceState) -> np.ndarray:
-    """d e_k / d o_k at the state's own logits, elementwise.
-
-    Under EXP this is the clamped evidence itself: past the clamp the
-    forward map is flat, but training keeps the pre-clamp slope as a
-    subgradient so saturated coordinates still receive signal. Gradient
-    checks skip coordinates at the clamp for exactly this reason.
-    """
-    return activation_grad(state.kind, state.logits)
 
 
 def predict_class(state: EvidenceState):

@@ -34,6 +34,11 @@ __all__ = [
 RED = "red"
 
 DEFAULT_KS = (2, 3, 5, 10)
+# run_grid's defaults, which the CLI's gradcheck command shares.
+DEFAULT_CASES = 200
+DEFAULT_H = 1e-5
+DEFAULT_TOL = 1e-4
+DEFAULT_SEED = 2024
 # Logit sampling range for random cases; comfortably below the EXP clamp
 # and wide enough to exercise both zero- and high-evidence regions.
 _LOGIT_RANGE = 4.0
@@ -173,11 +178,11 @@ def run_grid(
     losses: Sequence[Loss] | None = None,
     acts: Sequence[Activation] | None = None,
     regs: Sequence[str] | None = None,
-    n_cases: int = 200,
-    h: float = 1e-5,
-    tol: float = 1e-4,
+    n_cases: int = DEFAULT_CASES,
+    h: float = DEFAULT_H,
+    tol: float = DEFAULT_TOL,
     ks: Sequence[int] = DEFAULT_KS,
-    seed: int = 2024,
+    seed: int = DEFAULT_SEED,
     corrupt: str | None = None,
 ) -> list[CellResult]:
     """Run the finite-difference oracle over the grid.

@@ -13,10 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evidence import Activation, EvidenceState, evidence_dact, evidence_state
+from .evidence import Activation, EvidenceState, activation_grad, evidence_state
 from .special import _unbox, digamma, trigamma
 
 __all__ = [
+    "EVIDENTIAL_LOSSES",
     "Loss",
     "LossGrad",
     "one_hot",
@@ -34,9 +35,6 @@ class Loss(str, Enum):
     EV_CE = "ev_ce"
     EV_LOG = "ev_log"
     SOFTMAX_CE = "softmax_ce"
-
-
-EVIDENTIAL_LOSSES = (Loss.EV_MSE, Loss.EV_CE, Loss.EV_LOG)
 
 
 class LossGrad(NamedTuple):
@@ -131,24 +129,19 @@ def _dalpha_ev_log(state: EvidenceState, y: np.ndarray) -> np.ndarray:
     return 1.0 / _col(state.strength) - y / state.alpha
 
 
-_DALPHA = {
-    Loss.EV_MSE: _dalpha_ev_mse,
-    Loss.EV_CE: _dalpha_ev_ce,
-    Loss.EV_LOG: _dalpha_ev_log,
+_EVIDENTIAL = {
+    Loss.EV_MSE: (loss_ev_mse, _dalpha_ev_mse),
+    Loss.EV_CE: (loss_ev_ce, _dalpha_ev_ce),
+    Loss.EV_LOG: (loss_ev_log, _dalpha_ev_log),
 }
-
-_LOSS_VALUE = {
-    Loss.EV_MSE: loss_ev_mse,
-    Loss.EV_CE: loss_ev_ce,
-    Loss.EV_LOG: loss_ev_log,
-}
+EVIDENTIAL_LOSSES = tuple(_EVIDENTIAL)
 
 
 def _state_loss_grad(kind: Loss, state: EvidenceState, gt) -> LossGrad:
     """Evidential loss and its logit gradient at an already built state."""
-    value = _LOSS_VALUE[kind](state, gt)
-    grad = _DALPHA[kind](state, one_hot(gt, state.k)) * evidence_dact(state)
-    return LossGrad(value, grad)
+    loss, dalpha = _EVIDENTIAL[kind]
+    grad = dalpha(state, one_hot(gt, state.k)) * activation_grad(state.kind, state.logits)
+    return LossGrad(loss(state, gt), grad)
 
 
 def grad_logits(kind: Loss, act: Activation, o, gt) -> LossGrad:

@@ -9,7 +9,7 @@ accepts a `SampleRecord` sequence, which it converts to columns first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from itertools import compress
 from typing import Sequence
@@ -62,9 +62,16 @@ class CensusBuckets:
     le_1: int
     gt_1: int
 
+    # Output column names, one per field in order, from the bucket edges.
+    COLUMNS = (*(f"le_{t}" for t in CENSUS_THRESHOLDS), f"gt_{CENSUS_THRESHOLDS[-1]}")
+
     @property
     def n(self) -> int:
         return self.le_1 + self.gt_1
+
+    def as_dict(self) -> dict[str, int]:
+        """Counts keyed by COLUMNS."""
+        return dict(zip(self.COLUMNS, astuple(self)))
 
 
 # Column name -> dtype, in SampleRecord field order.
@@ -220,13 +227,8 @@ def topk_confident_accuracy(
 def evidence_census(records: RecordColumns | Sequence[SampleRecord]) -> CensusBuckets:
     """Cumulative mean-evidence census with the fixed bucket edges."""
     me = _nonempty(records).mean_evidence
-    t1, t2, t3 = CENSUS_THRESHOLDS
-    return CensusBuckets(
-        le_001=int((me <= t1).sum()),
-        le_01=int((me <= t2).sum()),
-        le_1=int((me <= t3).sum()),
-        gt_1=int((me > t3).sum()),
-    )
+    le = [int((me <= t).sum()) for t in CENSUS_THRESHOLDS]
+    return CensusBuckets(*le, int((me > CENSUS_THRESHOLDS[-1]).sum()))
 
 
 def vacuity_summary(

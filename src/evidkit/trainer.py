@@ -48,6 +48,14 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+def _member(enum, value, where: str, what: str):
+    """enum(value), or a ConfigError naming the field and the bad value."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(f"{where}: unknown {what} {value!r}") from None
+
+
 @dataclass
 class DataConfig:
     """Declarative dataset description: toy4, blobs, or a CSV file."""
@@ -121,10 +129,7 @@ class OptConfig:
     eps: float = 1e-8
 
     def validate(self, where: str = "optimizer") -> None:
-        try:
-            OptKind(self.kind)
-        except ValueError:
-            raise ConfigError(f"{where}.kind: unknown optimizer {self.kind!r}") from None
+        _member(OptKind, self.kind, f"{where}.kind", "optimizer")
         if self.lr <= 0:
             raise ConfigError(f"{where}.lr: must be > 0")
 
@@ -159,25 +164,14 @@ class ExperimentConfig:
     zero_ev_taus: list = field(default_factory=lambda: list(CENSUS_THRESHOLDS))
 
     def validate(self) -> None:
-        try:
-            loss = Loss(self.loss)
-        except ValueError:
-            raise ConfigError(f"loss: unknown loss kind {self.loss!r}") from None
-        try:
-            Activation(self.activation)
-        except ValueError:
-            raise ConfigError(f"activation: unknown activation {self.activation!r}") from None
-        try:
-            IncReg(self.inc_reg)
-        except ValueError:
-            raise ConfigError(f"inc_reg: unknown regularizer {self.inc_reg!r}") from None
+        loss = _member(Loss, self.loss, "loss", "loss kind")
+        act = _member(Activation, self.activation, "activation", "activation")
+        inc = _member(IncReg, self.inc_reg, "inc_reg", "regularizer")
         if self.lambda1 < 0:
             raise ConfigError("lambda1: must be >= 0")
-        if self.use_correct_reg and Activation(self.activation) != Activation.EXP:
+        if self.use_correct_reg and act != Activation.EXP:
             raise ConfigError("use_correct_reg: requires activation=exp")
-        if loss == Loss.SOFTMAX_CE and (
-            IncReg(self.inc_reg) != IncReg.NONE or self.use_correct_reg
-        ):
+        if loss == Loss.SOFTMAX_CE and (inc != IncReg.NONE or self.use_correct_reg):
             raise ConfigError("inc_reg: the softmax baseline takes no evidential regularizers")
         if self.epochs < 1:
             raise ConfigError("epochs: must be >= 1")
@@ -247,8 +241,18 @@ class RunResult:
     config: ExperimentConfig
     logs: list
     net: Network
-    records: list  # final evaluation on the test set (train set if no test set)
-    ood_records: list | None = None
+    columns: RecordColumns  # final evaluation on the test set (train set if no test set)
+    ood_columns: RecordColumns | None = None
+
+    @property
+    def records(self) -> list:
+        """The final evaluation as SampleRecords, built on each access."""
+        return self.columns.to_records()
+
+    @property
+    def ood_records(self) -> list | None:
+        """The OOD evaluation as SampleRecords, built on each access."""
+        return None if self.ood_columns is None else self.ood_columns.to_records()
 
     @property
     def final_train_acc(self) -> float:
@@ -271,7 +275,7 @@ def _score(logits: np.ndarray, act: Activation, baseline: bool) -> tuple:
     return logits.argmax(axis=1), st.vacuity, mean_ev, softmax(logits).max(axis=1)
 
 
-def _evaluate_columns(
+def evaluate(
     net: Network, ds: Dataset, act: Activation, baseline: bool = False
 ) -> RecordColumns:
     """One record per sample, as columns; never mutates the network."""
@@ -281,11 +285,6 @@ def _evaluate_columns(
     if max_sm is None:
         max_sm = np.full(ds.n, np.nan)
     return RecordColumns(pred, ds.labels, vacuity, mean_ev, max_sm, np.full(ds.n, ds.ood))
-
-
-def evaluate(net: Network, ds: Dataset, act: Activation, baseline: bool = False) -> list:
-    """One SampleRecord per sample; never mutates the network."""
-    return _evaluate_columns(net, ds, act, baseline).to_records()
 
 
 def _train_stats(
@@ -357,9 +356,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 mean_vacuity=mean_vac,
             )
         )
-    records = evaluate(net, test if test is not None else train, act, baseline)
-    ood_records = evaluate(net, ood, act, baseline) if ood is not None else None
-    return RunResult(config=cfg, logs=logs, net=net, records=records, ood_records=ood_records)
+    columns = evaluate(net, test if test is not None else train, act, baseline)
+    ood_columns = evaluate(net, ood, act, baseline) if ood is not None else None
+    return RunResult(config=cfg, logs=logs, net=net, columns=columns, ood_columns=ood_columns)
 
 
 def epoch_csv_header(taus) -> str:
@@ -400,14 +399,13 @@ def _sweep_point(args: tuple) -> SweepRow:
     cfg.seed = derive_sweep_seed(base_doc["seed"], index)
     cfg.name = f"{cfg.name}-lam{lam:g}"
     result = run_experiment(cfg)
-    records = RecordColumns.from_records(result.records)
     return SweepRow(
         lambda1=float(lam),
         seed=cfg.seed,
         final_train_acc=result.final_train_acc,
         final_test_acc=result.final_test_acc,
-        census=evidence_census(records),
-        mean_test_vacuity=records.mean_vacuity,
+        census=evidence_census(result.columns),
+        mean_test_vacuity=result.columns.mean_vacuity,
     )
 
 

@@ -118,6 +118,18 @@ def test_train_with_ood_writes_auroc(tmp_path):
     assert "mean_vacuity_ood" in metrics
 
 
+def test_train_metric_failure_writes_no_files(tmp_path, capsys):
+    # an OOD-flagged test set has no in-distribution record to summarize
+    blob = {"kind": "blobs", "k": 3, "n_per_class": 10, "seed": 3}
+    cfg = write_cfg(
+        tmp_path, train_data=blob, test_data={**blob, "seed": 4, "shift": [3, -4]}, epochs=2
+    )
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "error: need at least one in-distribution record" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_train_config_errors_exit_one(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "none.json")]) == 1
     assert "config file not found" in capsys.readouterr().err
@@ -180,18 +192,19 @@ def test_evaluate_class_mismatch_exits_one(tmp_path, capsys):
 
 
 def test_read_path_builds_no_sample_records(tmp_path, monkeypatch, capsys):
-    cfg = write_cfg(tmp_path)  # toy4: K=4 logits, D=2
-    run = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
-    ind, ood = tmp_path / "ind.csv", tmp_path / "ood.csv"
-    assert main(["gen-data", "--kind", "toy4", "--out", str(ind)]) == 0
-    assert main(["gen-data", "--kind", "blobs", "--k", "4", "--n-per-class", "3",
-                 "--shift", "9,9", "--out", str(ood)]) == 0
-
     def refuse(self, *args, **kwargs):
         raise AssertionError("a SampleRecord was built on the read path")
 
     monkeypatch.setattr(SampleRecord, "__init__", refuse)
+    cfg = write_cfg(tmp_path)  # toy4: K=4 logits, D=2
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    sweep = ["sweep", "--config", str(cfg), "--grid", "0,1", "--out", str(tmp_path / "sw")]
+    assert main(sweep) == 0
+    ind, ood = tmp_path / "ind.csv", tmp_path / "ood.csv"
+    assert main(["gen-data", "--kind", "toy4", "--out", str(ind)]) == 0
+    assert main(["gen-data", "--kind", "blobs", "--k", "4", "--n-per-class", "3",
+                 "--shift", "9,9", "--out", str(ood)]) == 0
     ck = str(run / "checkpoint.json")
     for data, recs, extra in ((ind, "r.csv", []), (ood, "o.csv", ["--baseline"])):
         argv = ["evaluate", "--checkpoint", ck, "--data", str(data), "--out", str(tmp_path / recs)]
@@ -232,12 +245,17 @@ def test_gradcheck_corrupt_cell_exits_two_and_names_it(tmp_path, capsys):
     assert "worst case" in captured.err
 
 
-def test_gradcheck_flag_validation(capsys):
+def test_gradcheck_flag_validation(tmp_path, capsys):
     assert main(["gradcheck", "--samples", "0"]) == 1
     assert "--samples" in capsys.readouterr().err
     assert main(["gradcheck", "--h", "-1"]) == 1
     assert main(["gradcheck", "--tol", "0"]) == 1
     assert main(["gradcheck", "--config", "/no/such.json"]) == 1
+    for text in ("[1]", "{bad"):
+        cfg = tmp_path / "gc.json"
+        cfg.write_text(text)
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert f"config {cfg}:" in capsys.readouterr().err
 
 
 # --- sweep -------------------------------------------------------------------------
