@@ -18,7 +18,7 @@ import numpy as np
 
 from .datasets import save_csv
 from .evidence import Activation
-from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, run_grid
+from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, RED, run_grid
 from .losses import Loss
 from .metrics import (
     CensusBuckets,
@@ -31,10 +31,13 @@ from .metrics import (
     vacuity_summary,
 )
 from .network import load_checkpoint, save_checkpoint
+from .regularizers import IncReg
 from .trainer import (
     ConfigError,
     DataConfig,
     ExperimentConfig,
+    _check_types,
+    _member,
     evaluate,
     run_experiment,
     save_epoch_csv,
@@ -153,8 +156,22 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _grid_reg(name) -> str:
+    """A gradcheck regularizer label: an IncReg value or RED."""
+    return name if name == RED else IncReg(name).value
+
+
 def cmd_gradcheck(args) -> int:
     doc = _read_config(args.config) if args.config else {}
+    where = f"config {args.config}: "
+    names = {"losses": Loss, "activations": Activation, "regularizers": _grid_reg}
+    fields = dict.fromkeys(("samples", "h", "tol"), "float") | dict.fromkeys(names, "list")
+    _check_types(fields, doc, where)
+    grid = {
+        k: [_member(parse, v, where + k, "name") for v in doc[k]]
+        for k, parse in names.items()
+        if k in doc
+    }
     samples = args.samples if args.samples is not None else int(doc.get("samples", DEFAULT_CASES))
     h = args.h if args.h is not None else float(doc.get("h", DEFAULT_H))
     tol = args.tol if args.tol is not None else float(doc.get("tol", DEFAULT_TOL))
@@ -164,13 +181,10 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError("--h: must be > 0")
     if tol <= 0:
         raise ConfigError("--tol: must be > 0")
-    losses = [Loss(v) for v in doc["losses"]] if "losses" in doc else None
-    acts = [Activation(v) for v in doc["activations"]] if "activations" in doc else None
-    regs = list(doc["regularizers"]) if "regularizers" in doc else None
     results = run_grid(
-        losses=losses,
-        acts=acts,
-        regs=regs,
+        losses=grid.get("losses"),
+        acts=grid.get("activations"),
+        regs=grid.get("regularizers"),
         n_cases=samples,
         h=h,
         tol=tol,
@@ -292,12 +306,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a dataset CSV plus metadata sidecar")
     p.add_argument("--kind", required=True, choices=["toy4", "blobs"])
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--n-per-class", type=int, default=50)
-    p.add_argument("--stddev", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=6.0)
+    p.add_argument("--d", type=int, default=DataConfig.d)
+    p.add_argument("--seed", type=int, default=DataConfig.seed)
+    p.add_argument("--k", type=int, default=DataConfig.k)
+    p.add_argument("--n-per-class", type=int, default=DataConfig.n_per_class)
+    p.add_argument("--stddev", type=float, default=DataConfig.stddev)
+    p.add_argument("--radius", type=float, default=DataConfig.radius)
     p.add_argument("--shift", help="comma-separated translation; marks the set OOD")
     p.set_defaults(func=cmd_gen_data)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .evidence import LOGIT_CLAMP, Activation, evidence_state
 from .losses import EVIDENTIAL_LOSSES, Loss
-from .regularizers import IncReg, RegWeights, composite_loss
+from .regularizers import IncReg, anneal_eta1, composite_loss
 
 __all__ = [
     "RED",
@@ -144,25 +144,20 @@ def check_case(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One case: returns (analytic grad, numeric grad, skip mask)."""
     o = np.asarray(o, dtype=float)
-    if reg == RED:
-        inc = IncReg.NONE
-        weights = RegWeights(lambda1=0.0, use_correct_reg=True, epoch_index=epoch)
-        # stop-gradient: the vacuity weight stays at its base-point value
-        frozen = evidence_state(act, o).vacuity
-    else:
-        inc = IncReg(reg)
-        weights = RegWeights(lambda1=lambda1, use_correct_reg=False, epoch_index=epoch)
-        frozen = None
+    red = reg == RED
+    inc = IncReg.NONE if red else IncReg(reg)
+    eta1 = 0.0 if red else anneal_eta1(lambda1, epoch)
+    # stop-gradient: the vacuity weight stays at its base-point value
+    frozen = evidence_state(act, o).vacuity if red else None
 
-    def losses(rows: np.ndarray) -> np.ndarray:
-        return composite_loss(kind, inc, act, weights, rows, gt, correct_weight=frozen).loss
+    def objective(rows: np.ndarray):
+        return composite_loss(
+            kind, inc, act, rows, gt, eta1=eta1, use_correct_reg=red, correct_weight=frozen
+        )
 
-    analytic = composite_loss(kind, inc, act, weights, o, gt, correct_weight=frozen).grad
-    numeric = central_diff(losses, o, h=h)
-    if act == Activation.EXP:
-        skip = o >= LOGIT_CLAMP - 1e-3
-    else:
-        skip = np.zeros(o.shape[0], dtype=bool)
+    analytic = objective(o).grad
+    numeric = central_diff(lambda rows: objective(rows).loss, o, h=h)
+    skip = (o >= LOGIT_CLAMP - 1e-3) & (act == Activation.EXP)
     return analytic, numeric, skip
 
 

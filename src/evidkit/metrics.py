@@ -224,11 +224,16 @@ def topk_confident_accuracy(
     return rows
 
 
+def _count_at_most(cols: RecordColumns, taus) -> dict[float, int]:
+    """tau -> number of records whose mean evidence is <= tau."""
+    return {float(t): int((cols.mean_evidence <= t).sum()) for t in taus}
+
+
 def evidence_census(records: RecordColumns | Sequence[SampleRecord]) -> CensusBuckets:
     """Cumulative mean-evidence census with the fixed bucket edges."""
-    me = _nonempty(records).mean_evidence
-    le = [int((me <= t).sum()) for t in CENSUS_THRESHOLDS]
-    return CensusBuckets(*le, int((me > CENSUS_THRESHOLDS[-1]).sum()))
+    cols = _nonempty(records)
+    le = _count_at_most(cols, CENSUS_THRESHOLDS).values()
+    return CensusBuckets(*le, int((cols.mean_evidence > CENSUS_THRESHOLDS[-1]).sum()))
 
 
 def vacuity_summary(

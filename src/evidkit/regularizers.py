@@ -9,7 +9,6 @@ with an int label or an (N, K) batch with an (N,) label array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,7 +20,6 @@ from .special import _unbox, digamma, log_gamma, trigamma
 __all__ = [
     "CORRECT_REG_EPS",
     "IncReg",
-    "RegWeights",
     "reg_edl_kl",
     "reg_adl_sum",
     "reg_units_belief",
@@ -40,21 +38,6 @@ class IncReg(str, Enum):
     ADL_SUM = "adl_sum"
     UNITS_BELIEF = "units_belief"
     NONE = "none"
-
-
-@dataclass(frozen=True)
-class RegWeights:
-    """Regularizer knobs: lambda1 anneals to eta1 over the first 10 epochs."""
-
-    lambda1: float = 0.0
-    use_correct_reg: bool = False
-    epoch_index: int = 0
-
-    def __post_init__(self) -> None:
-        if self.lambda1 < 0:
-            raise ValueError("lambda1 must be >= 0")
-        if self.epoch_index < 0:
-            raise ValueError("epoch_index must be >= 0")
 
 
 def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
@@ -148,33 +131,35 @@ def composite_loss(
     kind: Loss,
     inc: IncReg,
     act: Activation,
-    weights: RegWeights,
     o,
     gt,
+    eta1: float = 0.0,
+    use_correct_reg: bool = False,
     correct_weight=None,
 ) -> LossGrad:
     """Overall objective L_evid + eta1 * L_inc + L_cor, per sample of o.
 
     o is one (K,) logit vector with an int label or an (N, K) batch with
-    (N,) labels; one EvidenceState serves every term. The correct-evidence
-    term is included only when weights.use_correct_reg and requires the
-    EXP activation. correct_weight overrides the vacuity weight; gradient
-    checks use it to hold the weight fixed while logits are perturbed.
+    (N,) labels; one EvidenceState serves every term. eta1 is the annealed
+    incorrect-evidence weight (anneal_eta1). The correct-evidence term is
+    included only when use_correct_reg and requires the EXP activation.
+    correct_weight overrides the vacuity weight; gradient checks use it to
+    hold the weight fixed while logits are perturbed.
     """
+    if eta1 < 0:
+        raise ValueError("eta1 must be >= 0")
     o = np.asarray(o, dtype=float)
-    needs_state = kind != Loss.SOFTMAX_CE or inc != IncReg.NONE or weights.use_correct_reg
+    needs_state = kind != Loss.SOFTMAX_CE or inc != IncReg.NONE or use_correct_reg
     state = evidence_state(act, o) if needs_state else None
     if kind == Loss.SOFTMAX_CE:
         total, grad = loss_softmax_ce(o, gt)
     else:
         total, grad = _state_loss_grad(kind, state, gt)
-    if inc != IncReg.NONE:
-        eta1 = anneal_eta1(weights.lambda1, weights.epoch_index)
-        if eta1 != 0.0:
-            r = _INC_REG[inc](state, gt)
-            total = total + eta1 * r.loss
-            grad = grad + eta1 * r.grad
-    if weights.use_correct_reg:
+    if inc != IncReg.NONE and eta1 != 0.0:
+        r = _INC_REG[inc](state, gt)
+        total = total + eta1 * r.loss
+        grad = grad + eta1 * r.grad
+    if use_correct_reg:
         if act != Activation.EXP:
             raise ValueError("use_correct_reg requires the exp activation")
         r = reg_correct(state, gt, weight=correct_weight)

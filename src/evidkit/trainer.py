@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class
 from .losses import Loss, softmax
-from .metrics import CENSUS_THRESHOLDS, CensusBuckets, RecordColumns, evidence_census
+from .metrics import CENSUS_THRESHOLDS, CensusBuckets, RecordColumns, _count_at_most, evidence_census
 from .network import (
     Network,
     OptKind,
@@ -25,7 +26,7 @@ from .network import (
     init_network,
     step,
 )
-from .regularizers import IncReg, RegWeights, composite_loss
+from .regularizers import IncReg, anneal_eta1, composite_loss
 
 __all__ = [
     "ConfigError",
@@ -46,6 +47,21 @@ __all__ = [
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
+
+
+# Value types accepted per field annotation; a bool is never taken for a number.
+_JSON_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "list": list}
+
+
+def _check_types(types: dict, doc: dict, where: str) -> None:
+    """ConfigError naming the first field of doc that does not match its annotation
+    in types; None matches an optional one, and other annotations pass."""
+    for name, value in doc.items():
+        kind, _, optional = types.get(name, "").partition(" | ")
+        if kind not in _JSON_TYPES or (value is None and optional):
+            continue
+        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
+            raise ConfigError(f"{where}{name}: expected {kind}, got {value!r}")
 
 
 def _member(enum, value, where: str, what: str):
@@ -98,21 +114,19 @@ class DataConfig:
             if s.shape != (self.d,):
                 raise ConfigError(f"{where}.shift: expected {self.d} components")
 
-    def blob_spec(self) -> BlobSpec:
-        means = (
-            np.asarray(self.means, dtype=float)
-            if self.means is not None
-            else circle_means(self.k, self.d, self.radius)
-        )
-        return BlobSpec(
-            k=self.k, means=means, stddev=self.stddev, n_per_class=self.n_per_class, seed=self.seed
-        )
-
     def build(self) -> Dataset:
         if self.kind == "toy4":
             return make_toy4(self.d, self.seed)
         if self.kind == "blobs":
-            spec = self.blob_spec()
+            means = (
+                np.asarray(self.means, dtype=float)
+                if self.means is not None
+                else circle_means(self.k, self.d, self.radius)
+            )
+            spec = BlobSpec(
+                k=self.k, means=means, stddev=self.stddev, n_per_class=self.n_per_class,
+                seed=self.seed,
+            )
             if self.shift is not None:
                 return make_ood_shift(spec, np.asarray(self.shift, dtype=float))
             return make_blobs(spec)
@@ -134,14 +148,7 @@ class OptConfig:
             raise ConfigError(f"{where}.lr: must be > 0")
 
     def build(self) -> OptimizerState:
-        return OptimizerState(
-            kind=OptKind(self.kind),
-            lr=self.lr,
-            momentum=self.momentum,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
+        return OptimizerState(**dataclasses.asdict(self))
 
 
 @dataclass
@@ -173,21 +180,16 @@ class ExperimentConfig:
             raise ConfigError("use_correct_reg: requires activation=exp")
         if loss == Loss.SOFTMAX_CE and (inc != IncReg.NONE or self.use_correct_reg):
             raise ConfigError("inc_reg: the softmax baseline takes no evidential regularizers")
-        if self.epochs < 1:
-            raise ConfigError("epochs: must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size: must be >= 1")
-        if self.eval_every < 1:
-            raise ConfigError("eval_every: must be >= 1")
+        for name in ("epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name}: must be >= 1")
         if not self.hidden_dims or any(int(h) < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need at least one positive width")
         if any(t < 0 for t in self.zero_ev_taus):
             raise ConfigError("zero_ev_taus: thresholds must be >= 0")
-        self.train_data.validate("train_data")
-        if self.test_data is not None:
-            self.test_data.validate("test_data")
-        if self.ood_data is not None:
-            self.ood_data.validate("ood_data")
+        for name in ("train_data", "test_data", "ood_data"):
+            if getattr(self, name) is not None:
+                getattr(self, name).validate(name)
         self.optimizer.validate()
 
     def to_dict(self) -> dict:
@@ -199,30 +201,29 @@ class ExperimentConfig:
             raise ConfigError("config: expected a JSON object")
         doc = dict(doc)
 
-        def sub(cls, key, value, where):
-            if value is None:
-                return None
+        def sub(cls, value, where):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
-            known = {f.name for f in dataclasses.fields(cls)}
-            extra = set(value) - known
+            types = {f.name: f.type for f in dataclasses.fields(cls)}
+            extra = value.keys() - types
             if extra:
                 raise ConfigError(f"{where}.{sorted(extra)[0]}: unknown field")
+            _check_types(types, value, f"{where}.")
             return cls(**value)
 
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        extra = set(doc) - known
+        types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
+        extra = doc.keys() - types
         if extra:
             raise ConfigError(f"config field {sorted(extra)[0]!r}: unknown field")
         if "train_data" not in doc:
             raise ConfigError("train_data: required")
         if "name" not in doc:
             raise ConfigError("name: required")
-        doc["train_data"] = sub(DataConfig, "train_data", doc["train_data"], "train_data")
-        doc["test_data"] = sub(DataConfig, "test_data", doc.get("test_data"), "test_data")
-        doc["ood_data"] = sub(DataConfig, "ood_data", doc.get("ood_data"), "ood_data")
-        if "optimizer" in doc:
-            doc["optimizer"] = sub(OptConfig, "optimizer", doc["optimizer"], "optimizer")
+        _check_types(types, doc, "")
+        for key in ("train_data", "test_data", "ood_data", "optimizer"):
+            # a null optional config stays None; a null required one is rejected
+            if key in doc and not (doc[key] is None and types[key].endswith("| None")):
+                doc[key] = sub(OptConfig if key == "optimizer" else DataConfig, doc[key], key)
         return ExperimentConfig(**doc)
 
 
@@ -241,7 +242,7 @@ class RunResult:
     config: ExperimentConfig
     logs: list
     net: Network
-    columns: RecordColumns  # final evaluation on the test set (train set if no test set)
+    columns: RecordColumns  # last epoch's evaluation of the test set (train set if none)
     ood_columns: RecordColumns | None = None
 
     @property
@@ -263,38 +264,18 @@ class RunResult:
         return self.logs[-1].test_acc
 
 
-def _score(logits: np.ndarray, act: Activation, baseline: bool) -> tuple:
-    """Per-sample (pred, vacuity, mean evidence, max softmax) columns of one batch.
-
-    Max softmax is None unless baseline, whose pred is the logit argmax.
-    """
-    st = evidence_state(act, logits)
-    mean_ev = st.evidence.sum(axis=1) / st.k
-    if not baseline:
-        return predict_class(st), st.vacuity, mean_ev, None
-    return logits.argmax(axis=1), st.vacuity, mean_ev, softmax(logits).max(axis=1)
-
-
 def evaluate(
     net: Network, ds: Dataset, act: Activation, baseline: bool = False
 ) -> RecordColumns:
     """One record per sample, as columns; never mutates the network."""
     if net.out_dim != ds.k:
         raise ValueError(f"network emits {net.out_dim} logits but dataset has {ds.k} classes")
-    pred, vacuity, mean_ev, max_sm = _score(forward(net, ds.features)[0], act, baseline)
-    if max_sm is None:
-        max_sm = np.full(ds.n, np.nan)
-    return RecordColumns(pred, ds.labels, vacuity, mean_ev, max_sm, np.full(ds.n, ds.ood))
-
-
-def _train_stats(
-    net: Network, ds: Dataset, act: Activation, baseline: bool, taus
-) -> tuple[float, dict, float]:
-    pred, vacuity, mean_ev, _ = _score(forward(net, ds.features)[0], act, baseline)
-    acc = float((pred == ds.labels).mean())
-    counts = {float(t): int((mean_ev <= t).sum()) for t in taus}
-    # cumsum adds strictly left to right, keeping epochs.csv bit-stable.
-    return acc, counts, float(np.cumsum(vacuity)[-1]) / ds.n
+    logits = forward(net, ds.features)[0]
+    st = evidence_state(act, logits)
+    pred = logits.argmax(axis=1) if baseline else predict_class(st)
+    max_sm = softmax(logits).max(axis=1) if baseline else np.full(ds.n, np.nan)
+    mean_ev = st.evidence.sum(axis=1) / st.k
+    return RecordColumns(pred, ds.labels, st.vacuity, mean_ev, max_sm, np.full(ds.n, ds.ood))
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
@@ -319,11 +300,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     x, labels = train.features, train.labels
     n = train.n
     logs = []
-    test_acc = float("nan")
     for epoch in range(cfg.epochs):
-        weights = RegWeights(
-            lambda1=cfg.lambda1, use_correct_reg=cfg.use_correct_reg, epoch_index=epoch
-        )
+        eta1 = anneal_eta1(cfg.lambda1, epoch)
         perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
@@ -333,7 +311,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 raise RuntimeError(
                     f"non-finite logits at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
-            batch_loss, g = composite_loss(loss_kind, inc, act, weights, logits, labels[rows])
+            batch_loss, g = composite_loss(
+                loss_kind, inc, act, logits, labels[rows],
+                eta1=eta1, use_correct_reg=cfg.use_correct_reg,
+            )
             # cumsum adds strictly left to right, keeping epochs.csv bit-stable.
             batch_loss = float(np.cumsum(batch_loss)[-1])
             if not np.isfinite(batch_loss):
@@ -342,21 +323,22 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 )
             loss_sum += batch_loss
             step(net, opt, backward(net, cache, g / len(rows)))
-        train_acc, zero_ev, mean_vac = _train_stats(net, train, act, baseline, cfg.zero_ev_taus)
-        if test is not None and (epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1):
-            pred = _score(forward(net, test.features)[0], act, baseline)[0]
-            test_acc = float((pred == test.labels).mean())
+        stats = evaluate(net, train, act, baseline)
+        # the last epoch always evaluates, so columns end as the run's result
+        if test is None:
+            columns = stats
+        elif epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+            columns = evaluate(net, test, act, baseline)
         logs.append(
             EpochLog(
                 epoch=epoch,
                 train_loss=loss_sum / n,
-                train_acc=train_acc,
-                test_acc=train_acc if test is None else test_acc,
-                zero_ev=zero_ev,
-                mean_vacuity=mean_vac,
+                train_acc=stats.accuracy,
+                test_acc=columns.accuracy,
+                zero_ev=_count_at_most(stats, cfg.zero_ev_taus),
+                mean_vacuity=stats.mean_vacuity,
             )
         )
-    columns = evaluate(net, test if test is not None else train, act, baseline)
     ood_columns = evaluate(net, ood, act, baseline) if ood is not None else None
     return RunResult(config=cfg, logs=logs, net=net, columns=columns, ood_columns=ood_columns)
 

@@ -20,7 +20,7 @@ EXPORTS = {
     "CensusBuckets", "ConfigError", "DataConfig", "Dataset", "EVIDENTIAL_LOSSES", "EpochLog",
     "EvidenceState", "ExperimentConfig", "ForwardCache", "IncReg", "LOGIT_CLAMP", "LayerSpec",
     "Loss", "LossGrad", "Network", "OptConfig", "OptKind", "OptimizerState", "RED",
-    "RecordColumns", "RegWeights", "RunResult", "SampleRecord", "SweepRow", "__version__",
+    "RecordColumns", "RunResult", "SampleRecord", "SweepRow", "__version__",
     "accuracy_vacuity_curve", "activation_apply", "activation_grad", "anneal_eta1", "auroc",
     "backward", "central_diff", "check_case", "circle_means", "compare_grads", "composite_loss",
     "dense_specs", "derive_sweep_seed", "digamma", "epoch_csv_header", "evaluate",

@@ -140,6 +140,16 @@ def test_train_config_errors_exit_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, learning_rate=0.1)
     assert main(["train", "--config", str(cfg)]) == 1
     assert "'learning_rate': unknown field" in capsys.readouterr().err
+    # a value of the wrong JSON type is named by its field, not a traceback
+    for over, field in (
+        (dict(hidden_dims=5), "hidden_dims"),
+        (dict(epochs="2"), "epochs"),
+        (dict(optimizer={"lr": "0.1"}), "optimizer.lr"),
+        (dict(train_data={"kind": "blobs", "k": "3"}), "train_data.k"),
+    ):
+        cfg = write_cfg(tmp_path, **over)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+        assert f"error: {field}: expected " in capsys.readouterr().err
 
 
 def test_train_divergence_exits_two(tmp_path, capsys):
@@ -256,6 +266,17 @@ def test_gradcheck_flag_validation(tmp_path, capsys):
         cfg.write_text(text)
         assert main(["gradcheck", "--config", str(cfg)]) == 1
         assert f"config {cfg}:" in capsys.readouterr().err
+    for doc, field in (
+        ({"losses": 5}, "losses"),
+        ({"samples": [1]}, "samples"),
+        ({"activations": "exp"}, "activations"),
+        ({"regularizers": ["bogus"]}, "regularizers"),
+        ({"samples": "x"}, "samples"),
+    ):
+        cfg = tmp_path / "gc.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert f"config {cfg}: {field}: " in capsys.readouterr().err
 
 
 # --- sweep -------------------------------------------------------------------------

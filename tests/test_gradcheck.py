@@ -175,7 +175,7 @@ def test_check_case_checks_the_batched_objective_in_two_calls(monkeypatch):
     real = gradcheck.composite_loss
 
     def counting(*args, **kwargs):
-        shapes.append(np.shape(args[4]))
+        shapes.append(np.shape(args[3]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gradcheck, "composite_loss", counting)

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from evidkit.evidence import Activation, evidence_state
 from evidkit.losses import EVIDENTIAL_LOSSES, Loss, loss_ev_mse
-from evidkit.regularizers import IncReg, RegWeights, composite_loss
+from evidkit.regularizers import IncReg, anneal_eta1, composite_loss
 
 # Deterministic draws keep the suite repeatable; no example database is kept.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -38,10 +38,9 @@ def configs(draw):
     evidential = kind in EVIDENTIAL_LOSSES
     inc = draw(st.sampled_from(list(IncReg))) if evidential else IncReg.NONE
     use_correct = evidential and act == Activation.EXP and draw(st.booleans())
-    weights = RegWeights(
-        lambda1=draw(st.floats(0.0, 2.0)),
+    weights = dict(
+        eta1=anneal_eta1(draw(st.floats(0.0, 2.0)), draw(st.integers(0, 12))),
         use_correct_reg=use_correct,
-        epoch_index=draw(st.integers(0, 12)),
     )
     return kind, act, inc, weights
 
@@ -51,11 +50,11 @@ def configs(draw):
 def test_batched_composite_equals_per_row_and_is_finite(batch, config):
     logits, labels = batch
     kind, act, inc, weights = config
-    got = composite_loss(kind, inc, act, weights, logits, labels)
+    got = composite_loss(kind, inc, act, logits, labels, **weights)
     assert got.loss.shape == labels.shape and got.grad.shape == logits.shape
     assert np.all(np.isfinite(got.loss)) and np.all(np.isfinite(got.grad))
     for row, gt, loss, grad in zip(logits, labels, got.loss, got.grad):
-        one = composite_loss(kind, inc, act, weights, row, int(gt))
+        one = composite_loss(kind, inc, act, row, int(gt), **weights)
         assert isinstance(one.loss, float)
         assert one.loss == loss
         assert np.array_equal(one.grad, grad)

@@ -10,7 +10,6 @@ from evidkit.losses import EVIDENTIAL_LOSSES, Loss, grad_logits
 from evidkit.regularizers import (
     CORRECT_REG_EPS,
     IncReg,
-    RegWeights,
     anneal_eta1,
     composite_loss,
     reg_adl_sum,
@@ -200,19 +199,20 @@ def test_anneal_eta1():
         anneal_eta1(1.0, -1)
 
 
-def test_reg_weights_validation():
-    with pytest.raises(ValueError):
-        RegWeights(lambda1=-1.0, use_correct_reg=False, epoch_index=0)
-    with pytest.raises(ValueError):
-        RegWeights(lambda1=0.0, use_correct_reg=False, epoch_index=-2)
+def test_composite_rejects_negative_eta1():
+    o = np.array([0.4, -1.0])
+    for eta1 in (-1.0, -1e-300):
+        with pytest.raises(ValueError, match="eta1 must be >= 0"):
+            composite_loss(Loss.EV_MSE, IncReg.EDL_KL, Activation.EXP, o, 0, eta1=eta1)
 
 
 def test_composite_degenerate_equals_plain_loss():
-    weights = RegWeights(lambda1=0.0, use_correct_reg=False, epoch_index=50)
     o = np.array([0.4, -1.0, 2.0])
     for kind in EVIDENTIAL_LOSSES:
         for act in Activation:
-            got = composite_loss(kind, IncReg.NONE, act, weights, o, 1)
+            got = composite_loss(
+                kind, IncReg.NONE, act, o, 1, eta1=anneal_eta1(0.0, 50), use_correct_reg=False
+            )
             want = grad_logits(kind, act, o, 1)
             assert got.loss == want.loss
             assert (got.grad == want.grad).all()
@@ -221,40 +221,46 @@ def test_composite_degenerate_equals_plain_loss():
 def test_composite_is_weighted_sum_of_parts():
     o = np.array([0.5, -0.3, 1.2])
     gt = 2
-    weights = RegWeights(lambda1=0.8, use_correct_reg=True, epoch_index=7)
     eta1 = anneal_eta1(0.8, 7)
     st = evidence_state(Activation.EXP, o)
     base = grad_logits(Loss.EV_CE, Activation.EXP, o, gt)
     inc = reg_edl_kl(st, gt)
     cor = reg_correct(st, gt)
-    got = composite_loss(Loss.EV_CE, IncReg.EDL_KL, Activation.EXP, weights, o, gt)
+    got = composite_loss(
+        Loss.EV_CE, IncReg.EDL_KL, Activation.EXP, o, gt, eta1=eta1, use_correct_reg=True
+    )
     assert got.loss == pytest.approx(base.loss + eta1 * inc.loss + cor.loss, rel=1e-12)
     assert got.grad == pytest.approx(base.grad + eta1 * inc.grad + cor.grad, rel=1e-12)
 
 
 def test_composite_epoch_zero_skips_incorrect_term():
     o = np.array([0.5, -0.3])
-    weights = RegWeights(lambda1=5.0, use_correct_reg=False, epoch_index=0)
-    got = composite_loss(Loss.EV_MSE, IncReg.EDL_KL, Activation.SOFTPLUS, weights, o, 0)
+    eta1 = anneal_eta1(5.0, 0)
+    got = composite_loss(Loss.EV_MSE, IncReg.EDL_KL, Activation.SOFTPLUS, o, 0, eta1=eta1)
     want = grad_logits(Loss.EV_MSE, Activation.SOFTPLUS, o, 0)
     assert got.loss == want.loss
     assert (got.grad == want.grad).all()
 
 
 def test_composite_correct_reg_requires_exp():
-    weights = RegWeights(lambda1=0.0, use_correct_reg=True, epoch_index=3)
+    eta1 = anneal_eta1(0.0, 3)
     for act in (Activation.RELU, Activation.SOFTPLUS):
         with pytest.raises(ValueError):
-            composite_loss(Loss.EV_MSE, IncReg.NONE, act, weights, np.array([1.0, 1.0]), 0)
+            composite_loss(
+                Loss.EV_MSE, IncReg.NONE, act, np.array([1.0, 1.0]), 0,
+                eta1=eta1, use_correct_reg=True,
+            )
 
 
 def test_composite_correct_reg_survives_exp_underflow():
     # exp(-750) underflows to 0; the gt gradient is still exactly -vacuity
     o = np.array([-750.0, 0.0, 1.0])
-    weights = RegWeights(lambda1=0.0, use_correct_reg=True, epoch_index=3)
     st = evidence_state(Activation.EXP, o)
     assert st.evidence[0] == 0.0
-    got = composite_loss(Loss.EV_LOG, IncReg.NONE, Activation.EXP, weights, o, 0)
+    got = composite_loss(
+        Loss.EV_LOG, IncReg.NONE, Activation.EXP, o, 0,
+        eta1=anneal_eta1(0.0, 3), use_correct_reg=True,
+    )
     assert np.isfinite(got.loss)
     assert np.isfinite(got.grad).all()
     assert got.grad[0] == -st.vacuity
@@ -262,10 +268,11 @@ def test_composite_correct_reg_survives_exp_underflow():
 
 def test_composite_frozen_weight_matches_manual():
     o = np.array([0.2, 0.9])
-    weights = RegWeights(lambda1=0.0, use_correct_reg=True, epoch_index=12)
     st = evidence_state(Activation.EXP, o)
-    got = composite_loss(Loss.EV_LOG, IncReg.NONE, Activation.EXP, weights, o, 1,
-                         correct_weight=0.5)
+    got = composite_loss(
+        Loss.EV_LOG, IncReg.NONE, Activation.EXP, o, 1,
+        eta1=anneal_eta1(0.0, 12), use_correct_reg=True, correct_weight=0.5,
+    )
     base = grad_logits(Loss.EV_LOG, Activation.EXP, o, 1)
     cor = reg_correct(st, 1, weight=0.5)
     assert got.loss == pytest.approx(base.loss + cor.loss, rel=1e-12)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from evidkit.datasets import make_toy4
+from evidkit.datasets import Dataset, make_toy4
 from evidkit.evidence import Activation, evidence_state, predict_class
 from evidkit.losses import softmax
-from evidkit.network import dense_specs, init_network
+from evidkit.network import LayerSpec, Network, dense_specs, init_network
 from evidkit.trainer import (
     ConfigError,
     DataConfig,
@@ -18,7 +18,6 @@ from evidkit.trainer import (
     run_experiment,
     save_epoch_csv,
     sweep,
-    _score,
 )
 
 
@@ -135,7 +134,7 @@ def test_one_objective_call_per_mini_batch(monkeypatch):
     real = trainer.composite_loss
 
     def counting(*args, **kwargs):
-        shapes.append(np.shape(args[4]))
+        shapes.append(np.shape(args[3]))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "composite_loss", counting)
@@ -223,10 +222,16 @@ def test_batched_scores_equal_per_row_states():
         logits[9] = -800.0  # exp underflows in every coordinate
         logits[10, 0] = 800.0
         logits[11, 1:] = -750.0
+        # one identity layer: the network returns its input exactly
+        net = Network([LayerSpec(k, k, False)], [np.eye(k)], [np.zeros(k)], seed=0)
+        ds = Dataset(logits, np.zeros(len(logits), dtype=int), k, "logits")
         for act in Activation:
             for baseline in (False, True):
-                pred, vac, mean_ev, max_sm = _score(logits, act, baseline)
-                assert (max_sm is not None) == baseline
+                cols = evaluate(net, ds, act, baseline)
+                pred, vac, mean_ev, max_sm = (
+                    cols.predicted, cols.vacuity, cols.mean_evidence, cols.max_softmax
+                )
+                assert np.isnan(max_sm).tolist() == [not baseline] * len(logits)
                 for i, row in enumerate(logits):
                     st = evidence_state(act, row)
                     assert pred[i] == (int(row.argmax()) if baseline else predict_class(st))
@@ -234,6 +239,40 @@ def test_batched_scores_equal_per_row_states():
                     assert mean_ev[i] == float(st.evidence.sum()) / k
                     if baseline:
                         assert max_sm[i] == float(softmax(row).max())
+
+
+@pytest.mark.parametrize("loss", ["ev_log", "softmax_ce"])
+def test_one_scoring_pass_and_last_epoch_columns(monkeypatch, loss):
+    import evidkit.trainer as trainer
+
+    calls = []
+    real = trainer.forward
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "forward", counting)
+    test = blob_data(seed=8, n_per_class=7)
+    cfg = tiny_cfg(
+        train_data=blob_data(seed=3, n_per_class=5),
+        test_data=test,
+        ood_data=blob_data(seed=4, shift=[30.0, 30.0]),
+        loss=loss,
+        activation="exp",
+        epochs=6,
+        batch_size=4,
+        eval_every=4,
+    )
+    result = run_experiment(cfg)
+    # 10 rows in 3 batches and one train scoring pass per epoch, test
+    # evaluations at epochs 0, 4 and the last (5), then one OOD evaluation
+    assert len(calls) == 6 * (3 + 1) + 3 + 1
+    want = evaluate(result.net, test.build(), Activation.EXP, baseline=loss == "softmax_ce")
+    for name in ("predicted", "actual", "vacuity", "mean_evidence", "max_softmax", "is_ood"):
+        # exact equality; NaN (no max softmax outside the baseline) matches NaN
+        np.testing.assert_array_equal(getattr(result.columns, name), getattr(want, name))
+    assert result.final_test_acc == want.accuracy
 
 
 def test_evaluate_rejects_class_mismatch():
