@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -165,22 +166,26 @@ def cmd_gradcheck(args) -> int:
     doc = _read_config(args.config) if args.config else {}
     where = f"config {args.config}: "
     names = {"losses": Loss, "activations": Activation, "regularizers": _grid_reg}
-    fields = dict.fromkeys(("samples", "h", "tol"), "float") | dict.fromkeys(names, "list")
+    fields = {"samples": "int", "h": "float", "tol": "float"} | dict.fromkeys(names, "list")
     _check_types(fields, doc, where)
     grid = {
         k: [_member(parse, v, where + k, "name") for v in doc[k]]
         for k, parse in names.items()
         if k in doc
     }
-    samples = args.samples if args.samples is not None else int(doc.get("samples", DEFAULT_CASES))
+    samples = args.samples if args.samples is not None else doc.get("samples", DEFAULT_CASES)
     h = args.h if args.h is not None else float(doc.get("h", DEFAULT_H))
     tol = args.tol if args.tol is not None else float(doc.get("tol", DEFAULT_TOL))
+    # each value is reported by where it came from: its flag, else the config
+    settings = ("samples", "h", "tol")
+    name = {k: f"--{k}" if getattr(args, k) is not None else where + k for k in settings}
     if samples < 1:
-        raise ConfigError("--samples: must be >= 1")
-    if h <= 0:
-        raise ConfigError("--h: must be > 0")
-    if tol <= 0:
-        raise ConfigError("--tol: must be > 0")
+        raise ConfigError(f"{name['samples']}: must be >= 1")
+    # NaN fails both comparisons; an infinite tol would pass every cell
+    if not 0 < h < math.inf:
+        raise ConfigError(f"{name['h']}: must be finite and > 0")
+    if not 0 < tol < math.inf:
+        raise ConfigError(f"{name['tol']}: must be finite and > 0")
     results = run_grid(
         losses=grid.get("losses"),
         acts=grid.get("activations"),

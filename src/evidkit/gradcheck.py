@@ -2,7 +2,10 @@
 
 Runs the (loss x activation x regularizer) grid on random cases and
 compares analytic gradients against central differences of the composite
-loss, so the oracle checks the batched objective that training calls. The
+loss, so the oracle checks the batched objective that training calls.
+Cases are checked in batches: each cell's cases that share a K go through
+two composite_loss calls, one at the base points and one on every
+perturbed row, each row carrying its own case's label and eta1. The
 vacuity weight of the correct-evidence term is frozen at the base point so
 the stop-gradient semantics match the analytic form.
 """
@@ -52,14 +55,16 @@ def central_diff(
 ) -> np.ndarray:
     """Central finite differences of a per-row scalar function of the logits.
 
-    f maps an (M, K) batch of logit rows to (M,) values; it is called once,
-    on the 2K rows o + h e_i and o - h e_i.
+    o is one (K,) point or an (N, K) stack of them. f maps an (M, K) batch
+    of logit rows to (M,) values; it is called once, on the 2K·N rows
+    o + h e_i and o - h e_i, stacked point by point. The result has o's shape.
     """
     o = np.asarray(o, dtype=float)
-    k = o.shape[0]
+    k = o.shape[-1]
     step = h * np.eye(k)
-    vals = np.asarray(f(np.concatenate([o + step, o - step])), dtype=float)
-    return (vals[:k] - vals[k:]) / (2.0 * h)
+    rows = np.concatenate([o[..., None, :] + step, o[..., None, :] - step], axis=-2)
+    vals = np.asarray(f(rows.reshape(-1, k)), dtype=float).reshape(rows.shape[:-1])
+    return (vals[..., :k] - vals[..., k:]) / (2.0 * h)
 
 
 def compare_grads(
@@ -137,26 +142,38 @@ def check_case(
     act: Activation,
     reg: str,
     o: np.ndarray,
-    gt: int,
-    lambda1: float = 1.0,
-    epoch: int = 10,
+    gt,
+    lambda1=1.0,
+    epoch=10,
     h: float = 1e-5,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One case: returns (analytic grad, numeric grad, skip mask)."""
+    """Cases: returns (analytic grad, numeric grad, skip mask), each shaped like o.
+
+    o is one (K,) case or an (N, K) stack of cases; gt, lambda1 and epoch
+    are scalars or (N,) arrays. Makes two composite_loss calls: one at the
+    base points and one on all 2K·N perturbed rows, where each row carries
+    its case's label, eta1 and frozen vacuity weight.
+    """
     o = np.asarray(o, dtype=float)
     red = reg == RED
     inc = IncReg.NONE if red else IncReg(reg)
-    eta1 = 0.0 if red else anneal_eta1(lambda1, epoch)
+    batch = o.shape[:-1]  # () for one case, (N,) for a stack
+    gt = np.broadcast_to(gt, batch)
+    eta1 = np.broadcast_to(0.0 if red else anneal_eta1(lambda1, epoch), batch)
     # stop-gradient: the vacuity weight stays at its base-point value
     frozen = evidence_state(act, o).vacuity if red else None
+    analytic = composite_loss(
+        kind, inc, act, o, gt, eta1=eta1, use_correct_reg=red, correct_weight=frozen
+    ).grad
+    rep = 2 * o.shape[-1]  # perturbed rows per case
 
-    def objective(rows: np.ndarray):
+    def perturbed_loss(rows: np.ndarray) -> np.ndarray:
         return composite_loss(
-            kind, inc, act, rows, gt, eta1=eta1, use_correct_reg=red, correct_weight=frozen
-        )
+            kind, inc, act, rows, np.repeat(gt, rep), eta1=np.repeat(eta1, rep),
+            use_correct_reg=red, correct_weight=None if frozen is None else np.repeat(frozen, rep),
+        ).loss
 
-    analytic = objective(o).grad
-    numeric = central_diff(lambda rows: objective(rows).loss, o, h=h)
+    numeric = central_diff(perturbed_loss, o, h=h)
     skip = (o >= LOGIT_CLAMP - 1e-3) & (act == Activation.EXP)
     return analytic, numeric, skip
 
@@ -182,9 +199,11 @@ def run_grid(
 ) -> list[CellResult]:
     """Run the finite-difference oracle over the grid.
 
-    `corrupt` names a cell as "loss:act:reg" whose analytic gradient gets a
-    deliberate perturbation; it exists so the harness can prove it catches
-    wrong gradients.
+    Each cell draws all of its cases first, then checks the cases that share
+    a K in one check_case call, and applies the agreement rule in case
+    order. `corrupt` names a cell as "loss:act:reg" whose analytic gradient
+    gets a deliberate perturbation; it exists so the harness can prove it
+    catches wrong gradients.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
@@ -193,28 +212,38 @@ def run_grid(
         cell_tag = zlib.crc32(f"{kind.value}:{act.value}:{reg}".encode())
         rng = np.random.default_rng([seed, cell_tag])
         cell = CellResult(loss=kind.value, act=act.value, reg=reg, n_cases=n_cases)
+        cases = []  # (k, gt, o, lambda1, epoch), drawn in this order per case
         for _ in range(n_cases):
             k = int(rng.choice(ks))
             gt = int(rng.integers(k))
             o = _sample_logits(rng, k, act)
-            lambda1 = float(rng.uniform(0.25, 2.0))
-            epoch = int(rng.integers(1, 13))
+            cases.append((k, gt, o, float(rng.uniform(0.25, 2.0)), int(rng.integers(1, 13))))
+        checked = [None] * n_cases  # (analytic, numeric, skip) per case
+        for k in dict.fromkeys([c[0] for c in cases]):
+            idx = [i for i, c in enumerate(cases) if c[0] == k]
+            _, gt, o, lambda1, epoch = [np.array(col) for col in zip(*[cases[i] for i in idx])]
             analytic, numeric, skip = check_case(
                 kind, act, reg, o, gt, lambda1=lambda1, epoch=epoch, h=h
             )
-            if corrupt is not None and cell.name == corrupt:
-                analytic = analytic.copy()
-                analytic[0] += 1e-2
+            if cell.name == corrupt:
+                analytic[:, 0] += 1e-2
+            for j, i in enumerate(idx):
+                checked[i] = analytic[j], numeric[j], skip[j]
+        worst = None
+        for i, (analytic, numeric, skip) in enumerate(checked):
             ok, err = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
             cell.n_skipped += int(skip.sum())
             if err > cell.max_err:
-                cell.max_err = err
-                cell.worst_k = k
-                cell.worst_detail = (
-                    f"K={k} gt={gt} analytic={np.array2string(analytic, precision=6)} "
-                    f"numeric={np.array2string(numeric, precision=6)}"
-                )
+                cell.max_err, worst = err, i
             if not ok:
                 cell.passed = False
+        if worst is not None:
+            k, gt = cases[worst][:2]
+            analytic, numeric, _ = checked[worst]
+            cell.worst_k = k
+            cell.worst_detail = (
+                f"K={k} gt={gt} analytic={np.array2string(analytic, precision=6)} "
+                f"numeric={np.array2string(numeric, precision=6)}"
+            )
         results.append(cell)
     return results

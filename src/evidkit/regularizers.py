@@ -111,13 +111,17 @@ def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
     return LossGrad(_unbox(loss), np.where(y > 0.0, _col(g_gt), 0.0))
 
 
-def anneal_eta1(lambda1: float, epoch: int) -> float:
-    """eta1 = lambda1 * min(1, epoch/10); epoch counts full data passes from 0."""
-    if lambda1 < 0:
+def anneal_eta1(lambda1, epoch):
+    """eta1 = lambda1 * min(1, epoch/10); epoch counts full data passes from 0.
+
+    Scalars give a float; (N,) arrays give one weight per case.
+    """
+    lambda1, epoch = np.asarray(lambda1, dtype=float), np.asarray(epoch)
+    if np.any(lambda1 < 0):
         raise ValueError("lambda1 must be >= 0")
-    if epoch < 0:
+    if np.any(epoch < 0):
         raise ValueError("epoch must be >= 0")
-    return lambda1 * min(1.0, epoch / 10.0)
+    return _unbox(lambda1 * np.minimum(1.0, epoch / 10.0))
 
 
 _INC_REG = {
@@ -133,7 +137,7 @@ def composite_loss(
     act: Activation,
     o,
     gt,
-    eta1: float = 0.0,
+    eta1=0.0,
     use_correct_reg: bool = False,
     correct_weight=None,
 ) -> LossGrad:
@@ -141,12 +145,14 @@ def composite_loss(
 
     o is one (K,) logit vector with an int label or an (N, K) batch with
     (N,) labels; one EvidenceState serves every term. eta1 is the annealed
-    incorrect-evidence weight (anneal_eta1). The correct-evidence term is
-    included only when use_correct_reg and requires the EXP activation.
-    correct_weight overrides the vacuity weight; gradient checks use it to
-    hold the weight fixed while logits are perturbed.
+    incorrect-evidence weight (anneal_eta1): one scalar, or an (N,) array
+    with one weight per sample. The correct-evidence term is included only
+    when use_correct_reg and requires the EXP activation. correct_weight
+    overrides the vacuity weight; gradient checks use it to hold the weight
+    fixed while logits are perturbed.
     """
-    if eta1 < 0:
+    eta1 = _unbox(np.asarray(eta1, dtype=float))
+    if np.any(eta1 < 0):
         raise ValueError("eta1 must be >= 0")
     o = np.asarray(o, dtype=float)
     needs_state = kind != Loss.SOFTMAX_CE or inc != IncReg.NONE or use_correct_reg
@@ -155,10 +161,10 @@ def composite_loss(
         total, grad = loss_softmax_ce(o, gt)
     else:
         total, grad = _state_loss_grad(kind, state, gt)
-    if inc != IncReg.NONE and eta1 != 0.0:
+    if inc != IncReg.NONE and np.any(eta1 != 0.0):
         r = _INC_REG[inc](state, gt)
         total = total + eta1 * r.loss
-        grad = grad + eta1 * r.grad
+        grad = grad + _col(eta1) * r.grad
     if use_correct_reg:
         if act != Activation.EXP:
             raise ValueError("use_correct_reg requires the exp activation")

@@ -52,26 +52,31 @@ def _check_arg(z, name: str, min_z: float = _MIN_POSITIVE) -> np.ndarray:
 
 def _elementwise(fn, z: np.ndarray) -> np.ndarray:
     """A math-module function per element: libm results, which np.log's
-    vector kernel misses in the last bit for about 1 argument in 1e4."""
-    return np.array([fn(v) for v in z.ravel().tolist()]).reshape(z.shape)
+    vector kernel misses in the last bit for about 1 argument in 1e4. The
+    memoryview hands out one Python float at a time, so no list is built."""
+    return np.fromiter(map(fn, memoryview(z.ravel())), float, count=z.size).reshape(z.shape)
 
 
 def _lift(z, name: str, min_z: float, step) -> tuple[np.ndarray, np.ndarray]:
     """Lift every entry of z to at least _ASYMPTOTIC_Z by the unit recurrence.
 
-    Returns (lifted z, acc) with f(z) = acc + f(lifted z), where step(v) is
-    f(v) - f(v + 1). Rung j of the ladder is z + 1 + ... + 1, rounded after
-    each addition, and both cumsums add in rung order, so every entry gets
-    exactly what a step-by-step loop gives it.
+    Returns (lifted z, acc) with f(z) = acc + f(lifted z), where step(v)
+    overwrites v with f(v) - f(v + 1). Rung j of the ladder is z + 1 + ... + 1,
+    rounded after each addition, and both cumsums add in rung order, so every
+    entry gets exactly what a step-by-step loop gives it. The ladder is the
+    one (rungs, *z.shape) buffer: it is reused in place for the steps.
     """
     z = _check_arg(z, name, min_z)
     ladder = np.ones((_LIFT_RUNGS,) + z.shape)
     ladder[0] = z
     np.cumsum(ladder, axis=0, out=ladder)
-    low = ladder < _ASYMPTOTIC_Z
-    acc = np.cumsum(np.where(low, step(ladder), 0.0), axis=0)[-1]
+    high = ladder >= _ASYMPTOTIC_Z
     # the lifted argument is the first rung at or past the threshold
-    return np.where(low, np.inf, ladder).min(axis=0), acc
+    lifted = ladder.min(axis=0, where=high, initial=np.inf)
+    step(ladder)
+    np.copyto(ladder, 0.0, where=high)
+    # a copy, so the ladder is freed on return rather than kept by a view
+    return lifted, np.cumsum(ladder, axis=0, out=ladder)[-1].copy()
 
 
 def _nested(w, coefs) -> np.ndarray:
@@ -93,7 +98,7 @@ def digamma(z):
 
     Satisfies the recurrence psi(z+1) = psi(z) + 1/z to ~1e-15 absolute.
     """
-    z, acc = _lift(z, "digamma", _DIGAMMA_MIN_Z, lambda v: -1.0 / v)
+    z, acc = _lift(z, "digamma", _DIGAMMA_MIN_Z, lambda v: np.divide(-1.0, v, out=v))
     w = 1.0 / (z * z)
     # psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
     poly = _nested(w, (1 / 12, 1 / 120, 1 / 252, 1 / 240, 1 / 132, 691 / 32760))
@@ -107,7 +112,9 @@ def trigamma(z):
     Satisfies the recurrence psi1(z+1) = psi1(z) - 1/z**2 and, for z >= 1,
     the bound 1/z**2 < psi1(z) < 1/z**2 + pi**2/6.
     """
-    z, acc = _lift(z, "trigamma", _TRIGAMMA_MIN_Z, lambda v: 1.0 / (v * v))
+    z, acc = _lift(
+        z, "trigamma", _TRIGAMMA_MIN_Z, lambda v: np.divide(1.0, np.multiply(v, v, out=v), out=v)
+    )
     w = 1.0 / (z * z)
     # psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
     poly = _nested(w, (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,15 +54,26 @@ class ConfigError(ValueError):
 _JSON_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "list": list}
 
 
+def _matches(kind: str, value) -> bool:
+    """Whether value fits the annotation kind; list[T] checks every element,
+    and annotations with no JSON type pass."""
+    if kind.startswith("list[") and kind.endswith("]"):
+        return isinstance(value, list) and all(_matches(kind[5:-1], v) for v in value)
+    if kind not in _JSON_TYPES:
+        return True
+    ok = isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
+    # a float must be finite: JSON may spell NaN, Infinity or 1e400
+    return ok and (kind != "float" or abs(value) <= sys.float_info.max)
+
+
 def _check_types(types: dict, doc: dict, where: str) -> None:
     """ConfigError naming the first field of doc that does not match its annotation
     in types; None matches an optional one, and other annotations pass."""
     for name, value in doc.items():
         kind, _, optional = types.get(name, "").partition(" | ")
-        if kind not in _JSON_TYPES or (value is None and optional):
-            continue
-        if not isinstance(value, _JSON_TYPES[kind]) or (isinstance(value, bool) and kind != "bool"):
-            raise ConfigError(f"{where}{name}: expected {kind}, got {value!r}")
+        if not (value is None and optional) and not _matches(kind, value):
+            expected = kind.replace("float", "finite float")
+            raise ConfigError(f"{where}{name}: expected {expected}, got {value!r}")
 
 
 def _member(enum, value, where: str, what: str):
@@ -83,8 +95,8 @@ class DataConfig:
     n_per_class: int = 50
     stddev: float = 1.0
     radius: float = 6.0
-    means: list | None = None  # explicit (K, D) means; otherwise circle placement
-    shift: list | None = None  # translation marking the set out-of-distribution
+    means: list[list[float]] | None = None  # explicit (K, D) means; otherwise circle placement
+    shift: list[float] | None = None  # translation marking the set out-of-distribution
     path: str | None = None  # CSV path for kind="csv"
 
     def validate(self, where: str) -> None:
@@ -106,8 +118,8 @@ class DataConfig:
             if self.stddev <= 0:
                 raise ConfigError(f"{where}.stddev: must be > 0")
             if self.means is not None:
-                m = np.asarray(self.means, dtype=float)
-                if m.shape != (self.k, self.d):
+                # row by row, so ragged means are named here, not by NumPy
+                if [np.shape(row) for row in self.means] != [(self.d,)] * self.k:
                     raise ConfigError(f"{where}.means: expected shape ({self.k}, {self.d})")
         if self.shift is not None:
             s = np.asarray(self.shift, dtype=float)
@@ -157,7 +169,7 @@ class ExperimentConfig:
     train_data: DataConfig
     test_data: DataConfig | None = None
     ood_data: DataConfig | None = None
-    hidden_dims: list = field(default_factory=lambda: [16])
+    hidden_dims: list[int] = field(default_factory=lambda: [16])
     loss: str = "ev_mse"
     activation: str = "exp"
     inc_reg: str = "none"
@@ -168,7 +180,7 @@ class ExperimentConfig:
     batch_size: int = 32
     seed: int = 0
     eval_every: int = 1
-    zero_ev_taus: list = field(default_factory=lambda: list(CENSUS_THRESHOLDS))
+    zero_ev_taus: list[float] = field(default_factory=lambda: list(CENSUS_THRESHOLDS))
 
     def validate(self) -> None:
         loss = _member(Loss, self.loss, "loss", "loss kind")

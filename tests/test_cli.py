@@ -140,16 +140,27 @@ def test_train_config_errors_exit_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, learning_rate=0.1)
     assert main(["train", "--config", str(cfg)]) == 1
     assert "'learning_rate': unknown field" in capsys.readouterr().err
-    # a value of the wrong JSON type is named by its field, not a traceback
+    # a value of the wrong JSON type is named by its field, not a traceback;
+    # so is a list entry of the wrong type and a non-finite float
+    blobs = {"kind": "blobs", "k": 2, "d": 2}
     for over, field in (
         (dict(hidden_dims=5), "hidden_dims"),
         (dict(epochs="2"), "epochs"),
         (dict(optimizer={"lr": "0.1"}), "optimizer.lr"),
         (dict(train_data={"kind": "blobs", "k": "3"}), "train_data.k"),
+        (dict(zero_ev_taus=["a"]), "zero_ev_taus"),
+        (dict(zero_ev_taus=[float("nan")]), "zero_ev_taus"),
+        (dict(hidden_dims=["a"]), "hidden_dims"),
+        (dict(hidden_dims=[2.5]), "hidden_dims"),
+        (dict(train_data=blobs | {"means": [[0.0, "x"], [1.0, 1.0]]}), "train_data.means"),
+        (dict(train_data=blobs | {"means": [[0.0, float("inf")], [1.0, 1.0]]}), "train_data.means"),
+        (dict(train_data=blobs | {"means": [[0.0, 0.0], [1.0]]}), "train_data.means"),
+        (dict(test_data=blobs | {"shift": [0.0, float("nan")]}), "test_data.shift"),
     ):
         cfg = write_cfg(tmp_path, **over)
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
         assert f"error: {field}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_train_divergence_exits_two(tmp_path, capsys):
@@ -260,6 +271,11 @@ def test_gradcheck_flag_validation(tmp_path, capsys):
     assert "--samples" in capsys.readouterr().err
     assert main(["gradcheck", "--h", "-1"]) == 1
     assert main(["gradcheck", "--tol", "0"]) == 1
+    # an infinite tol would pass every cell and switch the oracle off
+    for flag in ("--h", "--tol"):
+        for value in ("nan", "inf"):
+            assert main(["gradcheck", "--samples", "1", flag, value]) == 1
+            assert f"error: {flag}: must be finite" in capsys.readouterr().err
     assert main(["gradcheck", "--config", "/no/such.json"]) == 1
     for text in ("[1]", "{bad"):
         cfg = tmp_path / "gc.json"
@@ -277,6 +293,23 @@ def test_gradcheck_flag_validation(tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert main(["gradcheck", "--config", str(cfg)]) == 1
         assert f"config {cfg}: {field}: " in capsys.readouterr().err
+    # JSON text as written: 1e400 overflows to inf; NaN and Infinity are
+    # Python's extensions to JSON
+    for text, field in (
+        ('{"samples": 1e400}', "samples"),
+        ('{"samples": NaN}', "samples"),
+        ('{"samples": 2.5}', "samples"),
+        ('{"h": Infinity}', "h"),
+        ('{"tol": NaN}', "tol"),
+    ):
+        cfg.write_text(text)
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert f"config {cfg}: {field}: expected " in capsys.readouterr().err
+    # an out-of-range value is named by the config field it came from
+    for doc, field in (({"samples": 0}, "samples"), ({"h": -1.0}, "h"), ({"tol": 0}, "tol")):
+        cfg.write_text(json.dumps(doc))
+        assert main(["gradcheck", "--config", str(cfg)]) == 1
+        assert f"error: config {cfg}: {field}: must be " in capsys.readouterr().err
 
 
 # --- sweep -------------------------------------------------------------------------

@@ -1,7 +1,14 @@
 """Tests for the finite-difference gradient oracle and its grid harness."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from evidkit.evidence import Activation
 from evidkit.gradcheck import (
@@ -194,7 +201,84 @@ def test_check_case_red_freezes_the_vacuity_weight():
     assert worst < 1e-6
 
 
+@st.composite
+def stacked_cases(draw, max_n=6):
+    """A grid cell and an (N, K) stack of cases with mixed labels, lambda1 and epoch."""
+    cell = draw(st.sampled_from(grid_cells()))
+    k = draw(st.integers(2, 10))
+    n = draw(st.integers(1, max_n))
+    # up to past the exp clamp, so skipped coordinates are drawn too
+    o = draw(arrays(float, (n, k), elements=st.floats(-40.0, 40.0)))
+    gt = draw(arrays(np.int64, n, elements=st.integers(0, k - 1)))
+    lambda1 = draw(arrays(float, n, elements=st.floats(0.0, 2.0)))
+    epoch = draw(arrays(np.int64, n, elements=st.integers(0, 12)))
+    return cell, o, gt, lambda1, epoch
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(stacked_cases())
+def test_stacked_check_case_equals_single_cases(case):
+    (kind, act, reg), o, gt, lambda1, epoch = case
+    stacked = check_case(kind, act, reg, o, gt, lambda1=lambda1, epoch=epoch)
+    assert all(a.shape == o.shape for a in stacked)
+    for i in range(len(o)):
+        single = check_case(
+            kind, act, reg, o[i], int(gt[i]), lambda1=float(lambda1[i]), epoch=int(epoch[i])
+        )
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[i], want)
+
+
 # --- run_grid --------------------------------------------------------------
+
+
+def test_run_grid_makes_two_objective_calls_per_distinct_k(monkeypatch):
+    import evidkit.gradcheck as gradcheck
+
+    shapes = []
+    real = gradcheck.composite_loss
+
+    def counting(*args, **kwargs):
+        shapes.append(np.shape(args[3]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "composite_loss", counting)
+    n_cases = 3  # fewer cases than Ks, so some cells see a K twice and others not at all
+    shared = 0
+    for ls, act, reg in grid_cells():
+        shapes.clear()
+        run_grid(losses=[ls], acts=[act], regs=[reg], n_cases=n_cases, seed=4)
+        base, perturbed = shapes[0::2], shapes[1::2]
+        ks = [k for _, k in base]
+        assert len(set(ks)) == len(ks)  # one group, so one pair of calls, per distinct K
+        assert sum(n for n, _ in base) == n_cases
+        assert perturbed == [(2 * k * n, k) for n, k in base]
+        shared += any(n > 1 for n, _ in base)
+    assert shared > 0  # some group really holds more than one case
+
+
+def test_run_grid_keeps_the_first_worst_case(monkeypatch):
+    import evidkit.gradcheck as gradcheck
+
+    # every case ties, so the worst is the first case drawn: the one a
+    # one-case run sees, since later draws do not change earlier ones
+    monkeypatch.setattr(gradcheck, "compare_grads", lambda *a, **kw: (True, 0.5))
+    cell = dict(losses=[Loss.EV_CE], acts=[Activation.EXP], regs=[RED], seed=3)
+    (first,) = run_grid(n_cases=1, **cell)
+    (many,) = run_grid(n_cases=12, **cell)
+    assert many.worst_detail == first.worst_detail != ""
+    assert many.worst_k == first.worst_k
+
+
+def test_run_grid_matches_pinned_results():
+    # Pinned from the per-case oracle this batched one replaced: every
+    # CellResult field, max_err to the bit, must stay as it was.
+    pinned = Path(__file__).parent / "data" / "gradcheck_n20_seed7.json"
+    golden = json.loads(pinned.read_text())
+    got = [
+        dataclasses.asdict(r) | {"max_err": r.max_err.hex()} for r in run_grid(n_cases=20, seed=7)
+    ]
+    assert got == golden
 
 
 def test_run_grid_full_default_grid_passes():

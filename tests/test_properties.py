@@ -7,6 +7,7 @@ and every value must stay finite.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -58,6 +59,23 @@ def test_batched_composite_equals_per_row_and_is_finite(batch, config):
         assert isinstance(one.loss, float)
         assert one.loss == loss
         assert np.array_equal(one.grad, grad)
+
+
+@PROPERTY
+@given(batches(), configs(), st.data())
+def test_per_sample_eta1_equals_scalar_calls(batch, config, data):
+    logits, labels = batch
+    kind, act, inc, weights = config
+    eta1 = data.draw(arrays(float, len(labels), elements=st.floats(0.0, 2.0)))
+    got = composite_loss(kind, inc, act, logits, labels, **(weights | {"eta1": eta1}))
+    for row, gt, e, loss, grad in zip(logits, labels, eta1, got.loss, got.grad):
+        one = composite_loss(kind, inc, act, row, int(gt), **(weights | {"eta1": float(e)}))
+        assert one.loss == loss
+        assert np.array_equal(one.grad, grad)
+    bad = eta1.copy()
+    bad[data.draw(st.integers(0, len(bad) - 1))] = -data.draw(st.floats(1e-300, 2.0))
+    with pytest.raises(ValueError, match="eta1 must be >= 0"):
+        composite_loss(kind, inc, act, logits, labels, **(weights | {"eta1": bad}))
 
 
 @PROPERTY
