@@ -116,7 +116,8 @@ def forward(net: Network, x) -> tuple[np.ndarray, ForwardCache]:
     pres = []
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         inputs.append(h)
-        pre = h @ w.T + b
+        pre = h @ w.T
+        pre += b
         pres.append(pre)
         h = np.maximum(pre, 0.0) if spec.hidden else pre
     cache = ForwardCache(inputs=inputs, pres=pres, param_version=net.param_version)
@@ -139,13 +140,17 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
             f"d_logits shape {d.shape} does not match forward logits shape "
             f"{cache.pres[-1].shape}"
         )
+    if net.specs[-1].hidden:
+        raise ValueError("final layer must be identity (logits are pre-activation)")
     grads = [None] * len(net.specs)
     for i in reversed(range(len(net.specs))):
-        if net.specs[i].hidden:
-            d = d * (cache.pres[i] > 0.0)
         grads[i] = (d.T @ cache.inputs[i], d.sum(axis=0))
         if i > 0:
+            # d @ W is a fresh array, so the ReLU mask goes on in place;
+            # the caller's d_logits is never written
             d = d @ net.weights[i]
+            if net.specs[i - 1].hidden:
+                d *= cache.pres[i - 1] > 0.0
     return grads
 
 
@@ -168,8 +173,14 @@ class OptimizerState:
 
     def __post_init__(self) -> None:
         self.kind = OptKind(self.kind)
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("learning rate must be > 0")
+        # each message leads with the field name, so OptConfig can prefix its own
+        for name in ("momentum", "beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")
+        if not self.eps > 0:
+            raise ValueError(f"eps: must be > 0, got {self.eps!r}")
 
 
 def _check_grads(net: Network, grads) -> None:
@@ -184,30 +195,84 @@ def _check_grads(net: Network, grads) -> None:
             raise ValueError(f"non-finite gradient for layer {i} biases")
 
 
+def _check_slots(opt: OptimizerState, params: list[np.ndarray]) -> None:
+    """Each slot list matches the parameters in count and shape, and every
+    parameter and slot is C-contiguous, so its flat view writes through."""
+    names = ("slot1", "slot2") if opt.kind == OptKind.ADAM_LIKE else ("slot1",)
+    for name in names:
+        slots = getattr(opt, name)
+        if len(slots) != len(params) or any(s.shape != p.shape for s, p in zip(slots, params)):
+            raise ValueError(f"optimizer {name} does not match the network's parameters")
+    for a in params + [s for name in names for s in getattr(opt, name)]:
+        if not a.flags.c_contiguous:
+            raise ValueError("parameters and optimizer slots must be C-contiguous")
+
+
+# Elements per block of the update loop. Every ufunc of a block writes into
+# one of two block-sized scratch buffers, so the temporaries stay in cache and
+# each parameter, gradient and slot is read from memory once per step.
+_STEP_BLOCK = 32768
+
+
 def step(net: Network, opt: OptimizerState, grads) -> None:
-    """Apply one optimizer update in place."""
+    """Apply one optimizer update in place.
+
+    Each parameter, its gradient and its slots are walked as aligned flat
+    blocks; a parameter that fits in one block is updated whole. Every
+    rounding step of the expression form in the comments is kept, in the
+    same order, so the result is bit-identical to it. No parameter is
+    touched unless the gradients and the slots match the network.
+    """
     _check_grads(net, grads)
     params = list(net.weights) + list(net.biases)
     flat_grads = [g[0] for g in grads] + [g[1] for g in grads]
+    adam = opt.kind == OptKind.ADAM_LIKE
     if not opt.slot1:
         opt.slot1 = [np.zeros_like(p) for p in params]
-        if opt.kind == OptKind.ADAM_LIKE:
+        if adam:
             opt.slot2 = [np.zeros_like(p) for p in params]
-    if opt.kind == OptKind.SGD_MOMENTUM:
-        for p, g, v in zip(params, flat_grads, opt.slot1):
-            v *= opt.momentum
-            v += g
-            p -= opt.lr * v
-    else:
+    _check_slots(opt, params)
+    if adam:
         opt.t += 1
         c1 = 1.0 - opt.beta1**opt.t
         c2 = 1.0 - opt.beta2**opt.t
-        for p, g, m, v in zip(params, flat_grads, opt.slot1, opt.slot2):
-            m *= opt.beta1
-            m += (1.0 - opt.beta1) * g
-            v *= opt.beta2
-            v += (1.0 - opt.beta2) * g * g
-            p -= opt.lr * (m / c1) / (np.sqrt(v / c2) + opt.eps)
+    s1, s2 = np.empty((2, min(_STEP_BLOCK, max(p.size for p in params))))
+    for i, p in enumerate(params):
+        arrays = [p, flat_grads[i], opt.slot1[i]] + ([opt.slot2[i]] if adam else [])
+        flat = [a.reshape(-1) for a in arrays]
+        if p.size > _STEP_BLOCK:
+            starts = range(0, p.size, _STEP_BLOCK)
+            blocks = ([a[lo : lo + _STEP_BLOCK] for a in flat] for lo in starts)
+        else:
+            blocks = [flat]
+        for block in blocks:
+            t1, t2 = s1[: block[0].size], s2[: block[0].size]
+            if adam:
+                pb, gb, mb, vb = block
+                # m = m*beta1 + (1-beta1)*g
+                np.multiply(gb, 1.0 - opt.beta1, out=t1)
+                mb *= opt.beta1
+                mb += t1
+                # v = v*beta2 + ((1-beta2)*g)*g
+                np.multiply(gb, 1.0 - opt.beta2, out=t1)
+                t1 *= gb
+                vb *= opt.beta2
+                vb += t1
+                # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+                np.divide(mb, c1, out=t1)
+                t1 *= opt.lr
+                np.divide(vb, c2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += opt.eps
+                t1 /= t2
+                pb -= t1
+            else:
+                pb, gb, vb = block
+                # v = v*momentum + g, then p -= lr*v
+                vb *= opt.momentum
+                vb += gb
+                np.multiply(vb, opt.lr, out=t1)
+                pb -= t1
     net.param_version += 1
 
 

@@ -9,6 +9,7 @@ with an int label or an (N, K) batch with an (N,) label array.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -50,15 +51,19 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
     y = one_hot(gt, state.k)
     k = state.k
     at = np.where(y > 0.0, 1.0, state.alpha)
-    a_sum = _unbox(at.sum(axis=-1))
+    a_sum = at.sum(axis=-1)
+    # one call per special function: alpha~ and A side by side as (..., K+1);
+    # the functions are elementwise, so each entry gets what a call of its own gives
+    both = np.concatenate((at, _col(a_sum)), axis=-1)
+    lg, dg, tg = log_gamma(both), digamma(both), trigamma(both)
     # cumsum adds strictly left to right, as the per-class sums always have
     loss = (
-        log_gamma(a_sum)
-        - log_gamma(float(k))
-        - np.cumsum(log_gamma(at), axis=-1)[..., -1]
-        + np.cumsum((at - 1.0) * (digamma(at) - _col(digamma(a_sum))), axis=-1)[..., -1]
+        lg[..., k]
+        - math.lgamma(k)
+        - np.cumsum(lg[..., :k], axis=-1)[..., -1]
+        + np.cumsum((at - 1.0) * (dg[..., :k] - dg[..., k:]), axis=-1)[..., -1]
     )
-    coef = (at - 1.0) * trigamma(at) - _col((a_sum - k) * trigamma(a_sum))
+    coef = (at - 1.0) * tg[..., :k] - _col((a_sum - k) * tg[..., k])
     dact = activation_grad(state.kind, state.logits)
     return LossGrad(_unbox(loss), np.where(y > 0.0, 0.0, coef) * dact)
 

@@ -158,6 +158,11 @@ class OptConfig:
         _member(OptKind, self.kind, f"{where}.kind", "optimizer")
         if self.lr <= 0:
             raise ConfigError(f"{where}.lr: must be > 0")
+        # OptimizerState holds the ranges of the other fields; its messages lead with the field
+        try:
+            self.build()
+        except ValueError as err:
+            raise ConfigError(f"{where}.{err}") from None
 
     def build(self) -> OptimizerState:
         return OptimizerState(**dataclasses.asdict(self))

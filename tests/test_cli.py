@@ -163,6 +163,24 @@ def test_train_config_errors_exit_one(tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("momentum", -3, "must be in [0, 1)"),
+        ("beta1", 1.5, "must be in [0, 1)"),
+        ("beta2", 1.0, "must be in [0, 1)"),
+        ("eps", 0.0, "must be > 0"),
+    ],
+)
+def test_train_rejects_out_of_range_optimizer_settings(
+    tmp_path, capsys, field, value, message
+):
+    cfg = write_cfg(tmp_path, optimizer={"kind": "adam_like", "lr": 0.01, field: value})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert f"error: optimizer.{field}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_train_divergence_exits_two(tmp_path, capsys):
     import numpy as np
 

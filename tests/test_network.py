@@ -1,11 +1,13 @@
 """Tests for the dense network, manual backprop, optimizers, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evidkit.network import (
+    _STEP_BLOCK,
     LayerSpec,
     Network,
     OptimizerState,
@@ -164,6 +166,18 @@ def test_backward_rejects_stale_cache():
         backward(net, cache, logits)
 
 
+def test_backward_rejects_a_hidden_final_layer_and_keeps_d_logits():
+    net = small_net()
+    x = np.array([[0.5, -1.2], [1.5, 0.7]])
+    logits, cache = forward(net, x)
+    d = logits.copy()
+    backward(net, cache, d)
+    assert np.array_equal(d, logits)  # the ReLU mask goes on backward's own arrays
+    net.specs[-1] = LayerSpec(3, 2, hidden=True)
+    with pytest.raises(ValueError, match="final layer must be identity"):
+        backward(net, cache, d)
+
+
 def test_backward_rejects_wrong_d_logits_shape():
     net = small_net()
     _, cache = forward(net, np.array([[0.5, -1.2]]))
@@ -205,6 +219,102 @@ def test_adam_like_update_math():
     assert opt.t == 3
 
 
+def long_net(seed=0):
+    """One layer whose weight spans two full update blocks and a remainder."""
+    n = 2 * _STEP_BLOCK + 123
+    return init_network([LayerSpec(n, 1, hidden=False)], seed=seed)
+
+
+def test_sgd_momentum_update_math_across_blocks():
+    lr, mom = 0.1, 0.9
+    net = long_net()
+    opt = OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=lr, momentum=mom)
+    rng = np.random.default_rng(5)
+    p = net.weights[0].copy()
+    v = np.zeros_like(p)
+    for scale in (1.0, 1e-3, 7.5):
+        g = rng.normal(size=p.shape) * scale
+        step(net, opt, [(g, np.zeros(1))])
+        v = v * mom + g
+        p = p - lr * v
+        assert np.array_equal(net.weights[0], p)  # bit-exact mirror, every block
+
+
+def test_adam_like_update_math_across_blocks():
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    net = long_net()
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=lr)
+    rng = np.random.default_rng(6)
+    p = net.weights[0].copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, scale in enumerate((1.0, 1e-3, 7.5), start=1):
+        g = rng.normal(size=p.shape) * scale
+        step(net, opt, [(g, np.zeros(1))])
+        c1 = 1.0 - b1**t
+        c2 = 1.0 - b2**t
+        m = m * b1 + (1.0 - b1) * g
+        v = v * b2 + (1.0 - b2) * g * g
+        p = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        assert np.array_equal(net.weights[0], p)
+    assert np.array_equal(opt.slot1[0], m)
+    assert np.array_equal(opt.slot2[0], v)
+
+
+@pytest.mark.parametrize("kind", list(OptKind))
+def test_step_temporaries_stay_small(kind):
+    net = init_network([LayerSpec(1024, 1024, hidden=False)], seed=0)
+    grads = [(np.full((1024, 1024), 1e-3), np.full(1024, 1e-3))]
+    opt = OptimizerState(kind=kind, lr=0.01)
+    step(net, opt, grads)  # allocates the slots
+    tracemalloc.start()
+    try:
+        step(net, opt, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < net.weights[0].nbytes / 4
+
+
+@pytest.mark.parametrize("kind", list(OptKind))
+def test_step_rejects_slots_of_another_network(kind):
+    opt = OptimizerState(kind=kind, lr=0.1)
+    first = small_net()
+    logits, cache = forward(first, np.array([0.5, -1.2]))
+    step(first, opt, backward(first, cache, logits))
+    t = opt.t
+    # same layer count, larger shapes: flat blocks would update only a prefix
+    other = init_network(dense_specs(2, [5], 2), seed=4)
+    logits, cache = forward(other, np.array([0.5, -1.2]))
+    grads = backward(other, cache, logits)
+    before = [a.copy() for a in other.weights + other.biases]
+    with pytest.raises(ValueError, match="slot1 does not match"):
+        step(other, opt, grads)
+    for a, a0 in zip(other.weights + other.biases, before):
+        assert np.array_equal(a, a0)
+    assert other.param_version == 0
+    assert opt.t == t
+
+
+def test_step_rejects_an_adam_state_without_second_moments():
+    net = small_net()
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1)
+    opt.slot1 = [np.zeros_like(a) for a in net.weights + net.biases]
+    logits, cache = forward(net, np.array([0.5, -1.2]))
+    with pytest.raises(ValueError, match="slot2 does not match"):
+        step(net, opt, backward(net, cache, logits))
+
+
+def test_step_rejects_a_non_contiguous_parameter():
+    # a transposed weight has no flat view, so an update would be lost
+    w = np.array([[1.0, 2.0], [3.0, 4.0]]).T
+    net = Network(specs=[LayerSpec(2, 2, hidden=False)], weights=[w], biases=[np.zeros(2)], seed=0)
+    grads = [(np.ones((2, 2)), np.ones(2))]
+    with pytest.raises(ValueError, match="C-contiguous"):
+        step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), grads)
+    assert np.array_equal(net.weights[0], [[1.0, 3.0], [2.0, 4.0]])
+
+
 def test_step_increments_param_version():
     net = scalar_net()
     assert net.param_version == 0
@@ -239,6 +349,21 @@ def test_optimizer_state_validation():
         OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.0)
     with pytest.raises(ValueError):
         OptimizerState(kind="nonsense", lr=0.1)
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("momentum", -3.0, r"momentum: must be in \[0, 1\)"),
+        ("beta1", 1.5, r"beta1: must be in \[0, 1\)"),
+        ("beta2", 1.0, r"beta2: must be in \[0, 1\)"),
+        ("eps", 0.0, "eps: must be > 0"),
+        ("lr", float("nan"), "learning rate must be > 0"),
+    ],
+)
+def test_optimizer_state_rejects_out_of_range_settings(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        OptimizerState(**{"kind": OptKind.ADAM_LIKE, "lr": 0.1, field: value})
 
 
 # --- checkpoints -----------------------------------------------------------

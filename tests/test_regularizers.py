@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from evidkit.evidence import Activation, evidence_state
-from evidkit.losses import EVIDENTIAL_LOSSES, Loss, grad_logits
+from evidkit.evidence import Activation, activation_grad, evidence_state
+from evidkit.losses import EVIDENTIAL_LOSSES, Loss, grad_logits, one_hot
 from evidkit.regularizers import (
     CORRECT_REG_EPS,
     IncReg,
@@ -17,6 +17,7 @@ from evidkit.regularizers import (
     reg_edl_kl,
     reg_units_belief,
 )
+from evidkit.special import digamma, log_gamma, trigamma
 
 # mpmath (50-digit) oracle: KL(Dir(2.5,1.75,1) || Dir(1,1,1))
 EDL_KL_ORACLE_K3 = 0.3983372745853511849869
@@ -134,6 +135,45 @@ def test_units_belief_bounded_and_grad_matches_fd():
         assert 0.0 <= pair.loss <= 1.0
         fd = fd_grad(reg_units_belief, Activation.EXP, o, gt)
         assert pair.grad == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def edl_kl_per_function_calls(state, gt):
+    """reg_edl_kl in its expression form: one special-function call per term."""
+    y = one_hot(gt, state.k)
+    k = state.k
+    at = np.where(y > 0.0, 1.0, state.alpha)
+    a_sum = at.sum(axis=-1)
+    loss = (
+        log_gamma(a_sum)
+        - log_gamma(float(k))
+        - np.cumsum(log_gamma(at), axis=-1)[..., -1]
+        + np.cumsum((at - 1.0) * (digamma(at) - digamma(a_sum)[..., None]), axis=-1)[..., -1]
+    )
+    coef = (at - 1.0) * trigamma(at) - ((a_sum - k) * trigamma(a_sum))[..., None]
+    return loss, np.where(y > 0.0, 0.0, coef) * activation_grad(state.kind, state.logits)
+
+
+def test_edl_kl_calls_each_special_function_once(monkeypatch):
+    import evidkit.regularizers as regs
+
+    calls = []
+    for name in ("log_gamma", "digamma", "trigamma"):
+        fn = getattr(regs, name)
+        monkeypatch.setattr(regs, name, lambda z, fn=fn, name=name: calls.append(name) or fn(z))
+    rng = np.random.default_rng(41)
+    o = rng.uniform(-6.0, 6.0, (33, 5))
+    gt = rng.integers(5, size=33)
+    st = evidence_state(Activation.EXP, o)
+    got = reg_edl_kl(st, gt)
+    assert sorted(calls) == ["digamma", "log_gamma", "trigamma"]
+    loss, grad = edl_kl_per_function_calls(st, gt)
+    assert np.array_equal(got.loss, loss)
+    assert np.array_equal(got.grad, grad)
+    # a single state is a batch of one: same values, Python-float loss
+    one = reg_edl_kl(evidence_state(Activation.EXP, o[3]), int(gt[3]))
+    assert isinstance(one.loss, float)
+    assert one.loss == got.loss[3]
+    assert np.array_equal(one.grad, got.grad[3])
 
 
 def test_incorrect_regs_zero_when_no_incorrect_evidence():
