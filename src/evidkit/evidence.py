@@ -23,7 +23,6 @@ __all__ = [
     "activation_grad",
     "evidence_state",
     "predict_class",
-    "is_zero_evidence",
 ]
 
 # Under EXP, logits are clamped to at most this value before
@@ -42,9 +41,9 @@ class Activation(str, Enum):
 class EvidenceState:
     """Dirichlet bundle derived from one logit vector or an (N, K) batch.
 
-    The state remembers the activation kind and the raw logits it was
-    built from, so downstream terms can recover d e_k / d o_k without the
-    caller re-threading them (see activation_grad). Strength and vacuity are
+    The state carries the activation kind and its derivative d e_k / d o_k
+    at the logits it was built from (activation_grad), so every downstream
+    term composes its gradient against one copy. Strength and vacuity are
     floats for one vector and (N,) arrays for a batch.
     """
 
@@ -54,7 +53,7 @@ class EvidenceState:
     vacuity: float | np.ndarray  # K / S
     beliefs: np.ndarray  # e_k / S
     kind: Activation
-    logits: np.ndarray  # raw (unclamped) logits o
+    dact: np.ndarray  # d e_k / d o_k at the raw (unclamped) logits
 
     @property
     def k(self) -> int:
@@ -111,9 +110,9 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
     """Build the EvidenceState for one (K,) logit vector or an (N, K) batch.
 
     The evidence comes from activation_apply, so under EXP it is clamped
-    and the state is always finite.
+    and the state is always finite. The caller's o is neither kept nor written.
     """
-    o = np.array(o, dtype=float)  # private copy: the state keeps it
+    o = np.asarray(o, dtype=float)
     if o.ndim not in (1, 2):
         raise ValueError(f"expected (K,) or (N, K) logits, got shape {o.shape}")
     if o.shape[-1] < 2:
@@ -121,11 +120,13 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
     if not np.all(np.isfinite(o)):
         raise ValueError("logits must be finite")
     e = activation_apply(kind, o)
+    # under EXP the derivative is the clamped evidence itself
+    dact = e if kind == Activation.EXP else activation_grad(kind, o)
     k = o.shape[-1]
     strength = _unbox(k + e.sum(axis=-1))
     alpha = e + 1.0
     beliefs = e / np.asarray(strength)[..., None]
-    for arr in (e, alpha, beliefs, o):
+    for arr in (e, alpha, beliefs, dact):
         arr.flags.writeable = False
     return EvidenceState(
         evidence=e,
@@ -134,7 +135,7 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
         vacuity=k / strength,
         beliefs=beliefs,
         kind=Activation(kind),
-        logits=o,
+        dact=dact,
     )
 
 
@@ -142,9 +143,3 @@ def predict_class(state: EvidenceState):
     """Class with the greatest evidence per sample; ties go to the lowest index."""
     return _unbox(np.argmax(state.evidence, axis=-1))
 
-
-def is_zero_evidence(state: EvidenceState, tau: float):
-    """True iff the mean evidence (sum e_k)/K is at most tau, per sample."""
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    return _unbox(state.evidence.sum(axis=-1) / state.k <= tau)

@@ -21,6 +21,7 @@ import numpy as np
 from .evidence import LOGIT_CLAMP, Activation, evidence_state
 from .losses import EVIDENTIAL_LOSSES, Loss
 from .regularizers import IncReg, anneal_eta1, composite_loss
+from .special import _unbox
 
 __all__ = [
     "RED",
@@ -74,13 +75,14 @@ def compare_grads(
     skip: np.ndarray | None = None,
     tiny: float = 1e-6,
     tiny_abs: float = 1e-7,
-) -> tuple[bool, float]:
-    """Apply the gradient agreement rule per coordinate.
+) -> tuple[bool | np.ndarray, float | np.ndarray]:
+    """Apply the gradient agreement rule per coordinate, reducing the last axis.
 
     A coordinate passes when the relative error is within rel_tol, or, when
     both entries are below `tiny`, the absolute difference is within
     `tiny_abs`. Returns (all passed, worst relative error over compared
-    coordinates); skipped coordinates are ignored, and a NaN fails.
+    coordinates): a bool and a float for one (K,) row, (N,) arrays for an
+    (N, K) stack. Skipped coordinates are ignored, and a NaN fails.
     """
     analytic = np.asarray(analytic, dtype=float)
     numeric = np.asarray(numeric, dtype=float)
@@ -89,10 +91,9 @@ def compare_grads(
     is_tiny = scale < tiny
     err = diff / np.where(is_tiny, tiny, scale)
     passed = np.where(is_tiny, diff <= tiny_abs, err <= rel_tol)
-    if skip is not None:
-        keep = ~np.asarray(skip, dtype=bool)
-        passed, err = passed[keep], err[keep]
-    return bool(passed.all()), float(np.max(err, initial=0.0))
+    keep = True if skip is None else ~np.asarray(skip, dtype=bool)
+    ok = np.all(passed, axis=-1, where=keep)
+    return _unbox(ok), _unbox(np.max(err, axis=-1, where=keep, initial=0.0))
 
 
 @dataclass
@@ -200,10 +201,10 @@ def run_grid(
     """Run the finite-difference oracle over the grid.
 
     Each cell draws all of its cases first, then checks the cases that share
-    a K in one check_case call, and applies the agreement rule in case
-    order. `corrupt` names a cell as "loss:act:reg" whose analytic gradient
-    gets a deliberate perturbation; it exists so the harness can prove it
-    catches wrong gradients.
+    a K with one check_case call and one compare_grads call; the worst case
+    is the first maximum in case order. `corrupt` names a cell as
+    "loss:act:reg" whose analytic gradient gets a deliberate perturbation;
+    it exists so the harness can prove it catches wrong gradients.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
@@ -218,7 +219,8 @@ def run_grid(
             gt = int(rng.integers(k))
             o = _sample_logits(rng, k, act)
             cases.append((k, gt, o, float(rng.uniform(0.25, 2.0)), int(rng.integers(1, 13))))
-        checked = [None] * n_cases  # (analytic, numeric, skip) per case
+        groups = {}  # K -> (case indices, analytic, numeric)
+        passed, errs = np.empty(n_cases, dtype=bool), np.empty(n_cases)
         for k in dict.fromkeys([c[0] for c in cases]):
             idx = [i for i, c in enumerate(cases) if c[0] == k]
             _, gt, o, lambda1, epoch = [np.array(col) for col in zip(*[cases[i] for i in idx])]
@@ -227,23 +229,22 @@ def run_grid(
             )
             if cell.name == corrupt:
                 analytic[:, 0] += 1e-2
-            for j, i in enumerate(idx):
-                checked[i] = analytic[j], numeric[j], skip[j]
-        worst = None
-        for i, (analytic, numeric, skip) in enumerate(checked):
-            ok, err = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
+            passed[idx], errs[idx] = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
             cell.n_skipped += int(skip.sum())
-            if err > cell.max_err:
-                cell.max_err, worst = err, i
-            if not ok:
-                cell.passed = False
-        if worst is not None:
+            groups[k] = idx, analytic, numeric
+        cell.passed = bool(passed.all())
+        # a NaN case fails but is never the worst; argmax keeps the first maximum
+        errs[np.isnan(errs)] = 0.0
+        worst = int(np.argmax(errs))
+        if errs[worst] > 0.0:
             k, gt = cases[worst][:2]
-            analytic, numeric, _ = checked[worst]
+            idx, analytic, numeric = groups[k]
+            j = idx.index(worst)
+            cell.max_err = float(errs[worst])
             cell.worst_k = k
             cell.worst_detail = (
-                f"K={k} gt={gt} analytic={np.array2string(analytic, precision=6)} "
-                f"numeric={np.array2string(numeric, precision=6)}"
+                f"K={k} gt={gt} analytic={np.array2string(analytic[j], precision=6)} "
+                f"numeric={np.array2string(numeric[j], precision=6)}"
             )
         results.append(cell)
     return results

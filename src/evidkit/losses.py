@@ -1,7 +1,8 @@
 """Evidential losses and the softmax baseline, with analytic logit gradients.
 
-All gradients are composed as (dL/d alpha_k) * (d e_k / d o_k) and are
-validated against central finite differences by the gradcheck module.
+All gradients are composed as (dL/d alpha_k) * (d e_k / d o_k), the latter
+read from the state's dact, and are validated against central finite
+differences by the gradcheck module.
 Every function takes one sample or a batch: a (K,) state or logit vector
 with an int label, or an (N, K) one with an (N,) label array.
 """
@@ -13,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .evidence import Activation, EvidenceState, activation_grad, evidence_state
+from .evidence import Activation, EvidenceState, evidence_state
 from .special import _unbox, digamma, trigamma
 
 __all__ = [
@@ -140,7 +141,7 @@ EVIDENTIAL_LOSSES = tuple(_EVIDENTIAL)
 def _state_loss_grad(kind: Loss, state: EvidenceState, gt) -> LossGrad:
     """Evidential loss and its logit gradient at an already built state."""
     loss, dalpha = _EVIDENTIAL[kind]
-    grad = dalpha(state, one_hot(gt, state.k)) * activation_grad(state.kind, state.logits)
+    grad = dalpha(state, one_hot(gt, state.k)) * state.dact
     return LossGrad(loss(state, gt), grad)
 
 

@@ -63,7 +63,6 @@ class Network:
 @dataclass
 class ForwardCache:
     inputs: list[np.ndarray]  # input to each layer, (N, in_dim)
-    pres: list[np.ndarray]  # pre-activation of each layer, (N, out_dim)
     param_version: int
 
 
@@ -113,14 +112,13 @@ def forward(net: Network, x) -> tuple[np.ndarray, ForwardCache]:
     if h.shape[1] != net.in_dim:
         raise ValueError(f"input dim {h.shape[1]} does not match network in_dim {net.in_dim}")
     inputs = []
-    pres = []
     for spec, w, b in zip(net.specs, net.weights, net.biases):
         inputs.append(h)
-        pre = h @ w.T
-        pre += b
-        pres.append(pre)
-        h = np.maximum(pre, 0.0) if spec.hidden else pre
-    cache = ForwardCache(inputs=inputs, pres=pres, param_version=net.param_version)
+        h = h @ w.T  # a fresh array: bias and ReLU go on in place, x is never written
+        h += b
+        if spec.hidden:
+            np.maximum(h, 0.0, out=h)
+    cache = ForwardCache(inputs=inputs, param_version=net.param_version)
     return (h[0] if single else h), cache
 
 
@@ -135,10 +133,10 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
     if len(cache.inputs) != len(net.specs):
         raise ValueError("cache does not match this network")
     d = np.atleast_2d(np.asarray(d_logits, dtype=float))
-    if d.shape != cache.pres[-1].shape:
+    logits_shape = (len(cache.inputs[0]), net.out_dim)
+    if d.shape != logits_shape:
         raise ValueError(
-            f"d_logits shape {d.shape} does not match forward logits shape "
-            f"{cache.pres[-1].shape}"
+            f"d_logits shape {d.shape} does not match forward logits shape {logits_shape}"
         )
     if net.specs[-1].hidden:
         raise ValueError("final layer must be identity (logits are pre-activation)")
@@ -146,11 +144,12 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
     for i in reversed(range(len(net.specs))):
         grads[i] = (d.T @ cache.inputs[i], d.sum(axis=0))
         if i > 0:
-            # d @ W is a fresh array, so the ReLU mask goes on in place;
-            # the caller's d_logits is never written
+            # d @ W is a fresh array, so the mask goes on in place and d_logits is
+            # never written; ReLU is positive exactly where its argument is, so
+            # layer i's input > 0 is the mask of layer i - 1
             d = d @ net.weights[i]
             if net.specs[i - 1].hidden:
-                d *= cache.pres[i - 1] > 0.0
+                d *= cache.inputs[i] > 0.0
     return grads
 
 
@@ -173,9 +172,9 @@ class OptimizerState:
 
     def __post_init__(self) -> None:
         self.kind = OptKind(self.kind)
-        if not self.lr > 0:
-            raise ValueError("learning rate must be > 0")
         # each message leads with the field name, so OptConfig can prefix its own
+        if not self.lr > 0:
+            raise ValueError(f"lr: must be > 0, got {self.lr!r}")
         for name in ("momentum", "beta1", "beta2"):
             if not 0.0 <= getattr(self, name) < 1.0:
                 raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")

@@ -2,9 +2,9 @@
 regularizer, the annealing schedule, and the composite training objective.
 
 Each regularizer returns the loss plus its gradient with respect to the
-logits, composed against the activation derivative at the state's own
-logits (activation_grad). Like the losses, every term takes a (K,) state
-with an int label or an (N, K) batch with an (N,) label array.
+logits, composed against the activation derivative the state carries
+(state.dact). Like the losses, every term takes a (K,) state with an int
+label or an (N, K) batch with an (N,) label array.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .evidence import Activation, EvidenceState, activation_grad, evidence_state
+from .evidence import Activation, EvidenceState, evidence_state
 from .losses import Loss, LossGrad, _col, _gather, _state_loss_grad, loss_softmax_ce, one_hot
 from .special import _unbox, digamma, log_gamma, trigamma
 
@@ -64,15 +64,14 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
         + np.cumsum((at - 1.0) * (dg[..., :k] - dg[..., k:]), axis=-1)[..., -1]
     )
     coef = (at - 1.0) * tg[..., :k] - _col((a_sum - k) * tg[..., k])
-    dact = activation_grad(state.kind, state.logits)
-    return LossGrad(_unbox(loss), np.where(y > 0.0, 0.0, coef) * dact)
+    return LossGrad(_unbox(loss), np.where(y > 0.0, 0.0, coef) * state.dact)
 
 
 def reg_adl_sum(state: EvidenceState, gt) -> LossGrad:
     """Sum of incorrect evidence, sum_k e_k (1 - y_k)."""
     y = one_hot(gt, state.k)
     loss = _unbox((state.evidence * (1.0 - y)).sum(axis=-1))
-    return LossGrad(loss, (1.0 - y) * activation_grad(state.kind, state.logits))
+    return LossGrad(loss, (1.0 - y) * state.dact)
 
 
 def reg_units_belief(state: EvidenceState, gt) -> LossGrad:
@@ -88,7 +87,7 @@ def reg_units_belief(state: EvidenceState, gt) -> LossGrad:
     a_gt = _gather(state.alpha, y)
     inc = s - k - a_gt + 1.0
     coef = np.where(y > 0.0, _col(-inc / (s * s)), _col((a_gt - 1.0 + k) / (s * s)))
-    return LossGrad(inc / s, coef * activation_grad(state.kind, state.logits))
+    return LossGrad(inc / s, coef * state.dact)
 
 
 def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
@@ -110,9 +109,7 @@ def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
     # one weight per sample, also where a single frozen weight is given
     weight = np.broadcast_to(state.vacuity if weight is None else weight, np.shape(e_gt))
     loss = -weight * np.log(e_gt + CORRECT_REG_EPS)
-    g_gt = -weight if exp_head else -weight * (
-        _gather(activation_grad(state.kind, state.logits), y) / e_gt
-    )
+    g_gt = -weight if exp_head else -weight * (_gather(state.dact, y) / e_gt)
     return LossGrad(_unbox(loss), np.where(y > 0.0, _col(g_gt), 0.0))
 
 

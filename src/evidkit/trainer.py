@@ -67,10 +67,14 @@ def _matches(kind: str, value) -> bool:
 
 
 def _check_types(types: dict, doc: dict, where: str) -> None:
-    """ConfigError naming the first field of doc that does not match its annotation
-    in types; None matches an optional one, and other annotations pass."""
+    """ConfigError naming the first field of doc not in types, else the first that
+    does not match its annotation; None matches an optional one, and other
+    annotations pass."""
+    extra = doc.keys() - types
+    if extra:
+        raise ConfigError(f"{where}{sorted(extra)[0]}: unknown field")
     for name, value in doc.items():
-        kind, _, optional = types.get(name, "").partition(" | ")
+        kind, _, optional = types[name].partition(" | ")
         if not (value is None and optional) and not _matches(kind, value):
             expected = kind.replace("float", "finite float")
             raise ConfigError(f"{where}{name}: expected {expected}, got {value!r}")
@@ -156,9 +160,7 @@ class OptConfig:
 
     def validate(self, where: str = "optimizer") -> None:
         _member(OptKind, self.kind, f"{where}.kind", "optimizer")
-        if self.lr <= 0:
-            raise ConfigError(f"{where}.lr: must be > 0")
-        # OptimizerState holds the ranges of the other fields; its messages lead with the field
+        # OptimizerState holds the ranges of the fields; its messages lead with the field
         try:
             self.build()
         except ValueError as err:
@@ -221,11 +223,7 @@ class ExperimentConfig:
         def sub(cls, value, where):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
-            types = {f.name: f.type for f in dataclasses.fields(cls)}
-            extra = value.keys() - types
-            if extra:
-                raise ConfigError(f"{where}.{sorted(extra)[0]}: unknown field")
-            _check_types(types, value, f"{where}.")
+            _check_types({f.name: f.type for f in dataclasses.fields(cls)}, value, f"{where}.")
             return cls(**value)
 
         types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
@@ -392,11 +390,10 @@ def derive_sweep_seed(base_seed: int, index: int) -> int:
 
 
 def _sweep_point(args: tuple) -> SweepRow:
-    base_doc, lam, index = args
-    cfg = ExperimentConfig.from_dict(base_doc)
-    cfg.lambda1 = float(lam)
-    cfg.seed = derive_sweep_seed(base_doc["seed"], index)
-    cfg.name = f"{cfg.name}-lam{lam:g}"
+    base, lam, index = args
+    cfg = dataclasses.replace(
+        base, lambda1=lam, seed=derive_sweep_seed(base.seed, index), name=f"{base.name}-lam{lam:g}"
+    )
     result = run_experiment(cfg)
     return SweepRow(
         lambda1=float(lam),
@@ -414,7 +411,7 @@ def sweep(base: ExperimentConfig, grid, workers: int = 1) -> list:
     if not grid:
         raise ConfigError("sweep grid: must be nonempty")
     base.validate()
-    args = [(base.to_dict(), lam, i) for i, lam in enumerate(grid)]
+    args = [(base, lam, i) for i, lam in enumerate(grid)]
     if workers <= 1:
         return [_sweep_point(a) for a in args]
     with multiprocessing.get_context("fork").Pool(workers) as pool:

@@ -25,7 +25,7 @@ EXPORTS = {
     "backward", "central_diff", "check_case", "circle_means", "compare_grads", "composite_loss",
     "dense_specs", "derive_sweep_seed", "digamma", "epoch_csv_header", "evaluate",
     "evidence_census", "evidence_state", "forward", "grad_logits", "grid_cells", "init_network",
-    "is_zero_evidence", "load_checkpoint", "load_csv", "load_records", "log_gamma", "loss_ev_ce",
+    "load_checkpoint", "load_csv", "load_records", "log_gamma", "loss_ev_ce",
     "loss_ev_log", "loss_ev_mse", "loss_softmax_ce", "make_blobs", "make_ood_shift", "make_toy4",
     "one_hot", "predict_class", "reg_adl_sum", "reg_correct", "reg_edl_kl", "reg_units_belief",
     "run_experiment", "run_grid", "save_checkpoint", "save_csv", "save_epoch_csv",

@@ -284,6 +284,16 @@ def test_gradcheck_corrupt_cell_exits_two_and_names_it(tmp_path, capsys):
     assert "worst case" in captured.err
 
 
+def test_gradcheck_config_rejects_unknown_fields(tmp_path, capsys):
+    cfg = tmp_path / "gc.json"
+    doc = {"sampels": 3, "losses": ["ev_log"], "activations": ["exp"], "regularizers": ["none"]}
+    cfg.write_text(json.dumps(doc))
+    assert main(["gradcheck", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: config {cfg}: sampels: unknown field" in captured.err
+    assert captured.out == ""
+
+
 def test_gradcheck_flag_validation(tmp_path, capsys):
     assert main(["gradcheck", "--samples", "0"]) == 1
     assert "--samples" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from evidkit.evidence import (
     activation_apply,
     activation_grad,
     evidence_state,
-    is_zero_evidence,
     predict_class,
 )
 
@@ -134,17 +133,6 @@ def test_predict_class_examples_and_tie_break():
     assert predict_class(st) == int(np.argmax(st.alpha))
 
 
-def test_is_zero_evidence_examples():
-    st = evidence_state(Activation.RELU, [-1.0, -1.0])
-    assert is_zero_evidence(st, 0.0)
-    st2 = evidence_state(Activation.RELU, [0.005, 0.005])
-    assert is_zero_evidence(st2, 0.01)
-    st3 = evidence_state(Activation.RELU, [3.0, 0.0])
-    assert not is_zero_evidence(st3, 0.01)  # mean 1.5
-    with pytest.raises(ValueError):
-        is_zero_evidence(st, -0.1)
-
-
 def test_evidence_state_input_validation():
     with pytest.raises(ValueError):
         evidence_state(Activation.EXP, [1.0])  # K < 2
@@ -164,6 +152,37 @@ def test_evidence_state_is_immutable():
         st.evidence[0] = 99.0
 
 
+@pytest.mark.parametrize("kind", list(Activation))
+@pytest.mark.parametrize("k", [2, 7, 100])
+def test_state_dact_is_the_activation_derivative(kind, k):
+    rng = np.random.default_rng(k)
+    o = rng.uniform(-40.0, 40.0, (6, k))
+    o[0, :] = 800.0
+    o[1, :] = -800.0
+    o[2, ::2], o[2, 1::2] = 800.0, -800.0
+    o[3, 0], o[3, 1] = 0.0, -0.0  # the ReLU kink from both sides
+    o[4, 0] = LOGIT_CLAMP
+    for logits in (o, o[2]):
+        st = evidence_state(kind, logits)
+        want = np.asarray(activation_grad(kind, logits))
+        assert st.dact.shape == want.shape
+        assert st.dact.tobytes() == want.tobytes()  # bit for bit
+        assert not st.dact.flags.writeable
+        if kind == Activation.EXP:
+            assert st.dact is st.evidence
+
+
+def test_evidence_state_leaves_the_callers_logits_alone():
+    o = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -4.0]])
+    before = o.copy()
+    st = evidence_state(Activation.SOFTPLUS, o)
+    assert o.flags.writeable
+    o[:] = 99.0  # the state keeps no view of o
+    assert np.array_equal(st.evidence, evidence_state(Activation.SOFTPLUS, before).evidence)
+    for arr in (st.evidence, st.alpha, st.beliefs, st.dact):
+        assert not np.shares_memory(arr, o)
+
+
 def test_batched_state_matches_per_row_states():
     rng = np.random.default_rng(17)
     o = rng.uniform(-40.0, 40.0, (9, 6))
@@ -171,11 +190,10 @@ def test_batched_state_matches_per_row_states():
         batch = evidence_state(kind, o)
         assert batch.k == 6
         assert batch.strength.shape == batch.vacuity.shape == (9,)
-        zero = is_zero_evidence(batch, 0.01)
         for i, row in enumerate(o):
             one = evidence_state(kind, row)
             assert type(one.strength) is float and type(one.vacuity) is float
             assert one.strength == batch.strength[i] and one.vacuity == batch.vacuity[i]
             assert np.array_equal(one.beliefs, batch.beliefs[i])
+            assert np.array_equal(one.dact, batch.dact[i])
             assert predict_class(one) == predict_class(batch)[i]
-            assert is_zero_evidence(one, 0.01) == zero[i]

@@ -116,6 +116,28 @@ def test_compare_grads_nan_fails():
     assert not ok
 
 
+def test_compare_grads_stack_equals_per_row_calls():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(7, 4))
+    n = a * (1.0 + rng.choice([0.0, 5e-5, 5e-3], size=(7, 4)))
+    n[1] = a[1] + 5e-7 * rng.choice([0.1, 1.0], size=4)
+    a[1] *= 1e-7  # tiny pairs: the absolute rule
+    a[2, 1] = np.nan
+    n[3, :] = np.nan
+    skip = rng.random((7, 4)) < 0.3
+    skip[3] = True  # a row with every coordinate skipped passes with error 0
+    for mask in (None, skip):
+        ok, err = compare_grads(a, n, skip=mask)
+        assert ok.shape == err.shape == (7,)
+        for i in range(7):
+            one = compare_grads(a[i], n[i], skip=None if mask is None else mask[i])
+            assert type(one[0]) is bool and type(one[1]) is float
+            assert (bool(ok[i]), float(err[i])) == one or (
+                ok[i] == one[0] and np.isnan(err[i]) and np.isnan(one[1])
+            )
+    assert not ok[2] and ok[3] and err[3] == 0.0
+
+
 # --- grid_cells ------------------------------------------------------------
 
 
@@ -262,12 +284,56 @@ def test_run_grid_keeps_the_first_worst_case(monkeypatch):
 
     # every case ties, so the worst is the first case drawn: the one a
     # one-case run sees, since later draws do not change earlier ones
-    monkeypatch.setattr(gradcheck, "compare_grads", lambda *a, **kw: (True, 0.5))
+    monkeypatch.setattr(
+        gradcheck, "compare_grads", lambda a, *_, **kw: (np.full(len(a), True), np.full(len(a), 0.5))
+    )
     cell = dict(losses=[Loss.EV_CE], acts=[Activation.EXP], regs=[RED], seed=3)
     (first,) = run_grid(n_cases=1, **cell)
     (many,) = run_grid(n_cases=12, **cell)
     assert many.worst_detail == first.worst_detail != ""
     assert many.worst_k == first.worst_k
+
+
+def test_run_grid_nan_case_fails_but_is_never_the_worst(monkeypatch):
+    import evidkit.gradcheck as gradcheck
+
+    real = gradcheck.check_case
+
+    def nan_first_case(*args, **kwargs):
+        analytic, numeric, skip = real(*args, **kwargs)
+        if first_call:
+            analytic[0, 0] = np.nan  # case 0 opens the first K group
+            first_call.clear()
+        return analytic, numeric, skip
+
+    monkeypatch.setattr(gradcheck, "check_case", nan_first_case)
+    cell = dict(losses=[Loss.EV_LOG], acts=[Activation.SOFTPLUS], regs=["none"], seed=5)
+    for n_cases in (1, 9):
+        first_call = [True]
+        (got,) = run_grid(n_cases=n_cases, **cell)
+        assert not got.passed
+        assert got.max_err == got.max_err  # never NaN
+        assert "nan" not in got.worst_detail
+    assert got.max_err > 0.0 and got.worst_detail != ""
+    first_call = [True]
+    (alone,) = run_grid(n_cases=1, **cell)
+    assert (alone.max_err, alone.worst_k, alone.worst_detail) == (0.0, 0, "")
+
+
+def test_run_grid_applies_the_rule_once_per_cell_and_k(monkeypatch):
+    import evidkit.gradcheck as gradcheck
+
+    real, calls = gradcheck.compare_grads, []
+
+    def counting(analytic, *args, **kwargs):
+        calls.append(np.shape(analytic))
+        return real(analytic, *args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "compare_grads", counting)
+    results = run_grid(n_cases=50)
+    assert len(calls) <= 39 * 4  # at most one call per (cell, K) group
+    assert sum(shape[0] for shape in calls) == 39 * 50
+    assert all(r.passed for r in results)
 
 
 def test_run_grid_matches_pinned_results():

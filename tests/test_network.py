@@ -104,6 +104,31 @@ def test_forward_single_sample_matches_batch_row():
         assert np.allclose(single, batch_logits[i], rtol=1e-13, atol=1e-15)
 
 
+def test_forward_never_writes_the_callers_input():
+    net = init_network(dense_specs(2, [3], 2), seed=5)
+    x = np.array([[0.5, -1.2], [1.5, 0.7]])
+    x.flags.writeable = False  # any write would raise
+    logits, cache = forward(net, x)
+    assert np.array_equal(x, [[0.5, -1.2], [1.5, 0.7]])
+    assert cache.inputs[0] is x
+    assert not np.shares_memory(logits, x)
+
+
+def test_forward_keeps_one_array_per_layer():
+    # 1000 rows through 64 -> 1024 -> 1024 -> 10: the two hidden
+    # activations are 7.8 MiB each; a second copy per layer would double that
+    net = init_network(dense_specs(64, [1024, 1024], 10), seed=0)
+    x = np.random.default_rng(0).normal(size=(1000, 64))
+    tracemalloc.start()
+    try:
+        _, cache = forward(net, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2**20
+    assert [a.shape for a in cache.inputs] == [(1000, 64), (1000, 1024), (1000, 1024)]
+
+
 def test_forward_rejects_wrong_input_dim():
     with pytest.raises(ValueError, match="does not match network in_dim"):
         forward(small_net(), np.zeros(3))
@@ -118,7 +143,8 @@ def test_backward_matches_finite_differences():
     net = small_net(seed=3)
     x = np.array([[0.5, -1.2], [1.5, 0.7]])
     logits, cache = forward(net, x)
-    assert np.abs(cache.pres[0]).min() > 1e-3  # comfortably off the ReLU kink
+    pre = x @ net.weights[0].T + net.biases[0]
+    assert np.abs(pre).min() > 1e-3  # comfortably off the ReLU kink
     grads = backward(net, cache, logits)
 
     def total_loss():
@@ -139,6 +165,37 @@ def test_backward_matches_finite_differences():
                 params[idx] = orig
                 fd = (up - down) / (2.0 * h)
                 assert analytic[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def test_backward_masks_from_inputs_equal_pre_activation_masks():
+    # inputs[i] > 0 must be pres[i-1] > 0, including rows whose
+    # pre-activation is exactly 0 or NaN
+    net = init_network(dense_specs(3, [5, 4], 3), seed=8)
+    net.weights[0][0] = 0.0  # unit 0 of layer 0 is exactly 0 for every row
+    net.weights[0][1, 0] = np.inf  # unit 1 is NaN where x[:, 0] == 0 meets inf * 0
+    x = np.random.default_rng(2).normal(size=(6, 3))
+    x[0, 0] = 0.0
+    d = np.random.default_rng(3).normal(size=(6, 3))
+    with np.errstate(invalid="ignore"):
+        _, cache = forward(net, x)
+        # the reference keeps each pre-activation and masks with it
+        pres, h = [], x
+        for w, b in zip(net.weights, net.biases):
+            pres.append(h @ w.T + b)
+            h = np.maximum(pres[-1], 0.0)
+    assert np.isnan(pres[0][0, 1]) and np.all(pres[0][:, 0] == 0.0)
+    for i in (1, 2):
+        assert np.array_equal(cache.inputs[i] > 0.0, pres[i - 1] > 0.0)
+    want, g = [None] * 3, d
+    for i in (2, 1, 0):
+        inp = x if i == 0 else np.maximum(pres[i - 1], 0.0)
+        want[i] = (g.T @ inp, g.sum(axis=0))
+        if i > 0:
+            g = (g @ net.weights[i]) * (pres[i - 1] > 0.0)
+    with np.errstate(invalid="ignore"):
+        got = backward(net, cache, d)
+    for (gw, gb), (ww, wb) in zip(got, want):
+        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
 
 
 def test_backward_batch_mean_semantics():
@@ -345,7 +402,7 @@ def test_step_rejects_shape_mismatch_and_wrong_count():
 
 
 def test_optimizer_state_validation():
-    with pytest.raises(ValueError, match="learning rate"):
+    with pytest.raises(ValueError, match="lr: must be > 0, got 0.0"):
         OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.0)
     with pytest.raises(ValueError):
         OptimizerState(kind="nonsense", lr=0.1)
@@ -358,7 +415,7 @@ def test_optimizer_state_validation():
         ("beta1", 1.5, r"beta1: must be in \[0, 1\)"),
         ("beta2", 1.0, r"beta2: must be in \[0, 1\)"),
         ("eps", 0.0, "eps: must be > 0"),
-        ("lr", float("nan"), "learning rate must be > 0"),
+        ("lr", float("nan"), "lr: must be > 0"),
     ],
 )
 def test_optimizer_state_rejects_out_of_range_settings(field, value, match):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evidkit.evidence import Activation, activation_grad, evidence_state
+from evidkit.evidence import Activation, evidence_state
 from evidkit.losses import EVIDENTIAL_LOSSES, Loss, grad_logits, one_hot
 from evidkit.regularizers import (
     CORRECT_REG_EPS,
@@ -150,7 +150,7 @@ def edl_kl_per_function_calls(state, gt):
         + np.cumsum((at - 1.0) * (digamma(at) - digamma(a_sum)[..., None]), axis=-1)[..., -1]
     )
     coef = (at - 1.0) * trigamma(at) - ((a_sum - k) * trigamma(a_sum))[..., None]
-    return loss, np.where(y > 0.0, 0.0, coef) * activation_grad(state.kind, state.logits)
+    return loss, np.where(y > 0.0, 0.0, coef) * state.dact
 
 
 def test_edl_kl_calls_each_special_function_once(monkeypatch):

@@ -96,6 +96,13 @@ def test_from_dict_rejects_unknown_fields_and_missing_required():
         ExperimentConfig.from_dict([1, 2])
 
 
+def test_opt_config_reports_a_nan_learning_rate_by_its_field():
+    with pytest.raises(ConfigError, match="^optimizer.lr: must be > 0, got nan$"):
+        OptConfig(lr=float("nan")).validate()
+    with pytest.raises(ConfigError, match=r"^optimizer.lr: must be > 0, got -0.5$"):
+        tiny_cfg(optimizer=OptConfig(lr=-0.5)).validate()
+
+
 def test_config_dict_round_trip():
     cfg = tiny_cfg(
         test_data=blob_data(seed=4),
@@ -333,6 +340,14 @@ def test_sweep_rows_follow_grid_order_and_seeds():
 def test_sweep_workers_equivalent():
     base = tiny_cfg(epochs=2, inc_reg="adl_sum")
     assert sweep(base, [0.0, 2.0], workers=1) == sweep(base, [0.0, 2.0], workers=2)
+
+
+def test_sweep_takes_a_python_built_config_as_run_experiment_does():
+    # a tuple is not a JSON type, so this only works without a JSON round trip
+    grid = [0.0, 1.0]
+    tupled = sweep(tiny_cfg(epochs=2, hidden_dims=(4,)), grid)
+    assert tupled == sweep(tiny_cfg(epochs=2, hidden_dims=[4]), grid)
+    assert len(tupled) == 2
 
 
 def test_sweep_rejects_empty_grid():
