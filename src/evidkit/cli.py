@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .datasets import save_csv
 from .evidence import Activation
-from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, RED, run_grid
+from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, RED, _check_settings, run_grid
 from .losses import Loss
 from .metrics import (
     CensusBuckets,
@@ -178,14 +177,8 @@ def cmd_gradcheck(args) -> int:
     tol = args.tol if args.tol is not None else float(doc.get("tol", DEFAULT_TOL))
     # each value is reported by where it came from: its flag, else the config
     settings = ("samples", "h", "tol")
-    name = {k: f"--{k}" if getattr(args, k) is not None else where + k for k in settings}
-    if samples < 1:
-        raise ConfigError(f"{name['samples']}: must be >= 1")
-    # NaN fails both comparisons; an infinite tol would pass every cell
-    if not 0 < h < math.inf:
-        raise ConfigError(f"{name['h']}: must be finite and > 0")
-    if not 0 < tol < math.inf:
-        raise ConfigError(f"{name['tol']}: must be finite and > 0")
+    labels = [f"--{k}" if getattr(args, k) is not None else where + k for k in settings]
+    _check_settings(samples, h, tol, labels)
     results = run_grid(
         losses=grid.get("losses"),
         acts=grid.get("activations"),

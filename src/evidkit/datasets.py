@@ -52,6 +52,8 @@ class Dataset:
             raise ValueError("dataset must contain at least one sample")
         if not np.all(np.isfinite(self.features)):
             raise ValueError("features must be finite")
+        if self.labels.dtype.kind not in "iu":
+            raise ValueError(f"labels must be integers, got dtype {self.labels.dtype}")
         if self.labels.min() < 0 or self.labels.max() >= self.k:
             raise ValueError(f"labels must lie in [0, {self.k})")
 

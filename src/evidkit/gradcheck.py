@@ -12,6 +12,7 @@ the stop-gradient semantics match the analytic form.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -43,6 +44,9 @@ DEFAULT_CASES = 200
 DEFAULT_H = 1e-5
 DEFAULT_TOL = 1e-4
 DEFAULT_SEED = 2024
+# compare_grads' absolute rule: both entries below _TINY, difference within _TINY_ABS
+_TINY = 1e-6
+_TINY_ABS = 1e-7
 # Logit sampling range for random cases; comfortably below the EXP clamp
 # and wide enough to exercise both zero- and high-evidence regions.
 _LOGIT_RANGE = 4.0
@@ -73,14 +77,12 @@ def compare_grads(
     numeric: np.ndarray,
     rel_tol: float = 1e-4,
     skip: np.ndarray | None = None,
-    tiny: float = 1e-6,
-    tiny_abs: float = 1e-7,
 ) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Apply the gradient agreement rule per coordinate, reducing the last axis.
 
     A coordinate passes when the relative error is within rel_tol, or, when
-    both entries are below `tiny`, the absolute difference is within
-    `tiny_abs`. Returns (all passed, worst relative error over compared
+    both entries are below _TINY, the absolute difference is within
+    _TINY_ABS. Returns (all passed, worst relative error over compared
     coordinates): a bool and a float for one (K,) row, (N,) arrays for an
     (N, K) stack. Skipped coordinates are ignored, and a NaN fails.
     """
@@ -88,9 +90,9 @@ def compare_grads(
     numeric = np.asarray(numeric, dtype=float)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     diff = np.abs(analytic - numeric)
-    is_tiny = scale < tiny
-    err = diff / np.where(is_tiny, tiny, scale)
-    passed = np.where(is_tiny, diff <= tiny_abs, err <= rel_tol)
+    is_tiny = scale < _TINY
+    err = diff / np.where(is_tiny, _TINY, scale)
+    passed = np.where(is_tiny, diff <= _TINY_ABS, err <= rel_tol)
     keep = True if skip is None else ~np.asarray(skip, dtype=bool)
     ok = np.all(passed, axis=-1, where=keep)
     return _unbox(ok), _unbox(np.max(err, axis=-1, where=keep, initial=0.0))
@@ -179,6 +181,16 @@ def check_case(
     return analytic, numeric, skip
 
 
+def _check_settings(n_cases, h, tol, names=("n_cases", "h", "tol")) -> None:
+    """The oracle's settings rule: n_cases >= 1, h and tol finite and > 0 (an
+    infinite tol passes every cell); a ValueError names the first bad one."""
+    if not n_cases >= 1:
+        raise ValueError(f"{names[0]}: must be >= 1")
+    for name, value in zip(names[1:], (h, tol)):
+        if not 0 < value < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"{name}: must be finite and > 0")
+
+
 def _sample_logits(rng: np.random.Generator, k: int, act: Activation) -> np.ndarray:
     o = rng.uniform(-_LOGIT_RANGE, _LOGIT_RANGE, k)
     if act == Activation.RELU:
@@ -206,8 +218,7 @@ def run_grid(
     "loss:act:reg" whose analytic gradient gets a deliberate perturbation;
     it exists so the harness can prove it catches wrong gradients.
     """
-    if n_cases < 1:
-        raise ValueError("n_cases must be >= 1")
+    _check_settings(n_cases, h, tol)
     results = []
     for kind, act, reg in grid_cells(losses, acts, regs):
         cell_tag = zlib.crc32(f"{kind.value}:{act.value}:{reg}".encode())

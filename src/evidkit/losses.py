@@ -21,7 +21,6 @@ __all__ = [
     "EVIDENTIAL_LOSSES",
     "Loss",
     "LossGrad",
-    "one_hot",
     "softmax",
     "loss_ev_mse",
     "loss_ev_ce",
@@ -45,13 +44,16 @@ class LossGrad(NamedTuple):
     grad: np.ndarray
 
 
-def one_hot(gt, k: int) -> np.ndarray:
-    """(K,) indicator of an int label, or (N, K) rows for an (N,) label array."""
-    gt = np.asarray(gt).astype(int)
+def _labels(gt, k: int) -> np.ndarray:
+    """Checked labels as a bool gt mask: (K,) for an int label, (N, K) rows
+    for an (N,) label array. Bool, float and NaN labels are rejected."""
+    gt = np.asarray(gt)
+    if gt.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {gt.dtype}")
     bad = (gt < 0) | (gt >= k)
     if bad.any():
         raise ValueError(f"label {gt[bad].flat[0]} out of range for {k} classes")
-    return (np.arange(k) == gt[..., None]).astype(float)
+    return np.arange(k) == gt[..., None]
 
 
 def _col(x):
@@ -60,8 +62,8 @@ def _col(x):
 
 
 def _gather(x: np.ndarray, y: np.ndarray):
-    """The ground-truth entry of each row; adding the zeros keeps it exact."""
-    return _unbox((x * y).sum(axis=-1))
+    """The entry of each row of x that the gt mask y picks."""
+    return _unbox(x[y].reshape(y.shape[:-1]))
 
 
 def loss_ev_mse(state: EvidenceState, gt) -> float | np.ndarray:
@@ -69,7 +71,7 @@ def loss_ev_mse(state: EvidenceState, gt) -> float | np.ndarray:
 
     Bounded in [0, 2] for any valid state.
     """
-    y = one_hot(gt, state.k)
+    y = _labels(gt, state.k)
     a, s = state.alpha, state.strength
     s1 = _col(s)
     return _unbox(
@@ -79,13 +81,13 @@ def loss_ev_mse(state: EvidenceState, gt) -> float | np.ndarray:
 
 def loss_ev_ce(state: EvidenceState, gt) -> float | np.ndarray:
     """Cross-entropy Bayes risk, psi(S) - psi(alpha_gt)."""
-    y = one_hot(gt, state.k)
+    y = _labels(gt, state.k)
     return digamma(state.strength) - digamma(_gather(state.alpha, y))
 
 
 def loss_ev_log(state: EvidenceState, gt) -> float | np.ndarray:
     """Type II maximum likelihood loss, log S - log alpha_gt."""
-    y = one_hot(gt, state.k)
+    y = _labels(gt, state.k)
     return _unbox(np.log(state.strength) - np.log(_gather(state.alpha, y)))
 
 
@@ -99,7 +101,7 @@ def softmax(o) -> np.ndarray:
 def loss_softmax_ce(o, gt) -> LossGrad:
     """Standard cross-entropy on logits; grad_k = softmax_k - y_k in [-1, 1]."""
     o = np.asarray(o, dtype=float)
-    y = one_hot(gt, o.shape[-1])
+    y = _labels(gt, o.shape[-1])
     m = o.max(axis=-1, keepdims=True)
     z = np.exp(o - m)
     z_sum = z.sum(axis=-1, keepdims=True)
@@ -141,7 +143,7 @@ EVIDENTIAL_LOSSES = tuple(_EVIDENTIAL)
 def _state_loss_grad(kind: Loss, state: EvidenceState, gt) -> LossGrad:
     """Evidential loss and its logit gradient at an already built state."""
     loss, dalpha = _EVIDENTIAL[kind]
-    grad = dalpha(state, one_hot(gt, state.k)) * state.dact
+    grad = dalpha(state, _labels(gt, state.k)) * state.dact
     return LossGrad(loss(state, gt), grad)
 
 

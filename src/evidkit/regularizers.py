@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .evidence import Activation, EvidenceState, evidence_state
-from .losses import Loss, LossGrad, _col, _gather, _state_loss_grad, loss_softmax_ce, one_hot
+from .losses import Loss, LossGrad, _col, _gather, _labels, _state_loss_grad, loss_softmax_ce
 from .special import _unbox, digamma, log_gamma, trigamma
 
 __all__ = [
@@ -48,9 +48,9 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
     ((alpha_k - 1) psi1(alpha_k) - (A - K) psi1(A)) * dact_k with
     A = sum alpha~ = S - alpha_gt + 1.
     """
-    y = one_hot(gt, state.k)
+    y = _labels(gt, state.k)
     k = state.k
-    at = np.where(y > 0.0, 1.0, state.alpha)
+    at = np.where(y, 1.0, state.alpha)
     a_sum = at.sum(axis=-1)
     # one call per special function: alpha~ and A side by side as (..., K+1);
     # the functions are elementwise, so each entry gets what a call of its own gives
@@ -64,14 +64,14 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
         + np.cumsum((at - 1.0) * (dg[..., :k] - dg[..., k:]), axis=-1)[..., -1]
     )
     coef = (at - 1.0) * tg[..., :k] - _col((a_sum - k) * tg[..., k])
-    return LossGrad(_unbox(loss), np.where(y > 0.0, 0.0, coef) * state.dact)
+    return LossGrad(_unbox(loss), np.where(y, 0.0, coef) * state.dact)
 
 
 def reg_adl_sum(state: EvidenceState, gt) -> LossGrad:
     """Sum of incorrect evidence, sum_k e_k (1 - y_k)."""
-    y = one_hot(gt, state.k)
-    loss = _unbox((state.evidence * (1.0 - y)).sum(axis=-1))
-    return LossGrad(loss, (1.0 - y) * state.dact)
+    y = _labels(gt, state.k)
+    loss = _unbox(np.where(y, 0.0, state.evidence).sum(axis=-1))
+    return LossGrad(loss, np.where(y, 0.0, state.dact))
 
 
 def reg_units_belief(state: EvidenceState, gt) -> LossGrad:
@@ -81,12 +81,12 @@ def reg_units_belief(state: EvidenceState, gt) -> LossGrad:
     (e_gt + K)/S^2 and the gt derivative is -(S - K - alpha_gt + 1)/S^2,
     since the loss depends on alpha_gt through S.
     """
-    y = one_hot(gt, state.k)
+    y = _labels(gt, state.k)
     k = state.k
     s = state.strength
     a_gt = _gather(state.alpha, y)
     inc = s - k - a_gt + 1.0
-    coef = np.where(y > 0.0, _col(-inc / (s * s)), _col((a_gt - 1.0 + k) / (s * s)))
+    coef = np.where(y, _col(-inc / (s * s)), _col((a_gt - 1.0 + k) / (s * s)))
     return LossGrad(inc / s, coef * state.dact)
 
 
@@ -94,23 +94,18 @@ def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
     """Vacuity-weighted correct-evidence term, -nu * log(alpha_gt - 1 + eps).
 
     The weight is the vacuity captured as a constant: no gradient flows
-    through it. The gt gradient is exactly -weight under EXP (the evidence
-    factors cancel, even where exp underflows to 0), and every non-gt
-    coordinate gets exactly 0.
+    through it. The term needs the EXP head, whose evidence factors cancel:
+    the gt gradient is exactly -weight, even where exp underflows to 0, and
+    every non-gt coordinate gets exactly 0.
     """
-    y = one_hot(gt, state.k)
+    if state.kind != Activation.EXP:
+        raise ValueError("the correct-evidence regularizer requires the exp activation")
+    y = _labels(gt, state.k)
     e_gt = _gather(state.evidence, y)
-    exp_head = state.kind == Activation.EXP
-    if not exp_head and np.any(e_gt <= 0.0):
-        raise ValueError(
-            "correct-evidence regularizer requires alpha_gt > 1; "
-            "use the exp activation"
-        )
     # one weight per sample, also where a single frozen weight is given
     weight = np.broadcast_to(state.vacuity if weight is None else weight, np.shape(e_gt))
     loss = -weight * np.log(e_gt + CORRECT_REG_EPS)
-    g_gt = -weight if exp_head else -weight * (_gather(state.dact, y) / e_gt)
-    return LossGrad(_unbox(loss), np.where(y > 0.0, _col(g_gt), 0.0))
+    return LossGrad(_unbox(loss), np.where(y, _col(-weight), 0.0))
 
 
 def anneal_eta1(lambda1, epoch):
@@ -149,7 +144,7 @@ def composite_loss(
     (N,) labels; one EvidenceState serves every term. eta1 is the annealed
     incorrect-evidence weight (anneal_eta1): one scalar, or an (N,) array
     with one weight per sample. The correct-evidence term is included only
-    when use_correct_reg and requires the EXP activation. correct_weight
+    when use_correct_reg; reg_correct rejects any head but EXP. correct_weight
     overrides the vacuity weight; gradient checks use it to hold the weight
     fixed while logits are perturbed.
     """
@@ -168,8 +163,6 @@ def composite_loss(
         total = total + eta1 * r.loss
         grad = grad + _col(eta1) * r.grad
     if use_correct_reg:
-        if act != Activation.EXP:
-            raise ValueError("use_correct_reg requires the exp activation")
         r = reg_correct(state, gt, weight=correct_weight)
         total = total + r.loss
         grad = grad + r.grad

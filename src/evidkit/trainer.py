@@ -227,14 +227,11 @@ class ExperimentConfig:
             return cls(**value)
 
         types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-        extra = doc.keys() - types
-        if extra:
-            raise ConfigError(f"config field {sorted(extra)[0]!r}: unknown field")
+        _check_types(types, doc, "")
         if "train_data" not in doc:
             raise ConfigError("train_data: required")
         if "name" not in doc:
             raise ConfigError("name: required")
-        _check_types(types, doc, "")
         for key in ("train_data", "test_data", "ood_data", "optimizer"):
             # a null optional config stays None; a null required one is rejected
             if key in doc and not (doc[key] is None and types[key].endswith("| None")):

@@ -139,7 +139,7 @@ def test_train_config_errors_exit_one(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
     cfg = write_cfg(tmp_path, learning_rate=0.1)
     assert main(["train", "--config", str(cfg)]) == 1
-    assert "'learning_rate': unknown field" in capsys.readouterr().err
+    assert "error: learning_rate: unknown field\n" in capsys.readouterr().err
     # a value of the wrong JSON type is named by its field, not a traceback;
     # so is a list entry of the wrong type and a non-finite float
     blobs = {"kind": "blobs", "k": 2, "d": 2}

@@ -98,6 +98,16 @@ def test_dataset_validation():
         Dataset(features=np.array([[np.inf, 0.0]]), labels=np.array([0]), k=1, name="x")
 
 
+def test_dataset_rejects_non_integer_labels():
+    # a float label would be truncated to a class by every later reader
+    feats = np.zeros((3, 2))
+    for labels in ([0.5, 1.7, 0.2], [0.0, 1.0, 0.0], [True, False, True]):
+        with pytest.raises(ValueError, match="^labels must be integers, got dtype "):
+            Dataset(features=feats, labels=np.array(labels), k=2, name="x")
+    ds = Dataset(features=feats, labels=np.array([0, 1, 0], dtype=np.int32), k=2, name="x")
+    assert ds.labels.dtype == np.int32
+
+
 # --- CSV round-trip --------------------------------------------------------
 
 

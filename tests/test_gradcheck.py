@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,20 @@ def test_run_grid_corrupt_cell_fails_and_others_pass():
 def test_run_grid_rejects_bad_n_cases():
     with pytest.raises(ValueError):
         run_grid(n_cases=0)
+
+
+def test_run_grid_owns_its_settings_rule():
+    # an infinite tol would pass every cell, a negative one fail every cell
+    for setting, message in (
+        (dict(n_cases=0), "n_cases: must be >= 1"),
+        (dict(tol=math.inf), "tol: must be finite and > 0"),
+        (dict(tol=-1.0), "tol: must be finite and > 0"),
+        (dict(tol=0.0), "tol: must be finite and > 0"),
+        (dict(h=math.nan), "h: must be finite and > 0"),
+        (dict(h=-math.inf), "h: must be finite and > 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_grid(losses=[Loss.EV_LOG], acts=[Activation.EXP], regs=["none"], **setting)
 
 
 def test_cell_worst_detail_mentions_shape_and_values():

@@ -9,14 +9,16 @@ from evidkit.evidence import Activation, evidence_state
 from evidkit.losses import (
     EVIDENTIAL_LOSSES,
     Loss,
+    _gather,
+    _labels,
     grad_logits,
     loss_ev_ce,
     loss_ev_log,
     loss_ev_mse,
     loss_softmax_ce,
-    one_hot,
     softmax,
 )
+from evidkit.regularizers import IncReg, composite_loss, reg_edl_kl
 
 # mpmath (50-digit) oracle: psi(12) - psi(3) for alpha=(3,1,2,6), gt=0
 EV_CE_ORACLE_3126 = 1.519877344877344877345
@@ -28,13 +30,42 @@ def state_from_alpha(alpha):
     return evidence_state(Activation.RELU, alpha - 1.0)
 
 
-def test_one_hot():
-    y = one_hot(2, 4)
-    assert y.tolist() == [0.0, 0.0, 1.0, 0.0]
-    with pytest.raises(ValueError):
-        one_hot(4, 4)
-    with pytest.raises(ValueError):
-        one_hot(-1, 4)
+def test_label_rule():
+    assert _labels(2, 4).tolist() == [False, False, True, False]
+    assert _labels(np.array([1, 0], dtype=np.uint8), 2).tolist() == [[False, True], [True, False]]
+    # every term checks its labels: a float label is not read as its
+    # integer part, nor a bool as class 1
+    for gt, message in (
+        (3, "label 3 out of range for 3 classes"),
+        (-1, "label -1 out of range for 3 classes"),
+        (1.5, "labels must be integers, got dtype float64"),
+        (True, "labels must be integers, got dtype bool"),
+        (math.nan, "labels must be integers, got dtype float64"),
+        (np.array([0.0, 1.0]), "labels must be integers, got dtype float64"),
+    ):
+        o = np.zeros(np.shape(gt) + (3,))
+        st = evidence_state(Activation.EXP, o)
+        for term in (
+            lambda: loss_ev_log(st, gt),
+            lambda: reg_edl_kl(st, gt),
+            lambda: composite_loss(Loss.EV_MSE, IncReg.NONE, Activation.EXP, o, gt),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                term()
+
+
+def test_mask_gather_equals_the_multiply_sum_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n, k in ((1, 2), (7, 3), (64, 10), (200, 100)):
+        gt = rng.integers(k, size=n)
+        alpha = 1.0 + np.exp(rng.uniform(-30.0, 30.0, (n, k)))
+        logits = rng.uniform(-800.0, 800.0, (n, k))
+        y = _labels(gt, k)
+        for x in (alpha, logits):
+            # the former gather: a float one-hot times x, summed over the row
+            old = (x * y.astype(float)).sum(axis=-1)
+            assert _gather(x, y).tobytes() == old.tobytes()
+            assert _gather(x[0], y[0]) == old[0]
 
 
 def test_ev_mse_worked_examples():

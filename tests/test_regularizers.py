@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evidkit.evidence import Activation, evidence_state
-from evidkit.losses import EVIDENTIAL_LOSSES, Loss, grad_logits, one_hot
+from evidkit.losses import EVIDENTIAL_LOSSES, Loss, grad_logits
 from evidkit.regularizers import (
     CORRECT_REG_EPS,
     IncReg,
@@ -139,9 +139,9 @@ def test_units_belief_bounded_and_grad_matches_fd():
 
 def edl_kl_per_function_calls(state, gt):
     """reg_edl_kl in its expression form: one special-function call per term."""
-    y = one_hot(gt, state.k)
     k = state.k
-    at = np.where(y > 0.0, 1.0, state.alpha)
+    y = np.arange(k) == np.asarray(gt)[..., None]
+    at = np.where(y, 1.0, state.alpha)
     a_sum = at.sum(axis=-1)
     loss = (
         log_gamma(a_sum)
@@ -150,7 +150,7 @@ def edl_kl_per_function_calls(state, gt):
         + np.cumsum((at - 1.0) * (digamma(at) - digamma(a_sum)[..., None]), axis=-1)[..., -1]
     )
     coef = (at - 1.0) * trigamma(at) - ((a_sum - k) * trigamma(a_sum))[..., None]
-    return loss, np.where(y > 0.0, 0.0, coef) * state.dact
+    return loss, np.where(y, 0.0, coef) * state.dact
 
 
 def test_edl_kl_calls_each_special_function_once(monkeypatch):
@@ -225,6 +225,14 @@ def test_reg_correct_rejects_nonpositive_gt_evidence():
     st = evidence_state(Activation.RELU, np.array([-1.0, 2.0]))
     with pytest.raises(ValueError):
         reg_correct(st, 0)
+
+
+def test_reg_correct_rejects_every_head_but_exp():
+    # positive gt evidence is not enough: the term is defined on the exp head only
+    for act in (Activation.RELU, Activation.SOFTPLUS):
+        st = evidence_state(act, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError, match="requires the exp activation"):
+            reg_correct(st, 0)
 
 
 def test_anneal_eta1():

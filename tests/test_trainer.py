@@ -80,7 +80,7 @@ def test_data_config_validation_messages():
 
 
 def test_from_dict_rejects_unknown_fields_and_missing_required():
-    with pytest.raises(ConfigError, match="'learning_rate': unknown field"):
+    with pytest.raises(ConfigError, match="^learning_rate: unknown field$"):
         ExperimentConfig.from_dict(
             {"name": "x", "train_data": {"kind": "toy4"}, "learning_rate": 0.1}
         )
