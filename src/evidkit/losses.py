@@ -44,12 +44,16 @@ class LossGrad(NamedTuple):
     grad: np.ndarray
 
 
-def _labels(gt, k: int) -> np.ndarray:
-    """Checked labels as a bool gt mask: (K,) for an int label, (N, K) rows
-    for an (N,) label array. Bool, float and NaN labels are rejected."""
+def _labels(gt, shape: tuple[int, ...]) -> np.ndarray:
+    """Checked labels as a bool gt mask of the (..., K) logit shape: an int
+    label for a (K,) vector, an (N,) label array for an (N, K) batch. Bool,
+    float and NaN labels are rejected, and so is any other label shape."""
     gt = np.asarray(gt)
     if gt.dtype.kind not in "iu":
         raise ValueError(f"labels must be integers, got dtype {gt.dtype}")
+    if gt.shape != shape[:-1]:
+        raise ValueError(f"labels of shape {gt.shape} do not match logits of shape {shape}")
+    k = shape[-1]
     bad = (gt < 0) | (gt >= k)
     if bad.any():
         raise ValueError(f"label {gt[bad].flat[0]} out of range for {k} classes")
@@ -71,7 +75,10 @@ def loss_ev_mse(state: EvidenceState, gt) -> float | np.ndarray:
 
     Bounded in [0, 2] for any valid state.
     """
-    y = _labels(gt, state.k)
+    return _ev_mse(state, _labels(gt, state.evidence.shape))
+
+
+def _ev_mse(state: EvidenceState, y: np.ndarray) -> float | np.ndarray:
     a, s = state.alpha, state.strength
     s1 = _col(s)
     return _unbox(
@@ -81,13 +88,19 @@ def loss_ev_mse(state: EvidenceState, gt) -> float | np.ndarray:
 
 def loss_ev_ce(state: EvidenceState, gt) -> float | np.ndarray:
     """Cross-entropy Bayes risk, psi(S) - psi(alpha_gt)."""
-    y = _labels(gt, state.k)
+    return _ev_ce(state, _labels(gt, state.evidence.shape))
+
+
+def _ev_ce(state: EvidenceState, y: np.ndarray) -> float | np.ndarray:
     return digamma(state.strength) - digamma(_gather(state.alpha, y))
 
 
 def loss_ev_log(state: EvidenceState, gt) -> float | np.ndarray:
     """Type II maximum likelihood loss, log S - log alpha_gt."""
-    y = _labels(gt, state.k)
+    return _ev_log(state, _labels(gt, state.evidence.shape))
+
+
+def _ev_log(state: EvidenceState, y: np.ndarray) -> float | np.ndarray:
     return _unbox(np.log(state.strength) - np.log(_gather(state.alpha, y)))
 
 
@@ -101,7 +114,10 @@ def softmax(o) -> np.ndarray:
 def loss_softmax_ce(o, gt) -> LossGrad:
     """Standard cross-entropy on logits; grad_k = softmax_k - y_k in [-1, 1]."""
     o = np.asarray(o, dtype=float)
-    y = _labels(gt, o.shape[-1])
+    return _softmax_ce(o, _labels(gt, o.shape))
+
+
+def _softmax_ce(o: np.ndarray, y: np.ndarray) -> LossGrad:
     m = o.max(axis=-1, keepdims=True)
     z = np.exp(o - m)
     z_sum = z.sum(axis=-1, keepdims=True)
@@ -133,22 +149,23 @@ def _dalpha_ev_log(state: EvidenceState, y: np.ndarray) -> np.ndarray:
 
 
 _EVIDENTIAL = {
-    Loss.EV_MSE: (loss_ev_mse, _dalpha_ev_mse),
-    Loss.EV_CE: (loss_ev_ce, _dalpha_ev_ce),
-    Loss.EV_LOG: (loss_ev_log, _dalpha_ev_log),
+    Loss.EV_MSE: (_ev_mse, _dalpha_ev_mse),
+    Loss.EV_CE: (_ev_ce, _dalpha_ev_ce),
+    Loss.EV_LOG: (_ev_log, _dalpha_ev_log),
 }
 EVIDENTIAL_LOSSES = tuple(_EVIDENTIAL)
 
 
-def _state_loss_grad(kind: Loss, state: EvidenceState, gt) -> LossGrad:
-    """Evidential loss and its logit gradient at an already built state."""
+def _state_loss_grad(kind: Loss, state: EvidenceState, y: np.ndarray) -> LossGrad:
+    """Evidential loss and its logit gradient at an already built state,
+    for the checked gt mask y."""
     loss, dalpha = _EVIDENTIAL[kind]
-    grad = dalpha(state, _labels(gt, state.k)) * state.dact
-    return LossGrad(loss(state, gt), grad)
+    return LossGrad(loss(state, y), dalpha(state, y) * state.dact)
 
 
 def grad_logits(kind: Loss, act: Activation, o, gt) -> LossGrad:
     """Loss value and analytic d loss / d o for one sample or a batch."""
     if kind == Loss.SOFTMAX_CE:
         return loss_softmax_ce(o, gt)
-    return _state_loss_grad(kind, evidence_state(act, o), gt)
+    state = evidence_state(act, o)
+    return _state_loss_grad(kind, state, _labels(gt, state.evidence.shape))

@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .evidence import Activation, EvidenceState, evidence_state
-from .losses import Loss, LossGrad, _col, _gather, _labels, _state_loss_grad, loss_softmax_ce
-from .special import _unbox, digamma, log_gamma, trigamma
+from .losses import Loss, LossGrad, _col, _gather, _labels, _softmax_ce, _state_loss_grad
+from .special import _unbox, gamma_family
 
 __all__ = [
     "CORRECT_REG_EPS",
@@ -48,14 +48,16 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
     ((alpha_k - 1) psi1(alpha_k) - (A - K) psi1(A)) * dact_k with
     A = sum alpha~ = S - alpha_gt + 1.
     """
-    y = _labels(gt, state.k)
+    return _edl_kl(state, _labels(gt, state.evidence.shape))
+
+
+def _edl_kl(state: EvidenceState, y: np.ndarray) -> LossGrad:
     k = state.k
     at = np.where(y, 1.0, state.alpha)
     a_sum = at.sum(axis=-1)
-    # one call per special function: alpha~ and A side by side as (..., K+1);
-    # the functions are elementwise, so each entry gets what a call of its own gives
-    both = np.concatenate((at, _col(a_sum)), axis=-1)
-    lg, dg, tg = log_gamma(both), digamma(both), trigamma(both)
+    # one special-function call: alpha~ and A side by side as (..., K+1); the
+    # functions are elementwise, so each entry gets what a call of its own gives
+    lg, dg, tg = gamma_family(np.concatenate((at, _col(a_sum)), axis=-1))
     # cumsum adds strictly left to right, as the per-class sums always have
     loss = (
         lg[..., k]
@@ -69,7 +71,10 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
 
 def reg_adl_sum(state: EvidenceState, gt) -> LossGrad:
     """Sum of incorrect evidence, sum_k e_k (1 - y_k)."""
-    y = _labels(gt, state.k)
+    return _adl_sum(state, _labels(gt, state.evidence.shape))
+
+
+def _adl_sum(state: EvidenceState, y: np.ndarray) -> LossGrad:
     loss = _unbox(np.where(y, 0.0, state.evidence).sum(axis=-1))
     return LossGrad(loss, np.where(y, 0.0, state.dact))
 
@@ -81,7 +86,10 @@ def reg_units_belief(state: EvidenceState, gt) -> LossGrad:
     (e_gt + K)/S^2 and the gt derivative is -(S - K - alpha_gt + 1)/S^2,
     since the loss depends on alpha_gt through S.
     """
-    y = _labels(gt, state.k)
+    return _units_belief(state, _labels(gt, state.evidence.shape))
+
+
+def _units_belief(state: EvidenceState, y: np.ndarray) -> LossGrad:
     k = state.k
     s = state.strength
     a_gt = _gather(state.alpha, y)
@@ -98,12 +106,15 @@ def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
     the gt gradient is exactly -weight, even where exp underflows to 0, and
     every non-gt coordinate gets exactly 0.
     """
+    return _correct(state, _labels(gt, state.evidence.shape), weight)
+
+
+def _correct(state: EvidenceState, y: np.ndarray, weight) -> LossGrad:
     if state.kind != Activation.EXP:
         raise ValueError("the correct-evidence regularizer requires the exp activation")
-    y = _labels(gt, state.k)
     e_gt = _gather(state.evidence, y)
     # one weight per sample, also where a single frozen weight is given
-    weight = np.broadcast_to(state.vacuity if weight is None else weight, np.shape(e_gt))
+    weight = state.vacuity if weight is None else np.broadcast_to(weight, np.shape(e_gt))
     loss = -weight * np.log(e_gt + CORRECT_REG_EPS)
     return LossGrad(_unbox(loss), np.where(y, _col(-weight), 0.0))
 
@@ -122,9 +133,9 @@ def anneal_eta1(lambda1, epoch):
 
 
 _INC_REG = {
-    IncReg.EDL_KL: reg_edl_kl,
-    IncReg.ADL_SUM: reg_adl_sum,
-    IncReg.UNITS_BELIEF: reg_units_belief,
+    IncReg.EDL_KL: _edl_kl,
+    IncReg.ADL_SUM: _adl_sum,
+    IncReg.UNITS_BELIEF: _units_belief,
 }
 
 
@@ -154,16 +165,18 @@ def composite_loss(
     o = np.asarray(o, dtype=float)
     needs_state = kind != Loss.SOFTMAX_CE or inc != IncReg.NONE or use_correct_reg
     state = evidence_state(act, o) if needs_state else None
+    # checked once, after the state so that bad logits are named first
+    y = _labels(gt, o.shape)
     if kind == Loss.SOFTMAX_CE:
-        total, grad = loss_softmax_ce(o, gt)
+        total, grad = _softmax_ce(o, y)
     else:
-        total, grad = _state_loss_grad(kind, state, gt)
+        total, grad = _state_loss_grad(kind, state, y)
     if inc != IncReg.NONE and np.any(eta1 != 0.0):
-        r = _INC_REG[inc](state, gt)
+        r = _INC_REG[inc](state, y)
         total = total + eta1 * r.loss
         grad = grad + _col(eta1) * r.grad
     if use_correct_reg:
-        r = reg_correct(state, gt, weight=correct_weight)
+        r = _correct(state, y, correct_weight)
         total = total + r.loss
         grad = grad + r.grad
     return LossGrad(total, grad)

@@ -2,6 +2,7 @@
 
 Each function works elementwise on an array of any shape, so one call
 covers a whole (N, K) batch; a scalar argument returns a float.
+gamma_family returns all three functions from one pass.
 
 Digamma and trigamma use upward recurrence to push the argument above a
 threshold, then a de Moivre asymptotic series. Accuracy is well below
@@ -17,7 +18,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["log_gamma", "digamma", "trigamma"]
+__all__ = ["log_gamma", "digamma", "trigamma", "gamma_family"]
 
 # Arguments at or above this are handled by the asymptotic series directly;
 # smaller arguments are lifted via the recurrences psi(z+1) = psi(z) + 1/z
@@ -39,6 +40,14 @@ def _unbox(x):
     return x.item() if x.ndim == 0 else x
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite, with no temporary the size of x: a
+    finite sum proves it, and only a sum that is not finite is looked into."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = x.sum()
+    return math.isfinite(total) or bool(np.isfinite(x).all())
+
+
 def _check_arg(z, name: str, min_z: float = _MIN_POSITIVE) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     ok = (z >= min_z) & (z < math.inf)  # NaN fails both
@@ -57,26 +66,44 @@ def _elementwise(fn, z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, memoryview(z.ravel())), float, count=z.size).reshape(z.shape)
 
 
-def _lift(z, name: str, min_z: float, step) -> tuple[np.ndarray, np.ndarray]:
-    """Lift every entry of z to at least _ASYMPTOTIC_Z by the unit recurrence.
-
-    Returns (lifted z, acc) with f(z) = acc + f(lifted z), where step(v)
-    overwrites v with f(v) - f(v + 1). Rung j of the ladder is z + 1 + ... + 1,
-    rounded after each addition, and both cumsums add in rung order, so every
-    entry gets exactly what a step-by-step loop gives it. The ladder is the
-    one (rungs, *z.shape) buffer: it is reused in place for the steps.
-    """
-    z = _check_arg(z, name, min_z)
-    ladder = np.ones((_LIFT_RUNGS,) + z.shape)
+def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ladder, high, lifted) for lifting every entry of z to at least
+    _ASYMPTOTIC_Z by the unit recurrence. Rung j of the ladder is z + 1 + ...
+    + 1, rounded after each addition; high marks the rungs at or past the
+    threshold, and lifted is the first of them. Adding rung by rung gives
+    what a cumsum over the rung axis gives, at a fraction of its cost."""
+    ladder = np.empty((_LIFT_RUNGS,) + z.shape)
     ladder[0] = z
-    np.cumsum(ladder, axis=0, out=ladder)
+    rungs = list(ladder.reshape(_LIFT_RUNGS, -1))
+    for prev, rung in zip(rungs, rungs[1:]):
+        np.add(prev, 1.0, out=rung)
     high = ladder >= _ASYMPTOTIC_Z
-    # the lifted argument is the first rung at or past the threshold
-    lifted = ladder.min(axis=0, where=high, initial=np.inf)
-    step(ladder)
-    np.copyto(ladder, 0.0, where=high)
-    # a copy, so the ladder is freed on return rather than kept by a view
-    return lifted, np.cumsum(ladder, axis=0, out=ladder)[-1].copy()
+    return ladder, high, np.where(high, ladder, np.inf).min(axis=0)
+
+
+def _below(steps: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """acc with f(z) = acc + f(lifted z), where steps (overwritten) holds
+    f(v) - f(v + 1) at each rung v; the rungs are added in order, as a
+    step-by-step loop adds them."""
+    np.copyto(steps, 0.0, where=high)
+    rungs = list(steps.reshape(_LIFT_RUNGS, -1))
+    return sum(rungs[1:], rungs[0]).reshape(high.shape[1:])
+
+
+def _psi(ladder, high, z, w) -> np.ndarray:
+    """digamma from the ladder, which is overwritten, at the lifted z; w = 1/z**2."""
+    acc = _below(np.divide(-1.0, ladder, out=ladder), high)
+    # psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
+    poly = _nested(w, (1 / 12, 1 / 120, 1 / 252, 1 / 240, 1 / 132, 691 / 32760))
+    return acc + (_elementwise(math.log, z) - 0.5 / z - w * poly)
+
+
+def _psi1(ladder, high, z, w) -> np.ndarray:
+    """trigamma from the ladder, which is overwritten, at the lifted z; w = 1/z**2."""
+    acc = _below(np.divide(1.0, np.multiply(ladder, ladder, out=ladder), out=ladder), high)
+    # psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
+    poly = _nested(w, (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730))
+    return acc + (1.0 / z + 0.5 * w + (w / z) * poly)
 
 
 def _nested(w, coefs) -> np.ndarray:
@@ -98,11 +125,8 @@ def digamma(z):
 
     Satisfies the recurrence psi(z+1) = psi(z) + 1/z to ~1e-15 absolute.
     """
-    z, acc = _lift(z, "digamma", _DIGAMMA_MIN_Z, lambda v: np.divide(-1.0, v, out=v))
-    w = 1.0 / (z * z)
-    # psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
-    poly = _nested(w, (1 / 12, 1 / 120, 1 / 252, 1 / 240, 1 / 132, 691 / 32760))
-    return _unbox(acc + (_elementwise(math.log, z) - 0.5 / z - w * poly))
+    ladder, high, z = _lift(_check_arg(z, "digamma", _DIGAMMA_MIN_Z))
+    return _unbox(_psi(ladder, high, z, 1.0 / (z * z)))
 
 
 def trigamma(z):
@@ -112,10 +136,16 @@ def trigamma(z):
     Satisfies the recurrence psi1(z+1) = psi1(z) - 1/z**2 and, for z >= 1,
     the bound 1/z**2 < psi1(z) < 1/z**2 + pi**2/6.
     """
-    z, acc = _lift(
-        z, "trigamma", _TRIGAMMA_MIN_Z, lambda v: np.divide(1.0, np.multiply(v, v, out=v), out=v)
-    )
-    w = 1.0 / (z * z)
-    # psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
-    poly = _nested(w, (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730))
-    return _unbox(acc + (1.0 / z + 0.5 * w + (w / z) * poly))
+    ladder, high, z = _lift(_check_arg(z, "trigamma", _TRIGAMMA_MIN_Z))
+    return _unbox(_psi1(ladder, high, z, 1.0 / (z * z)))
+
+
+def gamma_family(z):
+    """(log_gamma(z), digamma(z), trigamma(z)), each equal to its own function's
+    result bit for bit, from one argument check and one lift ladder; for z >=
+    about 1.5e-154, as trigamma requires."""
+    z = _check_arg(z, "gamma_family", _TRIGAMMA_MIN_Z)
+    ladder, high, lifted = _lift(z)
+    w = 1.0 / (lifted * lifted)
+    tg = _psi1(ladder.copy(), high, lifted, w)
+    return _unbox(_elementwise(math.lgamma, z)), _unbox(_psi(ladder, high, lifted, w)), _unbox(tg)

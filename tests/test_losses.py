@@ -31,8 +31,11 @@ def state_from_alpha(alpha):
 
 
 def test_label_rule():
-    assert _labels(2, 4).tolist() == [False, False, True, False]
-    assert _labels(np.array([1, 0], dtype=np.uint8), 2).tolist() == [[False, True], [True, False]]
+    assert _labels(2, (4,)).tolist() == [False, False, True, False]
+    assert _labels(np.array([1, 0], dtype=np.uint8), (2, 2)).tolist() == [
+        [False, True],
+        [True, False],
+    ]
     # every term checks its labels: a float label is not read as its
     # integer part, nor a bool as class 1
     for gt, message in (
@@ -54,13 +57,34 @@ def test_label_rule():
                 term()
 
 
+def test_labels_must_match_the_batch_shape():
+    # a scalar label with an (N, K) batch is rejected by name in every term,
+    # neither broadcast over the rows nor met with numpy's IndexError
+    o = np.zeros((4, 3))
+    st = evidence_state(Activation.EXP, o)
+    for term in (
+        lambda: loss_ev_log(st, 1),
+        lambda: loss_ev_mse(st, 1),
+        lambda: reg_edl_kl(st, 1),
+        lambda: loss_softmax_ce(o, 1),
+        lambda: composite_loss(Loss.EV_MSE, IncReg.NONE, Activation.EXP, o, 1),
+        lambda: composite_loss(Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, o, 1, eta1=1.0),
+    ):
+        with pytest.raises(ValueError, match=r"^labels of shape \(\) do not match logits of shape"):
+            term()
+    with pytest.raises(ValueError, match=r"^labels of shape \(3,\) do not match .* \(4, 3\)$"):
+        loss_ev_log(st, np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match=r"^labels of shape \(1,\) do not match .* \(3,\)$"):
+        loss_ev_log(evidence_state(Activation.EXP, o[0]), np.array([1]))
+
+
 def test_mask_gather_equals_the_multiply_sum_bit_for_bit():
     rng = np.random.default_rng(8)
     for n, k in ((1, 2), (7, 3), (64, 10), (200, 100)):
         gt = rng.integers(k, size=n)
         alpha = 1.0 + np.exp(rng.uniform(-30.0, 30.0, (n, k)))
         logits = rng.uniform(-800.0, 800.0, (n, k))
-        y = _labels(gt, k)
+        y = _labels(gt, (n, k))
         for x in (alpha, logits):
             # the former gather: a float one-hot times x, summed over the row
             old = (x * y.astype(float)).sum(axis=-1)

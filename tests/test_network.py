@@ -8,6 +8,7 @@ import pytest
 
 from evidkit.network import (
     _STEP_BLOCK,
+    _tiled,
     LayerSpec,
     Network,
     OptimizerState,
@@ -331,6 +332,49 @@ def test_step_temporaries_stay_small(kind):
     finally:
         tracemalloc.stop()
     assert peak < net.weights[0].nbytes / 4
+
+
+@pytest.mark.parametrize("source", ["hand-built", "backward"])
+def test_adam_step_checks_finiteness_without_a_gradient_sized_temporary(source):
+    # the second step allocates its two block-sized scratch buffers and
+    # little else: no bool array the size of a 1024x1024 gradient
+    net = init_network([LayerSpec(1024, 1024, hidden=False)], seed=0)
+    if source == "backward":
+        logits, cache = forward(net, np.full((1, 1024), 1e-3))
+        grads = backward(net, cache, logits)
+    else:
+        grads = [(np.full((1024, 1024), 1e-3), np.full(1024, 1e-3))]
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.01)
+    step(net, opt, grads)
+    tracemalloc.start()
+    try:
+        step(net, opt, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * _STEP_BLOCK * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("kind", list(OptKind))
+@pytest.mark.parametrize("make", [small_net, long_net])
+def test_step_on_backward_output_equals_step_on_per_parameter_copies(kind, make):
+    # backward's gradients tile one vector like the parameters and the slots,
+    # so step walks the network as one array; copies of the same gradients
+    # are updated one parameter at a time. Both give the same bits.
+    flat_net, split_net = make(), make()
+    flat_opt, split_opt = OptimizerState(kind=kind, lr=0.01), OptimizerState(kind=kind, lr=0.01)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        logits, cache = forward(flat_net, rng.normal(size=(5, flat_net.in_dim)))
+        grads = backward(flat_net, cache, logits)
+        copies = [(dw.copy(), db.copy()) for dw, db in grads]
+        assert _tiled([dw for dw, _ in grads] + [db for _, db in grads]) is not None
+        assert _tiled([dw for dw, _ in copies] + [db for _, db in copies]) is None
+        step(flat_net, flat_opt, grads)
+        step(split_net, split_opt, copies)
+        flat = flat_net.weights + flat_net.biases + flat_opt.slot1 + flat_opt.slot2
+        split = split_net.weights + split_net.biases + split_opt.slot1 + split_opt.slot2
+        assert [a.tobytes() for a in flat] == [a.tobytes() for a in split]
 
 
 @pytest.mark.parametrize("kind", list(OptKind))

@@ -10,8 +10,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from evidkit.special import digamma, log_gamma, trigamma
+from evidkit.special import _TRIGAMMA_MIN_Z, digamma, gamma_family, log_gamma, trigamma
 
 EULER_GAMMA = 0.5772156649015328606065
 PI2_OVER_6 = 1.644934066848226436472
@@ -131,7 +134,7 @@ def test_trigamma_positive_and_decreasing():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("fn", [digamma, trigamma, log_gamma])
+@pytest.mark.parametrize("fn", [digamma, trigamma, log_gamma, gamma_family])
 @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5, float("nan"), float("inf")])
 def test_non_positive_or_non_finite_rejected(fn, bad):
     with pytest.raises(ValueError):
@@ -205,3 +208,25 @@ def test_scipy_oracle_over_log_uniform_range():
         (log_gamma(z), special.gammaln(z)),
     ):
         assert np.all(np.abs(ours - ref) <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+# the lift region below 10 gets draws of its own
+ARGUMENT = st.floats(_TRIGAMMA_MIN_Z, 20.0) | st.floats(_TRIGAMMA_MIN_Z, 1e14)
+
+
+@st.composite
+def kernel_arguments(draw):
+    """A scalar, or an (N, K+1) array as reg_edl_kl passes, with K up to 100."""
+    if draw(st.booleans()):
+        return draw(ARGUMENT)
+    shape = (draw(st.integers(1, 6)), draw(st.integers(2, 100)) + 1)
+    return draw(arrays(float, shape, elements=ARGUMENT))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kernel_arguments())
+def test_gamma_family_equals_the_three_functions_bit_for_bit(z):
+    for got, fn in zip(gamma_family(z), (log_gamma, digamma, trigamma)):
+        want = fn(z)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
