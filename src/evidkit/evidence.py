@@ -13,7 +13,8 @@ from enum import Enum
 
 import numpy as np
 
-from .special import _all_finite, _unbox
+from ._arrays import all_finite
+from .special import _unbox
 
 __all__ = [
     "LOGIT_CLAMP",
@@ -117,7 +118,7 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
         raise ValueError(f"expected (K,) or (N, K) logits, got shape {o.shape}")
     if o.shape[-1] < 2:
         raise ValueError("need at least 2 classes")
-    if not _all_finite(o):
+    if not all_finite(o):
         raise ValueError("logits must be finite")
     e = activation_apply(kind, o)
     # under EXP the derivative is the clamped evidence itself

@@ -167,5 +167,5 @@ def grad_logits(kind: Loss, act: Activation, o, gt) -> LossGrad:
     """Loss value and analytic d loss / d o for one sample or a batch."""
     if kind == Loss.SOFTMAX_CE:
         return loss_softmax_ce(o, gt)
-    state = evidence_state(act, o)
-    return _state_loss_grad(kind, state, _labels(gt, state.evidence.shape))
+    # the state is built first, so that bad logits are named before bad labels
+    return _state_loss_grad(kind, evidence_state(act, o), _labels(gt, np.shape(o)))

@@ -7,17 +7,14 @@ evidence head.
 
 from __future__ import annotations
 
-import ctypes
-import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .special import _all_finite
+from ._arrays import all_finite
 
 __all__ = [
     "LayerSpec",
@@ -47,9 +44,6 @@ class LayerSpec:
 
 @dataclass
 class Network:
-    """init_network and load_checkpoint lay all parameters out in one float64
-    vector, weights then biases, and the two lists hold views into it."""
-
     specs: list[LayerSpec]
     weights: list[np.ndarray]  # each (out_dim, in_dim)
     biases: list[np.ndarray]  # each (out_dim,)
@@ -99,23 +93,16 @@ def dense_specs(in_dim: int, hidden_dims: list[int], out_dim: int) -> list[Layer
     return specs
 
 
-def _param_views(specs: list[LayerSpec]) -> list[np.ndarray]:
-    """Zeroed weights, then biases, of the layers: views that tile one float64 vector."""
-    shapes = [(s.out_dim, s.in_dim) for s in specs] + [(s.out_dim,) for s in specs]
-    ends = list(itertools.accumulate(math.prod(shape) for shape in shapes))
-    flat = np.zeros(ends[-1])
-    return [flat[end - math.prod(shape) : end].reshape(shape) for shape, end in zip(shapes, ends)]
-
-
 def init_network(specs: list[LayerSpec], seed: int) -> Network:
     """Scaled-uniform fan-in init, uniform(+-sqrt(6/fan_in)); biases zero."""
     _validate_specs(specs)
     rng = np.random.default_rng(seed)
-    params = _param_views(specs)
-    weights, biases = params[: len(specs)], params[len(specs) :]
-    for spec, w in zip(specs, weights):
+    weights = []
+    biases = []
+    for spec in specs:
         limit = np.sqrt(6.0 / spec.in_dim)
-        w[...] = rng.uniform(-limit, limit, w.shape)
+        weights.append(rng.uniform(-limit, limit, (spec.out_dim, spec.in_dim)))
+        biases.append(np.zeros(spec.out_dim))
     return Network(specs=list(specs), weights=weights, biases=biases, seed=int(seed))
 
 
@@ -141,7 +128,7 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
     """Parameter gradients from d loss / d logits, summed over the batch.
 
     Pass per-sample gradient rows divided by the batch size to get the
-    gradient of the batch-mean loss. The pairs are views of one vector.
+    gradient of the batch-mean loss.
     """
     if cache.param_version != net.param_version:
         raise ValueError("stale cache: network parameters changed since forward")
@@ -155,11 +142,9 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
         )
     if net.specs[-1].hidden:
         raise ValueError("final layer must be identity (logits are pre-activation)")
-    views = _param_views(net.specs)
-    grads = list(zip(views[: len(net.specs)], views[len(net.specs) :]))
+    grads = [None] * len(net.specs)
     for i in reversed(range(len(net.specs))):
-        np.matmul(d.T, cache.inputs[i], out=grads[i][0])
-        d.sum(axis=0, out=grads[i][1])
+        grads[i] = (d.T @ cache.inputs[i], d.sum(axis=0))
         if i > 0:
             # d @ W is a fresh array, so the mask goes on in place and d_logits is
             # never written; ReLU is positive exactly where its argument is, so
@@ -199,42 +184,16 @@ class OptimizerState:
             raise ValueError(f"eps: must be > 0, got {self.eps!r}")
 
 
-def _tiled(arrays: list[np.ndarray]) -> np.ndarray | None:
-    """The float64 vector that the arrays tile end to end in list order, or None."""
-    base = arrays[0].base
-    if not (isinstance(base, np.ndarray) and base.dtype == float and base.ndim == 1):
-        return None
-    end = None
-    for a in arrays:
-        if a.base is not base or a.dtype != base.dtype:
-            return None
-        try:  # where a starts, at half the cost of a.ctypes.data
-            start = ctypes.addressof(ctypes.c_char.from_buffer(a))
-        except (TypeError, ValueError):  # read-only, not C-contiguous or empty
-            return None
-        if end not in (None, start):
-            return None
-        end = start + a.nbytes
-    # inside base, end to end and as long as base: so exactly base, in order
-    return base if sum(a.nbytes for a in arrays) == base.nbytes else None
-
-
-def _check_grads(net: Network, grads) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """The gradients in parameter order and the vector they tile, if any, after
-    checking their count, shapes and finiteness (one test for a whole vector)."""
+def _check_grads(net: Network, grads) -> None:
     if len(grads) != len(net.specs):
         raise ValueError(f"expected {len(net.specs)} gradient pairs, got {len(grads)}")
-    flat_grads = [g[0] for g in grads] + [g[1] for g in grads]
-    vector = _tiled(flat_grads)
-    finite = vector is not None and _all_finite(vector)
     for i, (dw, db) in enumerate(grads):
         if dw.shape != net.weights[i].shape or db.shape != net.biases[i].shape:
             raise ValueError(f"gradient shape mismatch at layer {i}")
-        if not (finite or _all_finite(dw)):
+        if not all_finite(dw):
             raise ValueError(f"non-finite gradient for layer {i} weights")
-        if not (finite or _all_finite(db)):
+        if not all_finite(db):
             raise ValueError(f"non-finite gradient for layer {i} biases")
-    return flat_grads, vector
 
 
 def _check_slots(opt: OptimizerState, params: list[np.ndarray]) -> None:
@@ -260,35 +219,30 @@ def step(net: Network, opt: OptimizerState, grads) -> None:
     """Apply one optimizer update in place.
 
     Each parameter, its gradient and its slots are walked as aligned flat
-    blocks; a parameter that fits in one block is updated whole, and where
-    the parameters, gradients and slots each tile one vector, as this module
-    lays them out, the vectors are walked as one parameter. Every rounding
-    step of the expression form in the comments is kept, in the same order,
-    so the result is bit-identical to it. No parameter is touched unless the
-    gradients and the slots match the network.
+    blocks; a parameter that fits in one block is updated whole. Every
+    rounding step of the expression form in the comments is kept, in the
+    same order, so the result is bit-identical to it. No parameter is
+    touched unless the gradients and the slots match the network.
     """
-    flat_grads, grad_vector = _check_grads(net, grads)
+    _check_grads(net, grads)
     params = list(net.weights) + list(net.biases)
+    flat_grads = [g[0] for g in grads] + [g[1] for g in grads]
     adam = opt.kind == OptKind.ADAM_LIKE
     if not opt.slot1:
-        opt.slot1 = _param_views(net.specs)
+        opt.slot1 = [np.zeros_like(p) for p in params]
         if adam:
-            opt.slot2 = _param_views(net.specs)
+            opt.slot2 = [np.zeros_like(p) for p in params]
     _check_slots(opt, params)
-    groups = [params, flat_grads, opt.slot1] + ([opt.slot2] if adam else [])
-    vectors = [grad_vector if g is flat_grads else _tiled(g) for g in groups]
-    if all(v is not None for v in vectors):
-        groups = [[v] for v in vectors]
     if adam:
         opt.t += 1
         c1 = 1.0 - opt.beta1**opt.t
         c2 = 1.0 - opt.beta2**opt.t
-    s1, s2 = np.empty((2, min(_STEP_BLOCK, max(p.size for p in groups[0]))))
-    for arrays in zip(*groups):
+    s1, s2 = np.empty((2, min(_STEP_BLOCK, max(p.size for p in params))))
+    for i, p in enumerate(params):
+        arrays = [p, flat_grads[i], opt.slot1[i]] + ([opt.slot2[i]] if adam else [])
         flat = [a.reshape(-1) for a in arrays]
-        size = flat[0].size
-        if size > _STEP_BLOCK:
-            starts = range(0, size, _STEP_BLOCK)
+        if p.size > _STEP_BLOCK:
+            starts = range(0, p.size, _STEP_BLOCK)
             blocks = ([a[lo : lo + _STEP_BLOCK] for a in flat] for lo in starts)
         else:
             blocks = [flat]
@@ -350,7 +304,8 @@ def load_checkpoint(path) -> Network:
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
     specs = []
-    values = []
+    weights = []
+    biases = []
     for i, layer in enumerate(doc["layers"]):
         spec = LayerSpec(int(layer["in_dim"]), int(layer["out_dim"]), bool(layer["hidden"]))
         w = np.asarray(layer["weights"], dtype=float)
@@ -362,11 +317,7 @@ def load_checkpoint(path) -> Network:
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
             raise ValueError(f"layer {i}: non-finite weights or biases")
         specs.append(spec)
-        values.append((w, b))
+        weights.append(w.reshape(spec.out_dim, spec.in_dim))
+        biases.append(b)
     _validate_specs(specs)
-    params = _param_views(specs)
-    weights, biases = params[: len(specs)], params[len(specs) :]
-    for (w, b), w_view, b_view in zip(values, weights, biases):
-        w_view.flat = w
-        b_view[...] = b
     return Network(specs=specs, weights=weights, biases=biases, seed=int(doc["seed"]))

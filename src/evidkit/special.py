@@ -26,6 +26,8 @@ __all__ = ["log_gamma", "digamma", "trigamma", "gamma_family"]
 _ASYMPTOTIC_Z = 10.0
 # Rungs 0..10 of the recurrence ladder: 10 unit steps lift any z > 0 past 10.
 _LIFT_RUNGS = 11
+# gamma_family refills a ladder of more bytes than this instead of copying it.
+_REFILL_NBYTES = 1 << 17
 # Smallest arguments accepted. digamma(z) ~ -1/z, which overflows below
 # _DIGAMMA_MIN_Z. trigamma(z) ~ 1/z**2: below _TRIGAMMA_MIN_Z, z*z is no
 # longer a normal float, and 1/z**2 overflows at about half of it.
@@ -38,14 +40,6 @@ def _unbox(x):
     """A 0-d result as a Python scalar; any other array as is."""
     x = np.asarray(x)
     return x.item() if x.ndim == 0 else x
-
-
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of x is finite, with no temporary the size of x: a
-    finite sum proves it, and only a sum that is not finite is looked into."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = x.sum()
-    return math.isfinite(total) or bool(np.isfinite(x).all())
 
 
 def _check_arg(z, name: str, min_z: float = _MIN_POSITIVE) -> np.ndarray:
@@ -66,19 +60,24 @@ def _elementwise(fn, z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, memoryview(z.ravel())), float, count=z.size).reshape(z.shape)
 
 
-def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ladder, high, lifted) for lifting every entry of z to at least
-    _ASYMPTOTIC_Z by the unit recurrence. Rung j of the ladder is z + 1 + ...
-    + 1, rounded after each addition; high marks the rungs at or past the
-    threshold, and lifted is the first of them. Adding rung by rung gives
-    what a cumsum over the rung axis gives, at a fraction of its cost."""
-    ladder = np.empty((_LIFT_RUNGS,) + z.shape)
+def _ladder(z: np.ndarray, ladder: np.ndarray) -> np.ndarray:
+    """Fill the (_LIFT_RUNGS, *z.shape) ladder: rung j is z + 1 + ... + 1,
+    rounded after each addition. Adding rung by rung gives what a cumsum
+    over the rung axis gives, at a fraction of its cost."""
     ladder[0] = z
     rungs = list(ladder.reshape(_LIFT_RUNGS, -1))
     for prev, rung in zip(rungs, rungs[1:]):
         np.add(prev, 1.0, out=rung)
+    return ladder
+
+
+def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ladder, high, lifted) for lifting every entry of z to at least
+    _ASYMPTOTIC_Z by the unit recurrence: high marks the rungs at or past
+    the threshold, and lifted is the first of them."""
+    ladder = _ladder(z, np.empty((_LIFT_RUNGS,) + z.shape))
     high = ladder >= _ASYMPTOTIC_Z
-    return ladder, high, np.where(high, ladder, np.inf).min(axis=0)
+    return ladder, high, ladder.min(axis=0, where=high, initial=np.inf)
 
 
 def _below(steps: np.ndarray, high: np.ndarray) -> np.ndarray:
@@ -147,5 +146,9 @@ def gamma_family(z):
     z = _check_arg(z, "gamma_family", _TRIGAMMA_MIN_Z)
     ladder, high, lifted = _lift(z)
     w = 1.0 / (lifted * lifted)
-    tg = _psi1(ladder.copy(), high, lifted, w)
-    return _unbox(_elementwise(math.lgamma, z)), _unbox(_psi(ladder, high, lifted, w)), _unbox(tg)
+    # trigamma takes a copy of a small ladder; a large one, for which filling
+    # it again costs about what the copy costs, is refilled so only one is held
+    refill = ladder.nbytes > _REFILL_NBYTES
+    tg = _psi1(ladder if refill else ladder.copy(), high, lifted, w)
+    dg = _psi(_ladder(z, ladder) if refill else ladder, high, lifted, w)
+    return _unbox(_elementwise(math.lgamma, z)), _unbox(dg), _unbox(tg)

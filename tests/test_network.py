@@ -2,13 +2,14 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from evidkit._arrays import _SUM_FIRST_SIZE, all_finite
 from evidkit.network import (
     _STEP_BLOCK,
-    _tiled,
     LayerSpec,
     Network,
     OptimizerState,
@@ -355,26 +356,29 @@ def test_adam_step_checks_finiteness_without_a_gradient_sized_temporary(source):
     assert peak <= 2 * _STEP_BLOCK * 8 + 64 * 1024
 
 
-@pytest.mark.parametrize("kind", list(OptKind))
-@pytest.mark.parametrize("make", [small_net, long_net])
-def test_step_on_backward_output_equals_step_on_per_parameter_copies(kind, make):
-    # backward's gradients tile one vector like the parameters and the slots,
-    # so step walks the network as one array; copies of the same gradients
-    # are updated one parameter at a time. Both give the same bits.
-    flat_net, split_net = make(), make()
-    flat_opt, split_opt = OptimizerState(kind=kind, lr=0.01), OptimizerState(kind=kind, lr=0.01)
-    rng = np.random.default_rng(7)
-    for _ in range(3):
-        logits, cache = forward(flat_net, rng.normal(size=(5, flat_net.in_dim)))
-        grads = backward(flat_net, cache, logits)
-        copies = [(dw.copy(), db.copy()) for dw, db in grads]
-        assert _tiled([dw for dw, _ in grads] + [db for _, db in grads]) is not None
-        assert _tiled([dw for dw, _ in copies] + [db for _, db in copies]) is None
-        step(flat_net, flat_opt, grads)
-        step(split_net, split_opt, copies)
-        flat = flat_net.weights + flat_net.biases + flat_opt.slot1 + flat_opt.slot2
-        split = split_net.weights + split_net.biases + split_opt.slot1 + split_opt.slot2
-        assert [a.tobytes() for a in flat] == [a.tobytes() for a in split]
+@pytest.mark.parametrize(
+    "entries, finite",
+    [([np.inf], False), ([np.nan], False), ([np.inf, -np.inf], False), ([1e308, 1e308], True)],
+    ids=["inf", "nan", "+-inf", "huge"],
+)
+def test_all_finite_on_an_array_that_is_summed_first(entries, finite):
+    # past the size that is summed before it is tested; a sum that overflows
+    # from finite entries alone is not taken for a non-finite entry
+    x = np.zeros(2 * _SUM_FIRST_SIZE)
+    x[1000 : 1000 + len(entries)] = entries
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert all_finite(x) is finite
+
+
+def test_step_rejects_a_non_finite_entry_of_a_large_gradient():
+    net = init_network([LayerSpec(128, 64, hidden=False)], seed=0)
+    dw = np.zeros((64, 128))
+    dw[3, 5] = np.nan
+    before = net.weights[0].copy()
+    with pytest.raises(ValueError, match="non-finite gradient for layer 0 weights"):
+        step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.01), [(dw, np.zeros(64))])
+    assert np.array_equal(net.weights[0], before)
 
 
 @pytest.mark.parametrize("kind", list(OptKind))

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evidkit.special import _TRIGAMMA_MIN_Z, digamma, gamma_family, log_gamma, trigamma
+from evidkit.special import (
+    _LIFT_RUNGS,
+    _REFILL_NBYTES,
+    _TRIGAMMA_MIN_Z,
+    digamma,
+    gamma_family,
+    log_gamma,
+    trigamma,
+)
 
 EULER_GAMMA = 0.5772156649015328606065
 PI2_OVER_6 = 1.644934066848226436472
@@ -230,3 +238,13 @@ def test_gamma_family_equals_the_three_functions_bit_for_bit(z):
         want = fn(z)
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_gamma_family_refills_a_large_ladder_with_the_same_bits():
+    # past _REFILL_NBYTES the ladder is filled a second time for digamma
+    # instead of being copied for trigamma
+    lo, hi = math.log(_TRIGAMMA_MIN_Z), math.log(1e14)
+    z = np.exp(np.random.default_rng(0).uniform(lo, hi, (300, 11)))
+    assert _LIFT_RUNGS * z.nbytes > _REFILL_NBYTES
+    for got, fn in zip(gamma_family(z), (log_gamma, digamma, trigamma)):
+        assert got.tobytes() == fn(z).tobytes()
