@@ -4,8 +4,8 @@ Runs the (loss x activation x regularizer) grid on random cases and
 compares analytic gradients against central differences of the composite
 loss, so the oracle checks the batched objective that training calls.
 Cases are checked in batches: each cell's cases that share a K go through
-two composite_loss calls, one at the base points and one on every
-perturbed row, each row carrying its own case's label and eta1. The
+one composite_loss call on the base points and every perturbed row
+stacked together, each row carrying its own case's label and eta1. The
 vacuity weight of the correct-evidence term is frozen at the base point so
 the stop-gradient semantics match the analytic form.
 """
@@ -65,10 +65,20 @@ def central_diff(
     o + h e_i and o - h e_i, stacked point by point. The result has o's shape.
     """
     o = np.asarray(o, dtype=float)
+    return _quotient(f(_perturbed_rows(o, h)), o, h)
+
+
+def _perturbed_rows(o: np.ndarray, h: float) -> np.ndarray:
+    """The (2K·N, K) rows o + h e_i, then o - h e_i, of each point of o in turn."""
     k = o.shape[-1]
     step = h * np.eye(k)
-    rows = np.concatenate([o[..., None, :] + step, o[..., None, :] - step], axis=-2)
-    vals = np.asarray(f(rows.reshape(-1, k)), dtype=float).reshape(rows.shape[:-1])
+    return np.concatenate([o[..., None, :] + step, o[..., None, :] - step], axis=-2).reshape(-1, k)
+
+
+def _quotient(vals, o: np.ndarray, h: float) -> np.ndarray:
+    """The central difference, shaped like o, from f's values on _perturbed_rows(o, h)."""
+    k = o.shape[-1]
+    vals = np.asarray(vals, dtype=float).reshape(o.shape[:-1] + (2 * k,))
     return (vals[..., :k] - vals[..., k:]) / (2.0 * h)
 
 
@@ -153,30 +163,31 @@ def check_case(
     """Cases: returns (analytic grad, numeric grad, skip mask), each shaped like o.
 
     o is one (K,) case or an (N, K) stack of cases; gt, lambda1 and epoch
-    are scalars or (N,) arrays. Makes two composite_loss calls: one at the
-    base points and one on all 2K·N perturbed rows, where each row carries
-    its case's label, eta1 and frozen vacuity weight.
+    are scalars or (N,) arrays. Makes one composite_loss call, on the N base
+    points followed by their 2K·N perturbed rows, where each row carries its
+    case's label, eta1 and frozen vacuity weight. Every term of the objective
+    works row by row, so each row gets the bits a call of its own would give.
     """
     o = np.asarray(o, dtype=float)
     red = reg == RED
     inc = IncReg.NONE if red else IncReg(reg)
-    batch = o.shape[:-1]  # () for one case, (N,) for a stack
-    gt = np.broadcast_to(gt, batch)
-    eta1 = np.broadcast_to(0.0 if red else anneal_eta1(lambda1, epoch), batch)
+    k = o.shape[-1]
+    n = o.size // k
+    # the case of each row: the n base rows, then each case's 2K perturbed rows
+    at = np.concatenate([np.arange(n), np.repeat(np.arange(n), 2 * k)])
+
+    def per_row(values):
+        return np.broadcast_to(values, o.shape[:-1]).reshape(n)[at]
+
+    eta1 = 0.0 if red else anneal_eta1(lambda1, epoch)
     # stop-gradient: the vacuity weight stays at its base-point value
-    frozen = evidence_state(act, o).vacuity if red else None
-    analytic = composite_loss(
-        kind, inc, act, o, gt, eta1=eta1, use_correct_reg=red, correct_weight=frozen
-    ).grad
-    rep = 2 * o.shape[-1]  # perturbed rows per case
-
-    def perturbed_loss(rows: np.ndarray) -> np.ndarray:
-        return composite_loss(
-            kind, inc, act, rows, np.repeat(gt, rep), eta1=np.repeat(eta1, rep),
-            use_correct_reg=red, correct_weight=None if frozen is None else np.repeat(frozen, rep),
-        ).loss
-
-    numeric = central_diff(perturbed_loss, o, h=h)
+    frozen = per_row(evidence_state(act, o).vacuity) if red else None
+    out = composite_loss(
+        kind, inc, act, np.concatenate([o.reshape(n, k), _perturbed_rows(o, h)]), per_row(gt),
+        eta1=per_row(eta1), use_correct_reg=red, correct_weight=frozen,
+    )
+    analytic = out.grad[:n].reshape(o.shape)
+    numeric = _quotient(out.loss[n:], o, h)
     skip = (o >= LOGIT_CLAMP - 1e-3) & (act == Activation.EXP)
     return analytic, numeric, skip
 
@@ -214,22 +225,25 @@ def run_grid(
 
     Each cell draws all of its cases first, then checks the cases that share
     a K with one check_case call and one compare_grads call; the worst case
-    is the first maximum in case order. `corrupt` names a cell as
-    "loss:act:reg" whose analytic gradient gets a deliberate perturbation;
-    it exists so the harness can prove it catches wrong gradients.
+    is the first maximum in case order. `corrupt` must name one of the cells
+    being run, as "loss:act:reg"; its analytic gradient gets a deliberate
+    perturbation, so the harness can prove it catches wrong gradients.
     """
     _check_settings(n_cases, h, tol)
-    results = []
-    for kind, act, reg in grid_cells(losses, acts, regs):
-        cell_tag = zlib.crc32(f"{kind.value}:{act.value}:{reg}".encode())
-        rng = np.random.default_rng([seed, cell_tag])
-        cell = CellResult(loss=kind.value, act=act.value, reg=reg, n_cases=n_cases)
+    cells = grid_cells(losses, acts, regs)
+    results = [CellResult(kind.value, act.value, reg, n_cases) for kind, act, reg in cells]
+    if corrupt is not None and corrupt not in [cell.name for cell in results]:
+        raise ValueError(f"corrupt: {corrupt} is not a cell of the grid being run")
+    for (kind, act, reg), cell in zip(cells, results):
+        rng = np.random.default_rng([seed, zlib.crc32(cell.name.encode())])
         cases = []  # (k, gt, o, lambda1, epoch), drawn in this order per case
         for _ in range(n_cases):
-            k = int(rng.choice(ks))
+            # integers(len) consumes the generator exactly as choice(ks) does
+            k = int(ks[rng.integers(len(ks))])
             gt = int(rng.integers(k))
             o = _sample_logits(rng, k, act)
-            cases.append((k, gt, o, float(rng.uniform(0.25, 2.0)), int(rng.integers(1, 13))))
+            # lambda1: uniform(0.25, 2.0) computes exactly this, from the same one draw
+            cases.append((k, gt, o, 0.25 + 1.75 * rng.random(), int(rng.integers(1, 13))))
         groups = {}  # K -> (case indices, analytic, numeric)
         passed, errs = np.empty(n_cases, dtype=bool), np.empty(n_cases)
         for k in dict.fromkeys([c[0] for c in cases]):
@@ -257,5 +271,4 @@ def run_grid(
                 f"K={k} gt={gt} analytic={np.array2string(analytic[j], precision=6)} "
                 f"numeric={np.array2string(numeric[j], precision=6)}"
             )
-        results.append(cell)
     return results

@@ -5,15 +5,17 @@ The file name keeps it out of the test suite. Run it with pytest-benchmark:
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
 It times the rb-red objective on one (32, 5) mini-batch, the special-function
-kernel on the (32, 6) argument that objective passes it, and one Adam step on
+kernel on the (32, 6) argument that objective passes it, one Adam step on
 a small (2 -> 16 -> 5) and a wide (64 -> 1024 -> 1024 -> 10) network, with
-the gradients backward returns.
+the gradients backward returns, and one (cell, K) group of the gradient
+oracle: 12 ev_log:exp:edl_kl cases at K = 5.
 """
 
 import numpy as np
 import pytest
 
 from evidkit.evidence import Activation
+from evidkit.gradcheck import check_case
 from evidkit.losses import Loss
 from evidkit.network import (
     OptimizerState,
@@ -52,3 +54,11 @@ def test_adam_step(benchmark, in_dim, hidden, out_dim):
     grads = backward(net, cache, logits / 32.0)
     # a tiny rate keeps the parameters near their start over many rounds
     benchmark(step, net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=1e-9), grads)
+
+
+def test_check_case_group(benchmark):
+    rng = np.random.default_rng(3)
+    o = rng.uniform(-4.0, 4.0, size=(12, 5))
+    gt, epoch = rng.integers(5, size=12), rng.integers(1, 13, size=12)
+    lambda1 = rng.uniform(0.25, 2.0, size=12)
+    benchmark(check_case, Loss.EV_LOG, Activation.EXP, "edl_kl", o, gt, lambda1=lambda1, epoch=epoch)

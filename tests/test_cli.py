@@ -284,6 +284,17 @@ def test_gradcheck_corrupt_cell_exits_two_and_names_it(tmp_path, capsys):
     assert "worst case" in captured.err
 
 
+def test_gradcheck_corrupt_that_names_no_cell_exits_one(tmp_path, capsys):
+    assert main(["gradcheck", "--samples", "2", "--corrupt", "ev_mse:exp:nonexistent"]) == 1
+    assert "ev_mse:exp:nonexistent" in capsys.readouterr().err
+    # a real cell that the config's grid leaves out
+    cfg = tmp_path / "gc.json"
+    cfg.write_text(json.dumps({"losses": ["ev_mse"], "activations": ["relu"]}))
+    assert main(["gradcheck", "--config", str(cfg), "--corrupt", "ev_mse:exp:none"]) == 1
+    captured = capsys.readouterr()
+    assert "ev_mse:exp:none" in captured.err and captured.out == ""
+
+
 def test_gradcheck_config_rejects_unknown_fields(tmp_path, capsys):
     cfg = tmp_path / "gc.json"
     doc = {"sampels": 3, "losses": ["ev_log"], "activations": ["exp"], "regularizers": ["none"]}

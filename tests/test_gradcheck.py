@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evidkit.evidence import Activation
+from evidkit.evidence import Activation, evidence_state
 from evidkit.gradcheck import (
+    DEFAULT_KS,
     RED,
     central_diff,
     check_case,
@@ -21,6 +22,7 @@ from evidkit.gradcheck import (
     run_grid,
 )
 from evidkit.losses import Loss
+from evidkit.regularizers import IncReg, anneal_eta1, composite_loss
 
 
 # --- central_diff ----------------------------------------------------------
@@ -198,7 +200,7 @@ def test_check_case_skips_clamped_exp_coordinates():
     assert skip.tolist() == [False, False]
 
 
-def test_check_case_checks_the_batched_objective_in_two_calls(monkeypatch):
+def test_check_case_checks_the_batched_objective_in_one_call(monkeypatch):
     import evidkit.gradcheck as gradcheck
 
     shapes = []
@@ -210,8 +212,8 @@ def test_check_case_checks_the_batched_objective_in_two_calls(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "composite_loss", counting)
     check_case(Loss.EV_CE, Activation.EXP, "edl_kl", np.array([0.3, -0.8, 1.1]), gt=0)
-    # one analytic sample, then the 2K perturbed rows as one batch
-    assert shapes == [(3,), (6, 3)]
+    # the base point and its 2K perturbed rows as one batch
+    assert shapes == [(7, 3)]
 
 
 def test_check_case_red_freezes_the_vacuity_weight():
@@ -225,9 +227,10 @@ def test_check_case_red_freezes_the_vacuity_weight():
 
 
 @st.composite
-def stacked_cases(draw, max_n=6):
-    """A grid cell and an (N, K) stack of cases with mixed labels, lambda1 and epoch."""
-    cell = draw(st.sampled_from(grid_cells()))
+def stacked_cases(draw, max_n=6, cells=None):
+    """A grid cell (from cells, else the whole grid) and an (N, K) stack of
+    cases with mixed labels, lambda1 and epoch."""
+    cell = draw(st.sampled_from(cells or grid_cells()))
     k = draw(st.integers(2, 10))
     n = draw(st.integers(1, max_n))
     # up to past the exp clamp, so skipped coordinates are drawn too
@@ -252,10 +255,44 @@ def test_stacked_check_case_equals_single_cases(case):
             assert np.array_equal(got[i], want)
 
 
+def two_call_check_case(kind, act, reg, o, gt, lambda1, epoch, h=1e-5):
+    """Reference: check_case as two composite_loss calls on an (N, K) stack, one
+    at the base points and one, through central_diff, on the perturbed rows."""
+    red = reg == RED
+    inc = IncReg.NONE if red else IncReg(reg)
+    eta1 = np.zeros(len(o)) if red else anneal_eta1(lambda1, epoch)
+    frozen = evidence_state(act, o).vacuity if red else None
+    analytic = composite_loss(
+        kind, inc, act, o, gt, eta1=eta1, use_correct_reg=red, correct_weight=frozen
+    ).grad
+    rep = 2 * o.shape[-1]
+
+    def perturbed_loss(rows):
+        return composite_loss(
+            kind, inc, act, rows, np.repeat(gt, rep), eta1=np.repeat(eta1, rep),
+            use_correct_reg=red, correct_weight=None if frozen is None else np.repeat(frozen, rep),
+        ).loss
+
+    return analytic, central_diff(perturbed_loss, o, h=h)
+
+
+@pytest.mark.parametrize(
+    "cell", grid_cells(), ids=[f"{ls.value}:{act.value}:{reg}" for ls, act, reg in grid_cells()]
+)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_one_call_check_case_equals_the_two_call_form(cell, data):
+    (kind, act, reg), o, gt, lambda1, epoch = data.draw(stacked_cases(cells=[cell]))
+    analytic, numeric, _ = check_case(kind, act, reg, o, gt, lambda1=lambda1, epoch=epoch)
+    want_analytic, want_numeric = two_call_check_case(kind, act, reg, o, gt, lambda1, epoch)
+    assert np.array_equal(analytic, want_analytic)
+    assert np.array_equal(numeric, want_numeric)
+
+
 # --- run_grid --------------------------------------------------------------
 
 
-def test_run_grid_makes_two_objective_calls_per_distinct_k(monkeypatch):
+def test_run_grid_makes_one_objective_call_per_distinct_k(monkeypatch):
     import evidkit.gradcheck as gradcheck
 
     shapes = []
@@ -271,13 +308,42 @@ def test_run_grid_makes_two_objective_calls_per_distinct_k(monkeypatch):
     for ls, act, reg in grid_cells():
         shapes.clear()
         run_grid(losses=[ls], acts=[act], regs=[reg], n_cases=n_cases, seed=4)
-        base, perturbed = shapes[0::2], shapes[1::2]
-        ks = [k for _, k in base]
-        assert len(set(ks)) == len(ks)  # one group, so one pair of calls, per distinct K
-        assert sum(n for n, _ in base) == n_cases
-        assert perturbed == [(2 * k * n, k) for n, k in base]
-        shared += any(n > 1 for n, _ in base)
+        ks = [k for _, k in shapes]
+        assert len(set(ks)) == len(ks)  # one group, so one call, per distinct K
+        per_group = [rows // (2 * k + 1) for rows, k in shapes]
+        assert shapes == [((2 * k + 1) * n, k) for n, (_, k) in zip(per_group, shapes)]
+        assert sum(per_group) == n_cases
+        shared += any(n > 1 for n in per_group)
     assert shared > 0  # some group really holds more than one case
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2024, 31337])
+def test_case_draws_equal_choice_and_uniform(seed):
+    # run_grid's k and lambda1 draws against Generator.choice and uniform, in
+    # run_grid's draw order; the state holds integers' buffered half-word too
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    drawn = set()
+    for _ in range(100):
+        k = DEFAULT_KS[new.integers(len(DEFAULT_KS))]
+        assert k == old.choice(DEFAULT_KS)
+        assert new.bit_generator.state == old.bit_generator.state
+        drawn.add(k)
+        for rng in (new, old):  # gt and the logits
+            rng.integers(k)
+            rng.uniform(-4.0, 4.0, k)
+        assert 0.25 + 1.75 * new.random() == old.uniform(0.25, 2.0)
+        assert new.bit_generator.state == old.bit_generator.state
+        for rng in (new, old):  # the epoch
+            rng.integers(1, 13)
+    assert drawn == set(DEFAULT_KS)
+
+
+def test_run_grid_rejects_a_corrupt_value_that_names_no_cell_being_run():
+    grid = dict(losses=[Loss.EV_MSE], acts=[Activation.RELU], n_cases=1)
+    # a name that is no cell, and a real cell that this grid leaves out
+    for corrupt in ("ev_mse:exp:nonexistent", "ev_mse:exp:none"):
+        with pytest.raises(ValueError, match=f"^corrupt: {corrupt} is not a cell"):
+            run_grid(corrupt=corrupt, **grid)
 
 
 def test_run_grid_keeps_the_first_worst_case(monkeypatch):

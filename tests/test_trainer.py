@@ -237,6 +237,55 @@ def test_seed_changes_the_run():
     )
 
 
+# Two regularizer-driven collapses under the default optimizer (SGD momentum,
+# lr 0.1), kept as regression tests until a fix in the exp head or the
+# regularizers makes them pass.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND: ev_log + edl_kl (lambda1 = 1) + correct-evidence under exp "
+    "collapses once eta1 anneals up to 1 (train accuracy 0.445 at epoch 13)",
+)
+def test_edl_kl_with_correct_evidence_keeps_training_accuracy_under_sgd():
+    blobs = dict(kind="blobs", k=5, n_per_class=40)
+    cfg = ExperimentConfig(
+        name="collapse-a",
+        train_data=DataConfig(**blobs, seed=1),
+        test_data=DataConfig(**blobs, seed=2),
+        loss="ev_log",
+        activation="exp",
+        inc_reg="edl_kl",
+        lambda1=1.0,
+        use_correct_reg=True,
+        epochs=15,
+        seed=4,
+    )
+    late = [log.train_acc for log in run_experiment(cfg).logs if log.epoch >= 8]
+    assert min(late) >= 0.95
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="FOUND: ev_mse + exp + adl_sum at lambda1 = 1 drives every sample into "
+    "exp underflow in one epoch (epoch-1 loss 1.78e11, accuracy stays at chance)",
+)
+def test_adl_sum_under_exp_trains_above_chance_under_sgd():
+    cfg = ExperimentConfig(
+        name="collapse-b",
+        train_data=DataConfig(kind="blobs", k=4, n_per_class=30, seed=3),
+        hidden_dims=[16],
+        loss="ev_mse",
+        activation="exp",
+        inc_reg="adl_sum",
+        lambda1=1.0,
+        epochs=12,
+        batch_size=16,
+        seed=7,
+    )
+    assert run_experiment(cfg).final_train_acc >= 0.5
+
+
 def test_divergence_aborts_with_epoch_and_batch():
     cfg = tiny_cfg(
         optimizer=OptConfig(kind="sgd_momentum", lr=1e160),
