@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -173,10 +173,10 @@ def load_csv(path, k: int | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"dataset file not found: {path}")
-    lines, lineno = _numbered_lines(path)
-    if len(lines) < 2:
+    lines, head, plain = _text_lines(path)
+    if len(head) < 2:
         raise ValueError(f"{path}: empty dataset (need a header and at least one row)")
-    header = lines[0].split(",")
+    header = head[0].split(",")
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
         raise ValueError(f"{path}: bad header, expected f0,...,f{{D-1}},label")
     d = len(header) - 1
@@ -186,11 +186,11 @@ def load_csv(path, k: int | None = None) -> Dataset:
         meta = json.loads(sidecar.read_text())
     if k is None:
         k = meta.get("k")
+    row = np.dtype([("features", float, (d,)), ("label", np.int64)])
 
-    def parse(tokens: list, m: int) -> tuple:
-        labels = np.fromiter(map(int, tokens[d :: d + 1]), np.int64, m)
-        del tokens[d :: d + 1]
-        return np.fromiter(map(float, tokens), float, m * d).reshape(m, d), labels
+    def read(rows: list) -> tuple:
+        table = np.loadtxt(rows, row, **_READER)
+        return np.ascontiguousarray(table["features"]), np.ascontiguousarray(table["label"])
 
     def checks(feats, labels) -> list:
         bad_label = labels < 0 if k is None else (labels < 0) | (labels >= k)
@@ -199,7 +199,7 @@ def load_csv(path, k: int | None = None) -> Dataset:
             (bad_label, lambda r: f"label {labels[r]} out of range [0, {k})"),
         ]
 
-    feats, labels = _parse_table(path, lines, lineno, d + 1, parse, checks)
+    feats, labels = _read_table(path, lines, plain, d + 1, read, checks)
     if k is None:
         k = int(labels.max()) + 1
     return Dataset(
@@ -212,18 +212,17 @@ def load_csv(path, k: int | None = None) -> Dataset:
     )
 
 
-# A loader parses rows in chunks of about this many comma-separated fields,
-# so it never holds more than one chunk of split text.
-_CHUNK_FIELDS = 1 << 14
+# Keyword arguments of every np.loadtxt call: one comma-separated row per
+# line, with no comment or quote character.
+_READER = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 1}
 
 
-def _numbered_lines(path: Path) -> tuple[list, np.ndarray]:
-    """The non-blank lines of a text file and their 1-based file line numbers."""
-    lines = path.read_text().splitlines()
-    lineno = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines))) + 1
-    if lineno.size < len(lines):
-        lines = [lines[i - 1] for i in lineno.tolist()]
-    return lines, lineno
+def _text_lines(path: Path) -> tuple[list, list, bool]:
+    """A text file's lines, its first two non-blank lines (fewer if it has
+    fewer), the header and the first data row, and whether every line is plain."""
+    text = path.read_text()
+    lines = text.splitlines()
+    return lines, list(islice(filter(str.strip, lines), 2)), _plain(text)
 
 
 def _first(mask: np.ndarray) -> int | None:
@@ -231,57 +230,66 @@ def _first(mask: np.ndarray) -> int | None:
     return int(mask.argmax()) if mask.any() else None
 
 
-def _parse_table(path: Path, lines: list, lineno: np.ndarray, width: int, parse, checks) -> tuple:
-    """Columns of the data rows lines[1:]; raises for the first bad row.
+def _plain(row: str) -> bool:
+    """True for a row the reader may see: ASCII without the \\x1f separator.
+    NumPy's integer reader takes some non-ASCII letters for digits, and its
+    number readers skip \\x1f as a space where float() and int() refuse it."""
+    return row.isascii() and "\x1f" not in row
 
-    parse(fields, m) turns the flat fields of m rows, `width` a row, into a
-    tuple of arrays with m rows, and raises ValueError or OverflowError when
-    a field does not convert. checks(*columns) lists (mask, message) value
-    checks; a callable message takes the row index. A row is checked for
-    its field count, then parsed, then checked in list order, and the error
-    of the first bad row in file order is raised with its file line.
+
+def _read_table(path: Path, lines: list, plain: bool, width: int, read, checks) -> tuple:
+    """Columns of the data rows, the non-blank lines after the header (the
+    first non-blank line); raises for the first bad row. plain says whether
+    every line is plain, as _text_lines gives it.
+
+    read(rows) turns a list of rows into a tuple of columns with one NumPy
+    reader pass, and raises ValueError when a row does not parse; an empty
+    line is skipped. checks(*columns) lists (mask, message) value checks; a
+    callable message takes the row index. A row is checked for its field
+    count, then parsed, then checked in list order, and the error of the
+    first bad row in file order is raised with its file line.
     """
-    rows = lines[1:]
+    # One reader pass over the lines after the first. It fails, and the search
+    # below runs, when the first line is not the header, a later line is blank
+    # but not empty, or a row is bad.
+    if plain:
+        try:
+            cols = read(lines[1:])
+        except ValueError:
+            pass
+        else:
+            if not any(mask.any() for mask, _ in checks(*cols)):
+                return cols
+    at = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines)))[1:]
+    rows = [lines[i] for i in at.tolist()]
     n = len(rows)
     ncols = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n) + 1
-    stop = _first(ncols != width)
-    stop = n if stop is None else stop
-    cols, parsed = _parse_rows(rows[:stop], width, parse)
+    miscounted = ncols != width
+    end = _first(miscounted | ~np.fromiter(map(_plain, rows), bool, n))
+    parsed = _parsed(read, rows[:end])
     bad = [
-        (stop if stop < n else None, lambda r: f"expected {width} columns, got {ncols[r]}"),
-        (parsed if parsed < stop else None, "could not parse values"),
+        (_first(miscounted), lambda r: f"expected {width} columns, got {ncols[r]}"),
+        (parsed if parsed < n else None, "could not parse values"),
     ]
-    bad += [(_first(mask), msg) for mask, msg in checks(*cols)]
+    if parsed:
+        cols = read(rows[:parsed])
+        bad += [(_first(mask), msg) for mask, msg in checks(*cols)]
     bad = [(r, msg) for r, msg in bad if r is not None]
     if bad:
         r, msg = min(bad, key=lambda b: b[0])  # min keeps the first check of a row
-        raise ValueError(f"{path} row {lineno[r + 1]}: {msg(r) if callable(msg) else msg}")
+        raise ValueError(f"{path} row {at[r] + 1}: {msg(r) if callable(msg) else msg}")
     return cols
 
 
-def _parse_rows(rows: list, width: int, parse) -> tuple[tuple, int]:
-    """(columns, m) for the first m rows, all of which parse; m < len(rows)
-    means row m does not."""
-
-    def run(chunk):
-        return parse(",".join(chunk).split(",") if chunk else [], len(chunk))
-
-    parts = [run([])]  # typed empty columns, so no rows still concatenate
-    step = max(1, _CHUNK_FIELDS // width)
-    for start in range(0, len(rows), step):
-        chunk = rows[start : start + step]
+def _parsed(read, rows: list) -> int:
+    """Length of the longest prefix of rows that parses. Rows parse one by
+    one, so each bisection step reads only rows past the known good prefix."""
+    good, bad = 0, len(rows)  # rows[:good] parse; no prefix longer than bad does
+    while good < bad:
+        mid = (good + bad + 1) // 2
         try:
-            parts.append(run(chunk))
-        except (ValueError, OverflowError):
-            m = next(i for i in range(len(chunk)) if not _parses(run, chunk[i]))
-            parts.append(run(chunk[:m]))
-            return tuple(np.concatenate(col) for col in zip(*parts)), start + m
-    return tuple(np.concatenate(col) for col in zip(*parts)), len(rows)
-
-
-def _parses(run, row: str) -> bool:
-    try:
-        run([row])
-    except (ValueError, OverflowError):
-        return False
-    return True
+            read(rows[good:mid])
+            good = mid
+        except ValueError:
+            bad = mid - 1
+    return good

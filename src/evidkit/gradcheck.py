@@ -206,7 +206,8 @@ def _sample_logits(rng: np.random.Generator, k: int, act: Activation) -> np.ndar
     o = rng.uniform(-_LOGIT_RANGE, _LOGIT_RANGE, k)
     if act == Activation.RELU:
         near = np.abs(o) < _KINK_MARGIN
-        o[near] = np.where(o[near] >= 0, o[near] + _KINK_MARGIN, o[near] - _KINK_MARGIN)
+        if near.any():  # about 1 case in 16 at K = 5
+            o[near] = np.where(o[near] >= 0, o[near] + _KINK_MARGIN, o[near] - _KINK_MARGIN)
     return o
 
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import astuple, dataclass
 from pathlib import Path
-from itertools import compress
 from typing import Sequence
 
 import numpy as np
 
-from .datasets import _numbered_lines, _parse_table
+from .datasets import _READER, _read_table, _text_lines
 
 __all__ = [
     "CENSUS_THRESHOLDS",
@@ -146,12 +145,12 @@ class RecordColumns:
         path = Path(path)
         if not path.exists():
             raise FileNotFoundError(f"records file not found: {path}")
-        lines, lineno = _numbered_lines(path)
-        if not lines or lines[0] != RECORDS_HEADER:
+        lines, head, plain = _text_lines(path)
+        if not head or head[0] != RECORDS_HEADER:
             raise ValueError(f"{path}: expected header '{RECORDS_HEADER}'")
-        if len(lines) < 2:
+        if len(head) < 2:
             raise ValueError(f"{path}: no data rows")
-        cols = _parse_table(path, lines, lineno, 6, _parse_records, _record_checks)
+        cols = _read_table(path, lines, plain, 6, _read_records, _record_checks)
         pred, actual, vac, mean_ev, max_sm, _, flag = cols
         return cls(pred, actual, vac, mean_ev, max_sm, flag == 1)
 
@@ -284,21 +283,22 @@ def load_records(path) -> list[SampleRecord]:
     return RecordColumns.load(path).to_records()
 
 
-def _parse_records(fields: list, m: int) -> tuple:
-    """Columns of m records CSV rows, plus the mask of non-empty max_softmax
-    fields (an empty one is absent, NaN in the column)."""
+# One records CSV row: is_ood is read as an integer, which must be 0 or 1, and
+# max_softmax as text, so an empty field (absent) stays apart from a number.
+_RECORD_ROW = np.dtype(list({**_COLUMN_DTYPES, "max_softmax": object, "is_ood": np.int64}.items()))
 
-    def ints(j):
-        return np.fromiter(map(int, fields[j::6]), np.int64, m)
 
-    def floats(j):
-        return np.fromiter(map(float, fields[j::6]), float, m)
-
-    sm = fields[4::6]
-    present = np.fromiter(map(bool, sm), bool, m)
-    max_sm = np.full(m, math.nan)
-    max_sm[present] = np.fromiter(map(float, compress(sm, sm)), float, int(present.sum()))
-    return ints(0), ints(1), floats(2), floats(3), max_sm, present, ints(5)
+def _read_records(rows: list) -> tuple:
+    """Columns of records CSV rows, plus the mask of non-empty max_softmax
+    fields (an empty one is absent, NaN in the column); a second reader
+    pass parses the others."""
+    table = np.loadtxt(rows, _RECORD_ROW, **_READER)
+    pred, actual, vac, mean_ev, sm, flag = (np.ascontiguousarray(table[n]) for n in _RECORD_ROW.names)
+    present = sm.astype(bool)
+    max_sm = np.full(len(sm), math.nan)
+    if present.any():
+        max_sm[present] = np.loadtxt(sm[present], float, **_READER)
+    return pred, actual, vac, mean_ev, max_sm, present, flag
 
 
 def _record_checks(pred, actual, vac, mean_ev, max_sm, present, flag) -> list:

@@ -61,32 +61,36 @@ def _elementwise(fn, z: np.ndarray) -> np.ndarray:
 
 
 def _ladder(z: np.ndarray, ladder: np.ndarray) -> np.ndarray:
-    """Fill the (_LIFT_RUNGS, *z.shape) ladder: rung j is z + 1 + ... + 1,
-    rounded after each addition. Adding rung by rung gives what a cumsum
-    over the rung axis gives, at a fraction of its cost."""
-    ladder[0] = z
-    rungs = list(ladder.reshape(_LIFT_RUNGS, -1))
-    for prev, rung in zip(rungs, rungs[1:]):
+    """Fill the (_LIFT_RUNGS, z.size + 1) ladder: rung 0 is z flattened and a
+    pad of _ASYMPTOTIC_Z, and rung j is rung 0 + 1 + ... + 1, rounded after
+    each addition: what a cumsum over the rungs gives, at a fraction of its cost."""
+    ladder[0, :-1] = z.reshape(-1)
+    ladder[0, -1] = _ASYMPTOTIC_Z
+    for prev, rung in zip(ladder, ladder[1:]):
         np.add(prev, 1.0, out=rung)
     return ladder
 
 
 def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ladder, high, lifted) for lifting every entry of z to at least
-    _ASYMPTOTIC_Z by the unit recurrence: high marks the rungs at or past
-    the threshold, and lifted is the first of them."""
-    ladder = _ladder(z, np.empty((_LIFT_RUNGS,) + z.shape))
+    """(ladder, high, lifted) for lifting every entry of z, and the pad, to at
+    least _ASYMPTOTIC_Z by the unit recurrence: high marks the rungs at or
+    past the threshold, and lifted is the first of them."""
+    ladder = _ladder(z, np.empty((_LIFT_RUNGS, z.size + 1)))
     high = ladder >= _ASYMPTOTIC_Z
     return ladder, high, ladder.min(axis=0, where=high, initial=np.inf)
 
 
+def _unpad(x: np.ndarray, shape: tuple):
+    """A result over a padded ladder's columns, without the pad, in z's shape."""
+    return _unbox(x[:-1].reshape(shape))
+
+
 def _below(steps: np.ndarray, high: np.ndarray) -> np.ndarray:
     """acc with f(z) = acc + f(lifted z), where steps (overwritten) holds
-    f(v) - f(v + 1) at each rung v; the rungs are added in order, as a
-    step-by-step loop adds them."""
+    f(v) - f(v + 1) at each rung v. Over the 2 or more columns the pad ensures,
+    the reduce adds the rungs in order, as a step-by-step loop adds them."""
     np.copyto(steps, 0.0, where=high)
-    rungs = list(steps.reshape(_LIFT_RUNGS, -1))
-    return sum(rungs[1:], rungs[0]).reshape(high.shape[1:])
+    return np.add.reduce(steps, axis=0)
 
 
 def _psi(ladder, high, z, w) -> np.ndarray:
@@ -124,8 +128,9 @@ def digamma(z):
 
     Satisfies the recurrence psi(z+1) = psi(z) + 1/z to ~1e-15 absolute.
     """
-    ladder, high, z = _lift(_check_arg(z, "digamma", _DIGAMMA_MIN_Z))
-    return _unbox(_psi(ladder, high, z, 1.0 / (z * z)))
+    z = _check_arg(z, "digamma", _DIGAMMA_MIN_Z)
+    ladder, high, lifted = _lift(z)
+    return _unpad(_psi(ladder, high, lifted, 1.0 / (lifted * lifted)), z.shape)
 
 
 def trigamma(z):
@@ -135,8 +140,9 @@ def trigamma(z):
     Satisfies the recurrence psi1(z+1) = psi1(z) - 1/z**2 and, for z >= 1,
     the bound 1/z**2 < psi1(z) < 1/z**2 + pi**2/6.
     """
-    ladder, high, z = _lift(_check_arg(z, "trigamma", _TRIGAMMA_MIN_Z))
-    return _unbox(_psi1(ladder, high, z, 1.0 / (z * z)))
+    z = _check_arg(z, "trigamma", _TRIGAMMA_MIN_Z)
+    ladder, high, lifted = _lift(z)
+    return _unpad(_psi1(ladder, high, lifted, 1.0 / (lifted * lifted)), z.shape)
 
 
 def gamma_family(z):
@@ -151,4 +157,4 @@ def gamma_family(z):
     refill = ladder.nbytes > _REFILL_NBYTES
     tg = _psi1(ladder if refill else ladder.copy(), high, lifted, w)
     dg = _psi(_ladder(z, ladder) if refill else ladder, high, lifted, w)
-    return _unbox(_elementwise(math.lgamma, z)), _unbox(dg), _unbox(tg)
+    return _unbox(_elementwise(math.lgamma, z)), _unpad(dg, z.shape), _unpad(tg, z.shape)

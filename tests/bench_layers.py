@@ -1,4 +1,5 @@
-"""Layer microbenchmarks: the fixed cost of one training mini-batch, piece by piece.
+"""Layer microbenchmarks: the fixed cost of one training mini-batch, piece by
+piece, and the read path's two CSV loaders.
 
 The file name keeps it out of the test suite. Run it with pytest-benchmark:
 
@@ -8,15 +9,19 @@ It times the rb-red objective on one (32, 5) mini-batch, the special-function
 kernel on the (32, 6) argument that objective passes it, one Adam step on
 a small (2 -> 16 -> 5) and a wide (64 -> 1024 -> 1024 -> 10) network, with
 the gradients backward returns, and one (cell, K) group of the gradient
-oracle: 12 ev_log:exp:edl_kl cases at K = 5.
+oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and
+RecordColumns.load on 30,000 rows each, written as save_csv and save_records
+write them: a D = 2 dataset, and evidential records with no max_softmax.
 """
 
 import numpy as np
 import pytest
 
+from evidkit.datasets import Dataset, load_csv, save_csv
 from evidkit.evidence import Activation
 from evidkit.gradcheck import check_case
 from evidkit.losses import Loss
+from evidkit.metrics import RecordColumns, save_records
 from evidkit.network import (
     OptimizerState,
     OptKind,
@@ -62,3 +67,32 @@ def test_check_case_group(benchmark):
     gt, epoch = rng.integers(5, size=12), rng.integers(1, 13, size=12)
     lambda1 = rng.uniform(0.25, 2.0, size=12)
     benchmark(check_case, Loss.EV_LOG, Activation.EXP, "edl_kl", o, gt, lambda1=lambda1, epoch=epoch)
+
+
+READ_ROWS = 30_000
+
+
+@pytest.fixture(scope="module")
+def read_path_files(tmp_path_factory):
+    rng = np.random.default_rng(4)
+    n = READ_ROWS
+    out = tmp_path_factory.mktemp("read_path")
+    save_csv(Dataset(rng.normal(0.0, 5.0, (n, 2)), rng.integers(0, 3, n), 3, "bench"), out / "data.csv")
+    records = RecordColumns(
+        predicted=rng.integers(0, 3, n),
+        actual=rng.integers(0, 3, n),
+        vacuity=rng.uniform(0.01, 1.0, n),
+        mean_evidence=np.exp(rng.normal(size=n)),
+        max_softmax=np.full(n, np.nan),
+        is_ood=rng.random(n) < 0.5,
+    )
+    save_records(records, out / "records.csv")
+    return out
+
+
+def test_load_csv(benchmark, read_path_files):
+    benchmark(load_csv, read_path_files / "data.csv")
+
+
+def test_record_columns_load(benchmark, read_path_files):
+    benchmark(RecordColumns.load, read_path_files / "records.csv")

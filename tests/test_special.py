@@ -196,6 +196,24 @@ def test_batched_lift_equals_step_by_step_loop_exactly():
     assert np.array_equal(trigamma(z), [loop_trigamma(v) for v in z.tolist()])
 
 
+@pytest.mark.parametrize("shape", [(), (1,), (1, 1), (6,), (1, 6), (40, 1), (40, 6)])
+def test_rung_sums_equal_the_step_by_step_loop_for_every_shape(shape):
+    # one axis-0 reduce sums the rungs; over a single column NumPy would sum
+    # them in another order, which the ladder's pad column rules out
+    rng = np.random.default_rng(109)
+    for _ in range(200 // math.prod(shape) + 1):
+        z = rng.uniform(1e-3, 10.0, shape)  # every argument takes all 10 rungs
+        flat = z.reshape(-1).tolist()
+        _, dg, tg = gamma_family(z)
+        for got, loop in (
+            (digamma(z), loop_digamma), (dg, loop_digamma),
+            (trigamma(z), loop_trigamma), (tg, loop_trigamma),
+        ):
+            got = np.asarray(got)
+            assert got.shape == shape
+            assert got.tobytes() == np.array([loop(v) for v in flat]).tobytes()
+
+
 @pytest.mark.parametrize("fn", [digamma, trigamma, log_gamma])
 def test_array_argument_is_elementwise_and_scalar_gives_float(fn):
     rng = np.random.default_rng(106)
