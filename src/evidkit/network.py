@@ -7,6 +7,7 @@ evidence head.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,6 +34,7 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "evidkit-network"
 CHECKPOINT_VERSION = 1
+_LAYER_FIELDS = (("in_dim", int), ("out_dim", int), ("hidden", bool))  # LayerSpec's, in order
 
 
 @dataclass(frozen=True)
@@ -44,11 +46,27 @@ class LayerSpec:
 
 @dataclass
 class Network:
+    """Construction packs the parameters into one float64 vector, `params`,
+    laid out W0, b0, W1, b1, ...; weights[i] and biases[i] are views of it."""
+
     specs: list[LayerSpec]
     weights: list[np.ndarray]  # each (out_dim, in_dim)
     biases: list[np.ndarray]  # each (out_dim,)
     seed: int
     param_version: int = 0
+    _views: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arrays = [np.asarray(a, dtype=float) for p in zip(self.weights, self.biases) for a in p]
+        params = np.concatenate([a.reshape(-1) for a in arrays])
+        self._views = _views(params, arrays)
+        self.weights, self.biases = self._views[0::2], self._views[1::2]
+
+    def __setstate__(self, state: dict) -> None:  # a copy or an unpickled net packs anew
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    params = property(lambda self: self._views[0].base)
 
     @property
     def in_dim(self) -> int:
@@ -59,7 +77,13 @@ class Network:
         return self.specs[-1].out_dim
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
+
+
+def _views(vector: np.ndarray, like) -> list[np.ndarray]:
+    """Views of consecutive stretches of a vector, shaped like the given arrays."""
+    ends = itertools.accumulate(a.size for a in like)
+    return [vector[end - a.size : end].reshape(a.shape) for a, end in zip(like, ends)]
 
 
 @dataclass
@@ -128,7 +152,8 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
     """Parameter gradients from d loss / d logits, summed over the batch.
 
     Pass per-sample gradient rows divided by the batch size to get the
-    gradient of the batch-mean loss.
+    gradient of the batch-mean loss. The pairs are views of one fresh vector
+    in the parameters' layout, which step takes whole.
     """
     if cache.param_version != net.param_version:
         raise ValueError("stale cache: network parameters changed since forward")
@@ -142,9 +167,11 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
         )
     if net.specs[-1].hidden:
         raise ValueError("final layer must be identity (logits are pre-activation)")
-    grads = [None] * len(net.specs)
+    views = _views(np.empty(net.params.size), net._views)
+    grads = list(zip(views[0::2], views[1::2]))
     for i in reversed(range(len(net.specs))):
-        grads[i] = (d.T @ cache.inputs[i], d.sum(axis=0))
+        np.matmul(d.T, cache.inputs[i], out=grads[i][0])
+        d.sum(axis=0, out=grads[i][1])
         if i > 0:
             # d @ W is a fresh array, so the mask goes on in place and d_logits is
             # never written; ReLU is positive exactly where its argument is, so
@@ -169,8 +196,8 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     t: int = 0
-    slot1: list[np.ndarray] = field(default_factory=list)  # velocity / first moment
-    slot2: list[np.ndarray] = field(default_factory=list)  # second moment (adam)
+    slot1: np.ndarray | None = None  # velocity / first moment, laid out as Network.params
+    slot2: np.ndarray | None = None  # second moment (adam), laid out as Network.params
 
     def __post_init__(self) -> None:
         self.kind = OptKind(self.kind)
@@ -184,9 +211,18 @@ class OptimizerState:
             raise ValueError(f"eps: must be > 0, got {self.eps!r}")
 
 
-def _check_grads(net: Network, grads) -> None:
+def _grad_vector(net: Network, grads) -> np.ndarray:
+    """The gradients as one vector laid out as net.params, after checking their
+    count, shapes and finiteness. Pairs that view one such vector, as backward's
+    do, are read through it; any other list is tested pair by pair and packed."""
     if len(grads) != len(net.specs):
         raise ValueError(f"expected {len(net.specs)} gradient pairs, got {len(grads)}")
+    entries = [a for dw, db in grads for a in (dw, db)]
+    vector = getattr(entries[0], "base", None)
+    if isinstance(vector, np.ndarray) and vector.shape == net.params.shape and all(
+        a.base is vector and a.shape == p.shape for a, p in zip(entries, net._views)
+    ) and all_finite(vector):
+        return vector
     for i, (dw, db) in enumerate(grads):
         if dw.shape != net.weights[i].shape or db.shape != net.biases[i].shape:
             raise ValueError(f"gradient shape mismatch at layer {i}")
@@ -194,19 +230,7 @@ def _check_grads(net: Network, grads) -> None:
             raise ValueError(f"non-finite gradient for layer {i} weights")
         if not all_finite(db):
             raise ValueError(f"non-finite gradient for layer {i} biases")
-
-
-def _check_slots(opt: OptimizerState, params: list[np.ndarray]) -> None:
-    """Each slot list matches the parameters in count and shape, and every
-    parameter and slot is C-contiguous, so its flat view writes through."""
-    names = ("slot1", "slot2") if opt.kind == OptKind.ADAM_LIKE else ("slot1",)
-    for name in names:
-        slots = getattr(opt, name)
-        if len(slots) != len(params) or any(s.shape != p.shape for s, p in zip(slots, params)):
-            raise ValueError(f"optimizer {name} does not match the network's parameters")
-    for a in params + [s for name in names for s in getattr(opt, name)]:
-        if not a.flags.c_contiguous:
-            raise ValueError("parameters and optimizer slots must be C-contiguous")
+    return np.concatenate([a.reshape(-1) for a in entries])
 
 
 # Elements per block of the update loop. Every ufunc of a block writes into
@@ -218,62 +242,57 @@ _STEP_BLOCK = 32768
 def step(net: Network, opt: OptimizerState, grads) -> None:
     """Apply one optimizer update in place.
 
-    Each parameter, its gradient and its slots are walked as aligned flat
-    blocks; a parameter that fits in one block is updated whole. Every
-    rounding step of the expression form in the comments is kept, in the
-    same order, so the result is bit-identical to it. No parameter is
-    touched unless the gradients and the slots match the network.
+    The parameter, gradient and slot vectors are walked as aligned blocks;
+    a network that fits in one block is updated whole. Every rounding step
+    of the expression form in the comments is kept, in the same order, so
+    the result is bit-identical to it. No parameter is touched unless the
+    parameter views, the gradients and the slots match the network.
     """
-    _check_grads(net, grads)
-    params = list(net.weights) + list(net.biases)
-    flat_grads = [g[0] for g in grads] + [g[1] for g in grads]
+    views = [a for pair in zip(net.weights, net.biases) for a in pair]
+    if len(views) != len(net._views) or any(a is not b for a, b in zip(views, net._views)):
+        raise ValueError("weights and biases must stay views of net.params; edit them in place")
+    params, vector = net.params, _grad_vector(net, grads)
     adam = opt.kind == OptKind.ADAM_LIKE
-    if not opt.slot1:
-        opt.slot1 = [np.zeros_like(p) for p in params]
-        if adam:
-            opt.slot2 = [np.zeros_like(p) for p in params]
-    _check_slots(opt, params)
+    if opt.slot1 is None:
+        opt.slot1, opt.slot2 = np.zeros_like(params), (np.zeros_like(params) if adam else None)
+    for name in ("slot1", "slot2") if adam else ("slot1",):
+        if getattr(getattr(opt, name), "shape", None) != params.shape:
+            raise ValueError(f"optimizer {name} does not match the network's parameters")
     if adam:
         opt.t += 1
         c1 = 1.0 - opt.beta1**opt.t
         c2 = 1.0 - opt.beta2**opt.t
-    s1, s2 = np.empty((2, min(_STEP_BLOCK, max(p.size for p in params))))
-    for i, p in enumerate(params):
-        arrays = [p, flat_grads[i], opt.slot1[i]] + ([opt.slot2[i]] if adam else [])
-        flat = [a.reshape(-1) for a in arrays]
-        if p.size > _STEP_BLOCK:
-            starts = range(0, p.size, _STEP_BLOCK)
-            blocks = ([a[lo : lo + _STEP_BLOCK] for a in flat] for lo in starts)
+    arrays = [params, vector, opt.slot1] + ([opt.slot2] if adam else [])
+    s1, s2 = np.empty((2, min(_STEP_BLOCK, params.size)))
+    for lo in range(0, params.size, _STEP_BLOCK):
+        block = [a[lo : lo + _STEP_BLOCK] for a in arrays]
+        t1, t2 = s1[: block[0].size], s2[: block[0].size]
+        if adam:
+            pb, gb, mb, vb = block
+            # m = m*beta1 + (1-beta1)*g
+            np.multiply(gb, 1.0 - opt.beta1, out=t1)
+            mb *= opt.beta1
+            mb += t1
+            # v = v*beta2 + ((1-beta2)*g)*g
+            np.multiply(gb, 1.0 - opt.beta2, out=t1)
+            t1 *= gb
+            vb *= opt.beta2
+            vb += t1
+            # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
+            np.divide(mb, c1, out=t1)
+            t1 *= opt.lr
+            np.divide(vb, c2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += opt.eps
+            t1 /= t2
+            pb -= t1
         else:
-            blocks = [flat]
-        for block in blocks:
-            t1, t2 = s1[: block[0].size], s2[: block[0].size]
-            if adam:
-                pb, gb, mb, vb = block
-                # m = m*beta1 + (1-beta1)*g
-                np.multiply(gb, 1.0 - opt.beta1, out=t1)
-                mb *= opt.beta1
-                mb += t1
-                # v = v*beta2 + ((1-beta2)*g)*g
-                np.multiply(gb, 1.0 - opt.beta2, out=t1)
-                t1 *= gb
-                vb *= opt.beta2
-                vb += t1
-                # p -= lr*(m/c1) / (sqrt(v/c2) + eps)
-                np.divide(mb, c1, out=t1)
-                t1 *= opt.lr
-                np.divide(vb, c2, out=t2)
-                np.sqrt(t2, out=t2)
-                t2 += opt.eps
-                t1 /= t2
-                pb -= t1
-            else:
-                pb, gb, vb = block
-                # v = v*momentum + g, then p -= lr*v
-                vb *= opt.momentum
-                vb += gb
-                np.multiply(vb, opt.lr, out=t1)
-                pb -= t1
+            pb, gb, vb = block
+            # v = v*momentum + g, then p -= lr*v
+            vb *= opt.momentum
+            vb += gb
+            np.multiply(vb, opt.lr, out=t1)
+            pb -= t1
     net.param_version += 1
 
 
@@ -297,19 +316,25 @@ def save_checkpoint(net: Network, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
+def _field(doc, name: str, kind: type, where: str = ""):
+    """doc[name], which must be present and of exactly this JSON type."""
+    value = doc.get(name) if isinstance(doc, dict) else None
+    if type(value) is not kind:
+        raise ValueError(f"checkpoint {where}{name}: expected {kind.__name__}, got {value!r:.40}")
+    return value
+
+
 def load_checkpoint(path) -> Network:
     doc = json.loads(Path(path).read_text())
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a network checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
-    specs = []
-    weights = []
-    biases = []
-    for i, layer in enumerate(doc["layers"]):
-        spec = LayerSpec(int(layer["in_dim"]), int(layer["out_dim"]), bool(layer["hidden"]))
-        w = np.asarray(layer["weights"], dtype=float)
-        b = np.asarray(layer["biases"], dtype=float)
+    specs, weights, biases = [], [], []
+    for i, layer in enumerate(_field(doc, "layers", list)):
+        spec = LayerSpec(*(_field(layer, k, t, f"layer {i} ") for k, t in _LAYER_FIELDS))
+        w = np.asarray(_field(layer, "weights", list, f"layer {i} "), dtype=float)
+        b = np.asarray(_field(layer, "biases", list, f"layer {i} "), dtype=float)
         if w.size != spec.out_dim * spec.in_dim:
             raise ValueError(f"layer {i}: weight count does not match dimensions")
         if b.shape != (spec.out_dim,):
@@ -320,4 +345,4 @@ def load_checkpoint(path) -> Network:
         weights.append(w.reshape(spec.out_dim, spec.in_dim))
         biases.append(b)
     _validate_specs(specs)
-    return Network(specs=specs, weights=weights, biases=biases, seed=int(doc["seed"]))
+    return Network(specs=specs, weights=weights, biases=biases, seed=_field(doc, "seed", int))

@@ -8,7 +8,8 @@ The file name keeps it out of the test suite. Run it with pytest-benchmark:
 It times the rb-red objective on one (32, 5) mini-batch, the special-function
 kernel on the (32, 6) argument that objective passes it, one Adam step on
 a small (2 -> 16 -> 5) and a wide (64 -> 1024 -> 1024 -> 10) network, with
-the gradients backward returns, and one (cell, K) group of the gradient
+the gradients backward returns, forward + backward + step together on the
+small network (batch 32, Adam), and one (cell, K) group of the gradient
 oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and
 RecordColumns.load on 30,000 rows each, written as save_csv and save_records
 write them: a D = 2 dataset, and evidential records with no max_softmax.
@@ -59,6 +60,20 @@ def test_adam_step(benchmark, in_dim, hidden, out_dim):
     grads = backward(net, cache, logits / 32.0)
     # a tiny rate keeps the parameters near their start over many rounds
     benchmark(step, net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=1e-9), grads)
+
+
+def test_forward_backward_step_2_16_5(benchmark):
+    # backward fills the gradient vector that step then walks whole, so work
+    # moves between the two; compare their sum across commits, not each alone
+    net = init_network(dense_specs(2, [16], 5), seed=0)
+    x = np.random.default_rng(2).normal(size=(32, 2))
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=1e-9)
+
+    def mini_batch():
+        logits, cache = forward(net, x)
+        step(net, opt, backward(net, cache, logits / 32.0))
+
+    benchmark(mini_batch)
 
 
 def test_check_case_group(benchmark):

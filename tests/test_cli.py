@@ -7,6 +7,7 @@ import pytest
 from evidkit.cli import main
 from evidkit.datasets import load_csv
 from evidkit.metrics import SampleRecord, load_records, save_records
+from evidkit.network import dense_specs, init_network, save_checkpoint
 
 
 def write_cfg(tmp_path, name="cfg.json", **over):
@@ -228,6 +229,52 @@ def test_evaluate_class_mismatch_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "4 logits but dataset has 2 classes" in capsys.readouterr().err
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+def _first_layer(doc, layer):
+    return {**doc, "layers": [layer] + doc["layers"][1:]}
+
+
+# edits of a valid checkpoint, each of which must fail as one named error
+MALFORMED_CHECKPOINTS = {
+    "json-list": (lambda doc: [doc], "not a network checkpoint"),
+    "no-layers": (lambda doc: _without(doc, "layers"), "checkpoint layers: expected list"),
+    "layers-not-a-list": (lambda doc: {**doc, "layers": 3}, "checkpoint layers: expected list"),
+    "null-seed": (lambda doc: {**doc, "seed": None}, "checkpoint seed: expected int, got None"),
+    "layer-without-in_dim": (
+        lambda doc: _first_layer(doc, _without(doc["layers"][0], "in_dim")),
+        "checkpoint layer 0 in_dim: expected int, got None",
+    ),
+    "hidden-a-string": (
+        lambda doc: _first_layer(doc, {**doc["layers"][0], "hidden": "no"}),
+        "checkpoint layer 0 hidden: expected bool, got 'no'",
+    ),
+    "fractional-in_dim": (
+        lambda doc: _first_layer(doc, {**doc["layers"][0], "in_dim": 2.5}),
+        "checkpoint layer 0 in_dim: expected int, got 2.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_evaluate_malformed_checkpoint_exits_one_naming_the_field(tmp_path, capsys, case):
+    edit, message = MALFORMED_CHECKPOINTS[case]
+    good = tmp_path / "good.json"
+    save_checkpoint(init_network(dense_specs(2, [3], 4), seed=0), good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(good.read_text()))))
+    data = tmp_path / "toy.csv"
+    assert main(["gen-data", "--kind", "toy4", "--out", str(data)]) == 0
+    evaluate = ["evaluate", "--data", str(data), "--out", str(tmp_path / "records.csv")]
+    assert main(evaluate + ["--checkpoint", str(good)]) == 0
+    capsys.readouterr()
+    assert main(evaluate + ["--checkpoint", str(bad)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {message}")
 
 
 def test_read_path_builds_no_sample_records(tmp_path, monkeypatch, capsys):

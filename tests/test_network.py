@@ -1,8 +1,11 @@
 """Tests for the dense network, manual backprop, optimizers, checkpoints."""
 
+import copy
 import json
+import pickle
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -316,14 +319,22 @@ def test_adam_like_update_math_across_blocks():
         v = v * b2 + (1.0 - b2) * g * g
         p = p - lr * (m / c1) / (np.sqrt(v / c2) + eps)
         assert np.array_equal(net.weights[0], p)
-    assert np.array_equal(opt.slot1[0], m)
-    assert np.array_equal(opt.slot2[0], v)
+    # the moments are one vector each, laid out as the parameters: W0 first
+    assert np.array_equal(opt.slot1[: m.size], m.reshape(-1))
+    assert np.array_equal(opt.slot2[: v.size], v.reshape(-1))
+
+
+def one_vector_grads(value):
+    """Hand-built gradients of a 1024 -> 1024 layer, laid out as backward
+    lays them out: views of one vector, so step takes them without a copy."""
+    g = np.full(1024 * 1024 + 1024, value)
+    return [(g[: 1024 * 1024].reshape(1024, 1024), g[1024 * 1024 :])]
 
 
 @pytest.mark.parametrize("kind", list(OptKind))
 def test_step_temporaries_stay_small(kind):
     net = init_network([LayerSpec(1024, 1024, hidden=False)], seed=0)
-    grads = [(np.full((1024, 1024), 1e-3), np.full(1024, 1e-3))]
+    grads = one_vector_grads(1e-3)
     opt = OptimizerState(kind=kind, lr=0.01)
     step(net, opt, grads)  # allocates the slots
     tracemalloc.start()
@@ -344,7 +355,7 @@ def test_adam_step_checks_finiteness_without_a_gradient_sized_temporary(source):
         logits, cache = forward(net, np.full((1, 1024), 1e-3))
         grads = backward(net, cache, logits)
     else:
-        grads = [(np.full((1024, 1024), 1e-3), np.full(1024, 1e-3))]
+        grads = one_vector_grads(1e-3)
     opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.01)
     step(net, opt, grads)
     tracemalloc.start()
@@ -404,20 +415,117 @@ def test_step_rejects_slots_of_another_network(kind):
 def test_step_rejects_an_adam_state_without_second_moments():
     net = small_net()
     opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1)
-    opt.slot1 = [np.zeros_like(a) for a in net.weights + net.biases]
+    opt.slot1 = np.zeros_like(net.params)
     logits, cache = forward(net, np.array([0.5, -1.2]))
     with pytest.raises(ValueError, match="slot2 does not match"):
         step(net, opt, backward(net, cache, logits))
 
 
 def test_step_rejects_a_non_contiguous_parameter():
-    # a transposed weight has no flat view, so an update would be lost
+    # a transposed weight given at construction is packed into the vector ...
     w = np.array([[1.0, 2.0], [3.0, 4.0]]).T
     net = Network(specs=[LayerSpec(2, 2, hidden=False)], weights=[w], biases=[np.zeros(2)], seed=0)
+    assert np.array_equal(net.params, [1.0, 3.0, 2.0, 4.0, 0.0, 0.0])
+    opt = OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1)
     grads = [(np.ones((2, 2)), np.ones(2))]
-    with pytest.raises(ValueError, match="C-contiguous"):
+    # ... but one assigned later is a view step would not update
+    net.weights[0] = net.weights[0].T
+    with pytest.raises(ValueError, match="must stay views of net.params"):
+        step(net, opt, grads)
+    assert np.array_equal(net.params, [1.0, 3.0, 2.0, 4.0, 0.0, 0.0])
+    assert opt.slot1 is None and net.param_version == 0
+
+
+def test_parameters_are_views_of_one_vector_in_layer_order():
+    net = init_network(dense_specs(2, [3], 2), seed=1)
+    w0, b0, w1, b1 = net.weights[0], net.biases[0], net.weights[1], net.biases[1]
+    want = np.concatenate([w0.ravel(), b0, w1.ravel(), b1])
+    assert net.params.shape == (net.param_count(),) and np.array_equal(net.params, want)
+    assert all(a.base is net.params for a in net.weights + net.biases)
+    net.weights[1][0, 2] = 7.0  # an in-place edit writes through
+    assert net.params[6 + 3 + 2] == 7.0
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copied_network_has_its_own_vector_and_steps(how):
+    net = small_net()
+    twin = copy.deepcopy(net) if how == "deepcopy" else pickle.loads(pickle.dumps(net))
+    assert not np.shares_memory(twin.params, net.params)
+    assert all(a.base is twin.params for a in twin.weights + twin.biases)
+    before = net.params.copy()
+    logits, cache = forward(twin, np.array([0.5, -1.2]))
+    step(twin, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), backward(twin, cache, logits))
+    assert np.array_equal(net.params, before) and not np.array_equal(twin.params, before)
+
+
+def test_backward_pairs_view_one_fresh_vector_that_step_does_not_keep():
+    net = small_net()
+    logits, cache = forward(net, np.array([[0.5, -1.2], [1.5, 0.7]]))
+    grads = backward(net, cache, logits)
+    vector = grads[0][0].base
+    assert vector.shape == net.params.shape and not np.shares_memory(vector, net.params)
+    assert all(a.base is vector for pair in grads for a in pair)
+    assert backward(net, cache, logits)[0][0].base is not vector
+    kept = weakref.ref(vector)
+    step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), grads)
+    del grads, vector
+    assert kept() is None
+
+
+@pytest.mark.parametrize("kind", list(OptKind))
+def test_a_hand_built_gradient_list_steps_like_backwards_vector(kind):
+    # a list that is not backward's is checked pair by pair and packed once;
+    # the update is the same, bit for bit, over several steps
+    a, b = (init_network(dense_specs(3, [4, 5], 2), seed=2) for _ in range(2))
+    opt_a, opt_b = OptimizerState(kind=kind, lr=0.05), OptimizerState(kind=kind, lr=0.05)
+    x = np.random.default_rng(4).normal(size=(6, 3))
+    for _ in range(3):
+        logits, cache = forward(a, x)
+        grads = backward(a, cache, logits / 6.0)
+        step(b, opt_b, [(dw.copy(), db.copy()) for dw, db in grads])
+        step(a, opt_a, grads)
+        assert a.params.tobytes() == b.params.tobytes()
+        assert opt_a.slot1.tobytes() == opt_b.slot1.tobytes()
+    if kind == OptKind.ADAM_LIKE:
+        assert opt_a.slot2.tobytes() == opt_b.slot2.tobytes()
+
+
+@pytest.mark.parametrize("replace", ["weights", "biases"])
+def test_step_rejects_a_reassigned_parameter_array(replace):
+    net = small_net()
+    logits, cache = forward(net, np.array([0.5, -1.2]))
+    grads = backward(net, cache, logits)
+    arrays = getattr(net, replace)
+    arrays[1] = arrays[1].copy()  # same values, but forward would read it and step would not
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="weights and biases must stay views of net.params"):
         step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), grads)
-    assert np.array_equal(net.weights[0], [[1.0, 3.0], [2.0, 4.0]])
+    assert np.array_equal(net.params, before) and net.param_version == 0
+
+
+def test_step_names_the_layer_of_a_non_finite_entry_of_backwards_vector():
+    net = small_net()
+    logits, cache = forward(net, np.array([0.5, -1.2]))
+    grads = backward(net, cache, logits)
+    grads[1][1][0] = np.inf  # written through the view, into the vector
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="non-finite gradient for layer 1 biases"):
+        step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), grads)
+    assert np.array_equal(net.params, before)
+
+
+@pytest.mark.parametrize("kind", list(OptKind))
+def test_step_rejects_per_parameter_slots(kind):
+    # the slot layout before the one-vector layout: a list of per-parameter arrays
+    net = small_net()
+    opt = OptimizerState(kind=kind, lr=0.1)
+    opt.slot1 = [np.zeros_like(a) for a in net.weights + net.biases]
+    opt.slot2 = [np.zeros_like(a) for a in net.weights + net.biases]
+    logits, cache = forward(net, np.array([0.5, -1.2]))
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="slot1 does not match"):
+        step(net, opt, backward(net, cache, logits))
+    assert np.array_equal(net.params, before) and opt.t == 0
 
 
 def test_step_increments_param_version():

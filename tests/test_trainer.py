@@ -229,6 +229,40 @@ def test_rb_red_run_is_pinned_bit_for_bit():
     assert digest == "30b478d7bb85dd00244fbaf70e9224c62fd28051a1479c2f3339e555aa89fc39"
 
 
+@pytest.mark.parametrize(
+    "optimizer, want",
+    [
+        (
+            OptConfig(kind="adam_like", lr=0.005),
+            "0b6c1fe82490d9902abae62e5cdb9bcf6050506860e583441eff8e206534f712",
+        ),
+        (
+            OptConfig(kind="sgd_momentum", lr=0.01),
+            "34ef4001ae6b3d4875fdc419811586226b91bca52482ca3c478fbb89d0a57fe5",
+        ),
+    ],
+    ids=["adam", "sgd-momentum"],
+)
+def test_blocked_step_run_is_pinned_bit_for_bit(optimizer, want):
+    # 2 -> 300 -> 200 -> 5 has 62,105 parameters: the optimizer walks them in
+    # two 32,768-element blocks, and layer boundaries fall inside the blocks.
+    # Recorded on the same platform as the rb-red pin above.
+    blobs = dict(kind="blobs", d=2, k=5, n_per_class=12, stddev=1.0, radius=6.0)
+    cfg = ExperimentConfig(
+        name="blocked",
+        train_data=DataConfig(**blobs, seed=1),
+        test_data=DataConfig(**blobs, seed=2),
+        hidden_dims=[300, 200],
+        loss="ev_log",
+        activation="exp",
+        optimizer=optimizer,
+        epochs=3,
+        batch_size=16,
+        seed=6,
+    )
+    assert run_digest(run_experiment(cfg)) == want
+
+
 def test_seed_changes_the_run():
     a = run_experiment(tiny_cfg(seed=1, epochs=2))
     b = run_experiment(tiny_cfg(seed=2, epochs=2))
