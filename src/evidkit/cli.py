@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._schema import member, read_object
 from .datasets import save_csv
 from .evidence import Activation
 from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, RED, _check_settings, run_grid
@@ -33,15 +34,7 @@ from .metrics import (
 from .network import load_checkpoint, save_checkpoint
 from .regularizers import IncReg
 from .trainer import (
-    ConfigError,
-    DataConfig,
-    ExperimentConfig,
-    _check_types,
-    _member,
-    evaluate,
-    run_experiment,
-    save_epoch_csv,
-    sweep,
+    ConfigError, DataConfig, ExperimentConfig, evaluate, run_experiment, save_epoch_csv, sweep
 )
 
 __all__ = ["main"]
@@ -71,22 +64,8 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object in a config file; any other content is a ConfigError."""
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {p}: invalid JSON ({e})") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {p}: expected a JSON object")
-    return doc
-
-
 def _load_config(path: str) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_dict(_read_config(path))
+    cfg = ExperimentConfig.from_dict(read_object(path, "config"))
     cfg.validate()
     return cfg
 
@@ -162,13 +141,12 @@ def _grid_reg(name) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    doc = _read_config(args.config) if args.config else {}
     where = f"config {args.config}: "
     names = {"losses": Loss, "activations": Activation, "regularizers": _grid_reg}
-    fields = {"samples": "int", "h": "float", "tol": "float"} | dict.fromkeys(names, "list")
-    _check_types(fields, doc, where)
+    fields = {"samples": "int", "h": "float", "tol": "float"} | dict.fromkeys(names, "list[str]")
+    doc = read_object(args.config, "config", fields, ()) if args.config else {}
     grid = {
-        k: [_member(parse, v, where + k, "name") for v in doc[k]]
+        k: [member(parse, v, where + k, "name") for v in doc[k]]
         for k, parse in names.items()
         if k in doc
     }
@@ -372,7 +350,7 @@ def main(argv=None) -> int:
     except (ConfigError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (RuntimeError, OSError) as e:
+    except (RuntimeError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

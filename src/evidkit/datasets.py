@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._schema import read_object
+
 __all__ = [
     "Dataset",
     "BlobSpec",
@@ -142,6 +144,11 @@ def make_ood_shift(base: BlobSpec, shift, name: str | None = None) -> Dataset:
     )
 
 
+# The fields save_csv writes to a sidecar; a sidecar holds each of them.
+_SIDECAR_FIELDS = {"name": "str", "k": "int", "d": "int", "n": "int", "seed": "int | None",
+                   "ood": "bool"}
+
+
 def _sidecar_path(path) -> Path:
     return Path(str(path) + ".meta.json")
 
@@ -180,10 +187,8 @@ def load_csv(path, k: int | None = None) -> Dataset:
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
         raise ValueError(f"{path}: bad header, expected f0,...,f{{D-1}},label")
     d = len(header) - 1
-    meta = {}
     sidecar = _sidecar_path(path)
-    if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+    meta = read_object(sidecar, "sidecar", _SIDECAR_FIELDS) if sidecar.exists() else {}
     if k is None:
         k = meta.get("k")
     row = np.dtype([("features", float, (d,)), ("label", np.int64)])

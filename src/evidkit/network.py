@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from ._arrays import all_finite
+from ._schema import check_fields, read_object
 
 __all__ = [
     "LayerSpec",
@@ -34,7 +35,9 @@ __all__ = [
 
 CHECKPOINT_FORMAT = "evidkit-network"
 CHECKPOINT_VERSION = 1
-_LAYER_FIELDS = (("in_dim", int), ("out_dim", int), ("hidden", bool))  # LayerSpec's, in order
+_CHECKPOINT_FIELDS = {"format": "str", "version": "int", "seed": "int", "layers": "list[dict]"}
+_LAYER_FIELDS = {"in_dim": "int", "out_dim": "int", "hidden": "bool", "weights": "list[float]",
+                 "biases": "list[float]"}
 
 
 @dataclass(frozen=True)
@@ -316,33 +319,23 @@ def save_checkpoint(net: Network, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
-def _field(doc, name: str, kind: type, where: str = ""):
-    """doc[name], which must be present and of exactly this JSON type."""
-    value = doc.get(name) if isinstance(doc, dict) else None
-    if type(value) is not kind:
-        raise ValueError(f"checkpoint {where}{name}: expected {kind.__name__}, got {value!r:.40}")
-    return value
-
-
 def load_checkpoint(path) -> Network:
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
+    doc = read_object(path, "checkpoint")
+    if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a network checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
     specs, weights, biases = [], [], []
-    for i, layer in enumerate(_field(doc, "layers", list)):
-        spec = LayerSpec(*(_field(layer, k, t, f"layer {i} ") for k, t in _LAYER_FIELDS))
-        w = np.asarray(_field(layer, "weights", list, f"layer {i} "), dtype=float)
-        b = np.asarray(_field(layer, "biases", list, f"layer {i} "), dtype=float)
+    for i, layer in enumerate(check_fields(_CHECKPOINT_FIELDS, doc, "checkpoint ")["layers"]):
+        check_fields(_LAYER_FIELDS, layer, f"checkpoint layer {i} ")
+        spec = LayerSpec(layer["in_dim"], layer["out_dim"], layer["hidden"])
+        w, b = (np.asarray(layer[k], dtype=float) for k in ("weights", "biases"))
         if w.size != spec.out_dim * spec.in_dim:
             raise ValueError(f"layer {i}: weight count does not match dimensions")
         if b.shape != (spec.out_dim,):
             raise ValueError(f"layer {i}: bias count does not match out_dim")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError(f"layer {i}: non-finite weights or biases")
         specs.append(spec)
         weights.append(w.reshape(spec.out_dim, spec.in_dim))
         biases.append(b)
     _validate_specs(specs)
-    return Network(specs=specs, weights=weights, biases=biases, seed=_field(doc, "seed", int))
+    return Network(specs=specs, weights=weights, biases=biases, seed=doc["seed"])

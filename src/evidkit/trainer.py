@@ -6,13 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import numbers
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._schema import ConfigError, check_fields, member
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class
 from .losses import Loss, softmax
@@ -44,48 +43,6 @@ __all__ = [
     "epoch_csv_header",
     "save_epoch_csv",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
-
-
-# Value types accepted per field annotation; a bool is never taken for a number.
-_JSON_TYPES = {"str": str, "int": numbers.Integral, "float": numbers.Real, "bool": bool, "list": list}
-
-
-def _matches(kind: str, value) -> bool:
-    """Whether value fits the annotation kind; list[T] checks every element,
-    and annotations with no JSON type pass."""
-    if kind.startswith("list[") and kind.endswith("]"):
-        return isinstance(value, list) and all(_matches(kind[5:-1], v) for v in value)
-    if kind not in _JSON_TYPES:
-        return True
-    ok = isinstance(value, _JSON_TYPES[kind]) and (kind == "bool" or not isinstance(value, bool))
-    # a float must be finite: JSON may spell NaN, Infinity or 1e400
-    return ok and (kind != "float" or abs(value) <= sys.float_info.max)
-
-
-def _check_types(types: dict, doc: dict, where: str) -> None:
-    """ConfigError naming the first field of doc not in types, else the first that
-    does not match its annotation; None matches an optional one, and other
-    annotations pass."""
-    extra = doc.keys() - types
-    if extra:
-        raise ConfigError(f"{where}{sorted(extra)[0]}: unknown field")
-    for name, value in doc.items():
-        kind, _, optional = types[name].partition(" | ")
-        if not (value is None and optional) and not _matches(kind, value):
-            expected = kind.replace("float", "finite float")
-            raise ConfigError(f"{where}{name}: expected {expected}, got {value!r}")
-
-
-def _member(enum, value, where: str, what: str):
-    """enum(value), or a ConfigError naming the field and the bad value."""
-    try:
-        return enum(value)
-    except ValueError:
-        raise ConfigError(f"{where}: unknown {what} {value!r}") from None
 
 
 @dataclass
@@ -159,7 +116,7 @@ class OptConfig:
     eps: float = 1e-8
 
     def validate(self, where: str = "optimizer") -> None:
-        _member(OptKind, self.kind, f"{where}.kind", "optimizer")
+        member(OptKind, self.kind, f"{where}.kind", "optimizer")
         # OptimizerState holds the ranges of the fields; its messages lead with the field
         try:
             self.build()
@@ -190,9 +147,9 @@ class ExperimentConfig:
     zero_ev_taus: list[float] = field(default_factory=lambda: list(CENSUS_THRESHOLDS))
 
     def validate(self) -> None:
-        loss = _member(Loss, self.loss, "loss", "loss kind")
-        act = _member(Activation, self.activation, "activation", "activation")
-        inc = _member(IncReg, self.inc_reg, "inc_reg", "regularizer")
+        loss = member(Loss, self.loss, "loss", "loss kind")
+        act = member(Activation, self.activation, "activation", "activation")
+        inc = member(IncReg, self.inc_reg, "inc_reg", "regularizer")
         if self.lambda1 < 0:
             raise ConfigError("lambda1: must be >= 0")
         if self.use_correct_reg and act != Activation.EXP:
@@ -218,25 +175,20 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("config: expected a JSON object")
-        doc = dict(doc)
+        return _from_dict(ExperimentConfig, doc, "")
 
-        def sub(cls, value, where):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}: expected an object")
-            _check_types({f.name: f.type for f in dataclasses.fields(cls)}, value, f"{where}.")
-            return cls(**value)
 
-        types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-        _check_types(types, doc, "")
-        if "train_data" not in doc:
-            raise ConfigError("train_data: required")
-        if "name" not in doc:
-            raise ConfigError("name: required")
-        for key in ("train_data", "test_data", "ood_data", "optimizer"):
-            # a null optional config stays None; a null required one is rejected
-            if key in doc and not (doc[key] is None and types[key].endswith("| None")):
-                doc[key] = sub(OptConfig if key == "optimizer" else DataConfig, doc[key], key)
-        return ExperimentConfig(**doc)
+def _from_dict(cls, doc: dict, where: str):
+    """cls(**doc) once the rule has checked every field; an object is a nested
+    config, built the same way. A field with no default is required."""
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    doc = dict(check_fields({f.name: f.type for f in fields}, doc, where, required))
+    for f in fields:
+        if isinstance(doc.get(f.name), dict):
+            sub = OptConfig if f.name == "optimizer" else DataConfig
+            doc[f.name] = _from_dict(sub, doc[f.name], f"{where}{f.name}.")
+    return cls(**doc)
 
 
 @dataclass

@@ -13,6 +13,9 @@ small network (batch 32, Adam), and one (cell, K) group of the gradient
 oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and
 RecordColumns.load on 30,000 rows each, written as save_csv and save_records
 write them: a D = 2 dataset, and evidential records with no max_softmax.
+Last, it times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
+parameters, the shape of the trainer's blocked-step pin), whose reading is
+mostly the JSON parse and the type check of every weight.
 """
 
 import numpy as np
@@ -30,6 +33,8 @@ from evidkit.network import (
     dense_specs,
     forward,
     init_network,
+    load_checkpoint,
+    save_checkpoint,
     step,
 )
 from evidkit.regularizers import IncReg, composite_loss
@@ -111,3 +116,9 @@ def test_load_csv(benchmark, read_path_files):
 
 def test_record_columns_load(benchmark, read_path_files):
     benchmark(RecordColumns.load, read_path_files / "records.csv")
+
+
+def test_load_checkpoint(benchmark, tmp_path):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(init_network(dense_specs(2, [300, 200], 5), seed=6), path)
+    benchmark(load_checkpoint, path)

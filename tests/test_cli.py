@@ -241,13 +241,13 @@ def _first_layer(doc, layer):
 
 # edits of a valid checkpoint, each of which must fail as one named error
 MALFORMED_CHECKPOINTS = {
-    "json-list": (lambda doc: [doc], "not a network checkpoint"),
-    "no-layers": (lambda doc: _without(doc, "layers"), "checkpoint layers: expected list"),
+    "json-list": (lambda doc: [doc], "checkpoint {bad}: expected a JSON object"),
+    "no-layers": (lambda doc: _without(doc, "layers"), "checkpoint layers: required"),
     "layers-not-a-list": (lambda doc: {**doc, "layers": 3}, "checkpoint layers: expected list"),
     "null-seed": (lambda doc: {**doc, "seed": None}, "checkpoint seed: expected int, got None"),
     "layer-without-in_dim": (
         lambda doc: _first_layer(doc, _without(doc["layers"][0], "in_dim")),
-        "checkpoint layer 0 in_dim: expected int, got None",
+        "checkpoint layer 0 in_dim: required",
     ),
     "hidden-a-string": (
         lambda doc: _first_layer(doc, {**doc["layers"][0], "hidden": "no"}),
@@ -256,6 +256,15 @@ MALFORMED_CHECKPOINTS = {
     "fractional-in_dim": (
         lambda doc: _first_layer(doc, {**doc["layers"][0], "in_dim": 2.5}),
         "checkpoint layer 0 in_dim: expected int, got 2.5",
+    ),
+    # both used to load: NumPy took true for 1.0 and reshaped any nesting
+    "weights-all-true": (
+        lambda doc: _first_layer(doc, {**doc["layers"][0], "weights": [True] * 6}),
+        "checkpoint layer 0 weights: expected list[finite float], got [True, True",
+    ),
+    "weights-nested": (
+        lambda doc: _first_layer(doc, {**doc["layers"][0], "weights": [[1.0] * 2] * 3}),
+        "checkpoint layer 0 weights: expected list[finite float], got [[1.0, 1.0]",
     ),
 }
 
@@ -274,7 +283,51 @@ def test_evaluate_malformed_checkpoint_exits_one_naming_the_field(tmp_path, caps
     capsys.readouterr()
     assert main(evaluate + ["--checkpoint", str(bad)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {message}")
+    assert len(err) == 1 and err[0].startswith(f"error: {message.format(bad=bad)}")
+
+
+# a dataset sidecar or a checkpoint that save_csv or save_checkpoint would
+# not write; each fails as one error line naming the file, and the field when
+# there is one (the sidecar cases used to end in tracebacks or a label error)
+BAD_FILES = {
+    "sidecar-k-a-string": ("sidecar", '{"k": "3"}', ": k: expected int, got '3'"),
+    "sidecar-a-json-list": ("sidecar", "[1, 2]", ": expected a JSON object"),
+    "sidecar-k-a-bool": ("sidecar", '{"k": true}', ": k: expected int, got True"),
+    "sidecar-not-json": ("sidecar", "{not json", ": invalid JSON"),
+    "sidecar-not-utf8": ("sidecar", b'{"name": "\xff"}', ": invalid JSON"),
+    "checkpoint-not-json": ("checkpoint", "", ": invalid JSON"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_evaluate_bad_sidecar_or_checkpoint_exits_one_naming_the_file(tmp_path, capsys, case):
+    kind, content, message = BAD_FILES[case]
+    data, checkpoint = tmp_path / "toy.csv", tmp_path / "checkpoint.json"
+    assert main(["gen-data", "--kind", "toy4", "--out", str(data)]) == 0
+    save_checkpoint(init_network(dense_specs(2, [3], 4), seed=0), checkpoint)
+    path = checkpoint if kind == "checkpoint" else tmp_path / "toy.csv.meta.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    capsys.readouterr()
+    out = tmp_path / "records.csv"
+    evaluate = ["evaluate", "--checkpoint", str(checkpoint), "--data", str(data), "--out", str(out)]
+    assert main(evaluate) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {kind} {path}{message}")
+    assert not out.exists()
+
+
+def test_train_network_too_large_to_allocate_exits_two(tmp_path, capsys):
+    # 10**12 x 64 float64 weights exceed any 64-bit address space, so the
+    # allocation fails at once, whatever the host's overcommit setting
+    cfg = write_cfg(tmp_path, train_data={"kind": "toy4", "d": 64}, hidden_dims=[10**12])
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+    assert list(out.iterdir()) == []
 
 
 def test_read_path_builds_no_sample_records(tmp_path, monkeypatch, capsys):

@@ -621,8 +621,10 @@ def test_load_checkpoint_rejects_foreign_and_corrupt_files(tmp_path):
     # right weight count, but one bias too many or a non-finite value
     for weights, biases, match in (
         ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0], "layer 0: bias count"),
-        ([1.0, float("nan"), 3.0, 4.0], [0.0, 0.0], "layer 0: non-finite"),
-        ([1.0, 2.0, 3.0, 4.0], [0.0, float("-inf")], "layer 0: non-finite"),
+        ([1.0, float("nan"), 3.0, 4.0], [0.0, 0.0],
+         r"layer 0 weights: expected list\[finite float\]"),
+        ([1.0, 2.0, 3.0, 4.0], [0.0, float("-inf")],
+         r"layer 0 biases: expected list\[finite float\]"),
     ):
         layer = {"in_dim": 2, "out_dim": 2, "hidden": False, "weights": weights, "biases": biases}
         p.write_text(json.dumps(
