@@ -1,6 +1,8 @@
-"""Array helpers shared by the layers."""
+"""Array helpers shared by the layers, and the one text writer of the
+records and dataset CSVs."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -17,3 +19,149 @@ def all_finite(x: np.ndarray) -> bool:
             if math.isfinite(x.sum()):
                 return True
     return bool(np.isfinite(x).all())
+
+
+# format_g17 scales |v| in [1e-280, 1e280] by 10**q, q = 16 - X, where X =
+# floor(log10|v|) guesses the decimal exponent: 10**q is a double-double
+# hi + lo from exact integers, and |v| * hi is exact by Dekker's two-product
+# on Veltkamp halves, so the scaled value is known to about 1e-13. Its
+# 17-digit rounding is kept only where that proves it: 17 integer digits and
+# a fraction more than 1e-6 away from 1/2. Every other entry (zero, tiny or
+# huge, NaN or inf, a wrong guess, a tie) goes to Python's own "%.17g". A
+# cell is seven uint64 words: the prefix, five body words with digit i at
+# byte 6 + 2i and a slot for the point after it, and the exponent suffix.
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split into two 26-bit halves
+_Q = range(-266, 299)
+G17_WIDTH = 56  # bytes per format_g17 cell
+
+
+def _words(rows: list) -> np.ndarray:
+    """Byte strings of one length as rows of uint64 words."""
+    return np.frombuffer(b"".join(rows), np.uint64).reshape(len(rows), -1)
+
+
+def _shown(point: int, k: int) -> bytes:
+    """The body mask that keeps the first k digits, and the point after
+    digit `point` when a kept digit follows it."""
+    mask = bytearray(40)
+    mask[6 : 6 + 2 * k : 2] = b"\xff" * k
+    if k > point + 1:
+        mask[7 + 2 * point] = 0xFF
+    return bytes(mask)
+
+
+def _tables() -> SimpleNamespace:
+    """format_g17's tables, built at import (built in a first call, next to
+    the caller's live arrays, they kept the heap from shrinking). Per q in
+    _Q: hi, its upper Veltkamp half, lo, the prefix word by sign ("-", then
+    the "0." and zeros of a fixed layout below 1), the exponent suffix word,
+    the digit the point follows (16: none) and the fewest digits shown.
+    group[v]: the 4 digits of v, each followed by a point; last[v]: how many
+    run up to the last nonzero one; shown[point * 18 + k]: _shown(point, k)."""
+    hi, lo, pre, suf, point, head = [], [], [], [], [], []
+    for q in _Q:
+        x, p = 16 - q, 10 ** abs(q)
+        h = float(p) if q >= 0 else 1 / p
+        m, d = h.as_integer_ratio()  # h == m / d exactly, d a power of 2
+        hi.append(h)
+        # 10**q - h: p - m, or (d - m * p) / (p * d) with the power of 2 taken out
+        lo.append(float(p - m) if q >= 0 else math.ldexp((d - m * p) / p, 1 - d.bit_length()))
+        fixed = -4 <= x <= 16
+        zeros = b"0." + b"0" * (-x - 1) if fixed and x < 0 else b""
+        pre += [zeros.ljust(8, b"\0"), (b"-" + zeros).ljust(8, b"\0")]
+        suf.append((b"" if fixed else b"e%+03d" % x).ljust(8, b"\0"))
+        point.append((x if 0 <= x < 16 else 16) if fixed else 0)
+        head.append(x + 1 if fixed and x >= 0 else 1)
+    hi = np.array(hi)
+    c = _SPLIT * hi
+    # group and last are built from the hundred 2-digit pairs
+    pairs = np.frombuffer(b"".join(b"%d.%d." % divmod(v, 10) for v in range(100)), np.uint32)
+    group = np.empty((100, 100, 2), np.uint32)
+    group[:, :, 0], group[:, :, 1] = pairs[:, None], pairs
+    last2 = [0] + [2 if v % 10 else 1 for v in range(1, 100)]
+    last = bytes([2 + last2[b] if b else last2[a] for a in range(100) for b in range(100)])
+    return SimpleNamespace(
+        hi=hi, hi_upper=c - (c - hi), lo=np.array(lo), prefix=_words(pre)[:, 0],
+        suffix=_words(suf)[:, 0], point=np.array(point), head=np.array(head),
+        group=group.view(np.uint64).ravel(), last=np.frombuffer(last, np.int8),
+        shown=_words([_shown(after, k) for after in range(17) for k in range(18)]),
+    )
+
+
+_T = _tables()
+
+
+def format_g17(x) -> np.ndarray:
+    """The text of "%.17g" % v for each entry v of x, in order, as
+    (x.size, G17_WIDTH) uint8 cells: a cell with its NUL bytes dropped is
+    that text in ASCII."""
+    x = np.asarray(x, dtype=float).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    q = 16 - _Q.start - np.floor(np.log10(a)).astype(np.intp)  # index of the scale
+    hi, hi_upper = _T.hi.take(q), _T.hi_upper.take(q)
+    p = a * hi
+    c = _SPLIT * a
+    a_upper = c - (c - a)
+    a_lower, hi_lower = a - a_upper, hi - hi_upper
+    # a * (hi + lo) - p: the exact error of p, then the lo term
+    r = (a_upper * hi_upper - p) + a_upper * hi_lower + a_lower * hi_upper
+    r += a_lower * hi_lower + a * _T.lo.take(q)
+    whole = np.floor(r)
+    n = p.astype(np.int64) + whole.astype(np.int64)
+    r -= whole
+    fast &= (np.abs(r - 0.5) > 1e-6) & (n >= 10**16)
+    n += r > 0.5
+    fast &= n < 10**17
+    n[~fast] = 10**16
+    groups = np.empty((5, x.size), np.intp)  # the leading digit, then four 4-digit groups
+    groups[0], rest = np.divmod(n, 10**16)
+    groups[1], rest = np.divmod(rest, 10**12)
+    groups[2], rest = np.divmod(rest, 10**8)
+    groups[3], groups[4] = np.divmod(rest, 10**4)
+    last = _T.last.take(groups[1:])  # digits shown up to the last nonzero one, by group
+    digits = np.maximum.reduce(last + (last > 0) * np.arange(1, 17, 4, dtype=np.int8)[:, None])
+    shown = _T.point.take(q) * 18 + np.maximum(digits, _T.head.take(q))
+    cells = np.empty((x.size, 7), np.uint64)
+    cells[:, 0] = _T.prefix.take(2 * q + (x < 0))
+    cells[:, 1:6] = _T.group.take(groups.T) & _T.shown.take(shown, axis=0)
+    cells[:, 6] = _T.suffix.take(q)
+    cells = cells.view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    cells.view(f"S{G17_WIDTH}")[slow, 0] = ["%.17g" % v for v in x[slow].tolist()]
+    return cells
+
+
+def int_cells(x) -> np.ndarray:
+    """The text of "%d" % v for each entry v of x, as (x.size, w) uint8
+    cells padded with NUL bytes."""
+    values, at = np.unique(x, return_inverse=True)
+    text = np.array([b"%d" % v for v in values.tolist()])
+    return text.take(at.ravel()).view(np.uint8).reshape(at.size, -1)
+
+
+# Rows per block of write_csv, so its temporaries stay small whatever N is.
+_BLOCK_ROWS = 8192
+
+
+def write_csv(path, header: str, n: int, fields) -> None:
+    """Write the header line, then n comma-separated lines in blocks of
+    _BLOCK_ROWS. fields(rows) gives the cells of the rows in the slice rows:
+    a list of uint8 arrays, (m, w) for one column or (m, k, w) for k, each
+    cell the column's text with NUL bytes anywhere (they are dropped)."""
+    with open(path, "wb") as f:
+        f.write(header.encode() + b"\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            cols = [c[:, None] if c.ndim == 2 else c for c in fields(slice(start, start + _BLOCK_ROWS))]
+            m = len(cols[0])
+            line = np.empty((m, sum(k * (w + 1) for _, k, w in (c.shape for c in cols))), np.uint8)
+            at = 0
+            for c in cols:
+                _, k, w = c.shape
+                cells = line[:, at : at + k * (w + 1)].reshape(m, k, w + 1)  # a view
+                cells[..., :w] = c
+                cells[..., w] = ord(",")
+                at += k * (w + 1)
+            line[:, -1] = ord("\n")
+            f.write(line.tobytes().translate(None, b"\0"))

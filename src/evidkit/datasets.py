@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import format_g17, int_cells, write_csv
 from ._schema import read_object
 
 __all__ = [
@@ -154,13 +155,15 @@ def _sidecar_path(path) -> Path:
 
 
 def save_csv(ds: Dataset, path) -> None:
-    """Header f0,...,f{D-1},label; 17 significant digits; JSON sidecar."""
+    """Header f0,...,f{D-1},label; features as "%.17g" writes them; JSON sidecar."""
     path = Path(path)
-    cols = [f"f{i}" for i in range(ds.d)] + ["label"]
-    lines = [",".join(cols)]
-    for row, label in zip(ds.features, ds.labels):
-        lines.append(",".join(f"{v:.17g}" for v in row) + f",{int(label)}")
-    path.write_text("\n".join(lines) + "\n")
+    header = ",".join([f"f{i}" for i in range(ds.d)] + ["label"])
+
+    def fields(rows: slice) -> list:
+        feats = ds.features[rows]
+        return [format_g17(feats).reshape(len(feats), ds.d, -1), int_cells(ds.labels[rows])]
+
+    write_csv(path, header, ds.n, fields)
     meta = {
         "name": ds.name,
         "k": ds.k,
@@ -225,9 +228,22 @@ _READER = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 1}
 def _text_lines(path: Path) -> tuple[list, list, bool]:
     """A text file's lines, its first two non-blank lines (fewer if it has
     fewer), the header and the first data row, and whether every line is plain."""
-    text = path.read_text()
+    text = _utf8_text(path)
     lines = text.splitlines()
     return lines, list(islice(filter(str.strip, lines), 2)), _plain(text)
+
+
+def _utf8_text(path: Path) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 raises a ValueError
+    naming the file, the row and the byte offset."""
+    data = path.read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        row = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(
+            f"{path} row {row}: not UTF-8 text (byte {data[e.start]:#04x} at offset {e.start})"
+        ) from None
 
 
 def _first(mask: np.ndarray) -> int | None:

@@ -108,6 +108,27 @@ def compare_grads(
     return _unbox(ok), _unbox(np.max(err, axis=-1, where=keep, initial=0.0))
 
 
+class _WorstDetail:
+    """CellResult.worst_detail, a string. run_grid stores the worst case as
+    (K, label, analytic row, numeric row), which the first read formats with
+    np.array2string, so a grid run whose details nobody reads formats none."""
+
+    def __get__(self, cell, owner=None):
+        if cell is None:
+            return ""  # the field's default
+        detail = cell.__dict__["_worst_detail"]
+        if isinstance(detail, tuple):
+            k, gt, analytic, numeric = detail
+            detail = cell.__dict__["_worst_detail"] = (
+                f"K={k} gt={gt} analytic={np.array2string(analytic, precision=6)} "
+                f"numeric={np.array2string(numeric, precision=6)}"
+            )
+        return detail
+
+    def __set__(self, cell, detail):
+        cell.__dict__["_worst_detail"] = detail
+
+
 @dataclass
 class CellResult:
     """Worst-case summary for one (loss, activation, regularizer) cell."""
@@ -120,7 +141,7 @@ class CellResult:
     passed: bool = True
     n_skipped: int = 0
     worst_k: int = 0
-    worst_detail: str = ""
+    worst_detail: str = _WorstDetail()
 
     @property
     def name(self) -> str:
@@ -268,8 +289,6 @@ def run_grid(
             j = idx.index(worst)
             cell.max_err = float(errs[worst])
             cell.worst_k = k
-            cell.worst_detail = (
-                f"K={k} gt={gt} analytic={np.array2string(analytic[j], precision=6)} "
-                f"numeric={np.array2string(numeric[j], precision=6)}"
-            )
+            # copies, so the rows do not keep the group's whole arrays alive
+            cell.worst_detail = (k, gt, analytic[j].copy(), numeric[j].copy())
     return results

@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._arrays import G17_WIDTH, format_g17, int_cells, write_csv
 from .datasets import _READER, _read_table, _text_lines
 
 __all__ = [
@@ -271,12 +272,23 @@ RECORDS_HEADER = "predicted,actual,vacuity,mean_evidence,max_softmax,is_ood"
 
 
 def save_records(records: RecordColumns | Sequence[SampleRecord], path) -> None:
+    """Write a records CSV: floats as "%.17g" writes them, max_softmax empty
+    where absent."""
     cols = _columns(records)
-    sm = ["" if math.isnan(v) else "%.17g" % v for v in cols.max_softmax.tolist()]
-    fields = (cols.predicted, cols.actual, cols.vacuity, cols.mean_evidence)
-    rows = zip(*(c.tolist() for c in fields), sm, cols.is_ood.tolist())
-    lines = map("%d,%d,%.17g,%.17g,%s,%d".__mod__, rows)
-    Path(path).write_text("\n".join([RECORDS_HEADER, *lines]) + "\n")
+
+    def fields(rows: slice) -> list:
+        sm = cols.max_softmax[rows]
+        present = ~np.isnan(sm)
+        sm_cells = np.zeros((sm.size, G17_WIDTH if present.any() else 0), np.uint8)
+        if present.any():  # an absent value is an empty field
+            sm_cells[present] = format_g17(sm[present])
+        return [
+            int_cells(cols.predicted[rows]), int_cells(cols.actual[rows]),
+            format_g17(cols.vacuity[rows]), format_g17(cols.mean_evidence[rows]),
+            sm_cells, int_cells(cols.is_ood[rows]),
+        ]
+
+    write_csv(path, RECORDS_HEADER, len(cols), fields)
 
 
 def load_records(path) -> list[SampleRecord]:

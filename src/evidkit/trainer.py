@@ -69,6 +69,8 @@ class DataConfig:
             if not Path(self.path).exists():
                 raise ConfigError(f"{where}.path: dataset file not found: {self.path}")
             return
+        if self.seed < 0:
+            raise ConfigError(f"{where}.seed: must be >= 0")
         if self.d < 2:
             raise ConfigError(f"{where}.d: must be >= 2")
         if self.kind == "blobs":
@@ -159,6 +161,8 @@ class ExperimentConfig:
         for name in ("epochs", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed: must be >= 0")
         if not self.hidden_dims or any(int(h) < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need at least one positive width")
         if any(t < 0 for t in self.zero_ev_taus):

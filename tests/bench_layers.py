@@ -12,7 +12,8 @@ the gradients backward returns, forward + backward + step together on the
 small network (batch 32, Adam), and one (cell, K) group of the gradient
 oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and
 RecordColumns.load on 30,000 rows each, written as save_csv and save_records
-write them: a D = 2 dataset, and evidential records with no max_softmax.
+write them: a D = 2 dataset, and evidential records with no max_softmax;
+and it times save_csv and save_records writing those same rows back.
 Last, it times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
 parameters, the shape of the trainer's blocked-step pin), whose reading is
 mostly the JSON parse and the type check of every weight.
@@ -116,6 +117,14 @@ def test_load_csv(benchmark, read_path_files):
 
 def test_record_columns_load(benchmark, read_path_files):
     benchmark(RecordColumns.load, read_path_files / "records.csv")
+
+
+def test_save_csv(benchmark, read_path_files, tmp_path):
+    benchmark(save_csv, load_csv(read_path_files / "data.csv"), tmp_path / "data.csv")
+
+
+def test_save_records(benchmark, read_path_files, tmp_path):
+    benchmark(save_records, RecordColumns.load(read_path_files / "records.csv"), tmp_path / "records.csv")
 
 
 def test_load_checkpoint(benchmark, tmp_path):

@@ -319,6 +319,50 @@ def test_evaluate_bad_sidecar_or_checkpoint_exits_one_naming_the_file(tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["dataset", "records"])
+def test_non_utf8_csv_exits_one_naming_the_file_and_offset(tmp_path, capsys, kind):
+    # a byte that is not UTF-8 used to give only the codec's message, which
+    # names neither the file nor where in it the byte is
+    path = tmp_path / f"input-{kind}.csv"
+    if kind == "dataset":
+        assert main(["gen-data", "--kind", "toy4", "--out", str(path)]) == 0
+        checkpoint = tmp_path / "checkpoint.json"
+        save_checkpoint(init_network(dense_specs(2, [3], 4), seed=0), checkpoint)
+        command = ["evaluate", "--checkpoint", str(checkpoint), "--data", str(path),
+                   "--out", str(tmp_path / "records.csv")]
+    else:
+        some_records(path)
+        command = ["report", "--records", str(path), "--out", str(tmp_path / "rep")]
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2][:3] + b"\xff" + lines[2][3:]
+    path.write_bytes(b"\n".join(lines))
+    offset = len(lines[0]) + len(lines[1]) + 2 + 3
+    capsys.readouterr()
+    assert main(command) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {path} row 3: not UTF-8 text (byte 0xff at offset {offset})"]
+    assert not (tmp_path / "records.csv").exists() and not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("field", ["seed", "train_data.seed", "test_data.seed", "ood_data.seed"])
+def test_train_negative_seed_exits_one_naming_the_field(tmp_path, capsys, field):
+    # a negative seed used to reach NumPy's seeding, whose error names no field
+    over = {"seed": -1} if field == "seed" else {
+        field.split(".")[0]: {"kind": "toy4", "d": 2, "seed": -1}
+    }
+    cfg = write_cfg(tmp_path, **over)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == f"error: {field}: must be >= 0\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_gen_data_negative_seed_exits_one_naming_the_field(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    assert main(["gen-data", "--kind", "blobs", "--out", str(out), "--seed", "-3"]) == 1
+    assert capsys.readouterr().err == "error: dataset.seed: must be >= 0\n"
+    assert not out.exists()
+
+
 def test_train_network_too_large_to_allocate_exits_two(tmp_path, capsys):
     # 10**12 x 64 float64 weights exceed any 64-bit address space, so the
     # allocation fails at once, whatever the host's overcommit setting
