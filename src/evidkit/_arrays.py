@@ -1,7 +1,9 @@
-"""Array helpers shared by the layers, and the one text writer of the
-records and dataset CSVs."""
+"""Array helpers shared by the layers, and the CSV text format both ways:
+the one writer of every CSV the program writes, and the CSV reader."""
 
 import math
+from itertools import islice, repeat
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,15 +147,17 @@ def int_cells(x) -> np.ndarray:
 _BLOCK_ROWS = 8192
 
 
-def write_csv(path, header: str, n: int, fields) -> None:
-    """Write the header line, then n comma-separated lines in blocks of
-    _BLOCK_ROWS. fields(rows) gives the cells of the rows in the slice rows:
-    a list of uint8 arrays, (m, w) for one column or (m, k, w) for k, each
-    cell the column's text with NUL bytes anywhere (they are dropped)."""
+def write_csv(path, header: str, columns: list) -> None:
+    """Write the header line, then one comma-separated line per row of the
+    columns, in blocks of _BLOCK_ROWS rows. Each column is an (N,) array,
+    one field per row, or an (N, k) array, k fields per row. A float is
+    written as "%.17g" writes it, NaN as an empty field; an int or a bool
+    as "%d" writes it. An (N, 0) column writes no field."""
+    n = len(columns[0])
     with open(path, "wb") as f:
         f.write(header.encode() + b"\n")
         for start in range(0, n, _BLOCK_ROWS):
-            cols = [c[:, None] if c.ndim == 2 else c for c in fields(slice(start, start + _BLOCK_ROWS))]
+            cols = [_cells(c[start : start + _BLOCK_ROWS]) for c in columns if c.size]
             m = len(cols[0])
             line = np.empty((m, sum(k * (w + 1) for _, k, w in (c.shape for c in cols))), np.uint8)
             at = 0
@@ -165,3 +169,116 @@ def write_csv(path, header: str, n: int, fields) -> None:
                 at += k * (w + 1)
             line[:, -1] = ord("\n")
             f.write(line.tobytes().translate(None, b"\0"))
+
+
+def _cells(x: np.ndarray) -> np.ndarray:
+    """The (m, k, w) uint8 text cells of a block of a write_csv column, m and
+    k >= 1, with NUL bytes anywhere (they are dropped). A float block with
+    no value present gets cells of width 0, so no G17_WIDTH bytes of NUL
+    are written and dropped for it."""
+    x = x.reshape(len(x), -1)
+    if x.dtype.kind != "f":
+        return int_cells(x).reshape(*x.shape, -1)
+    present = ~np.isnan(x)
+    if not present.any():
+        return np.zeros((*x.shape, 0), np.uint8)
+    # a NaN is formatted as 0.5, which the NumPy kernel proves, then cleared
+    cells = format_g17(np.where(present, x, 0.5)).reshape(*x.shape, G17_WIDTH)
+    cells[~present] = 0
+    return cells
+
+
+# Keyword arguments of every np.loadtxt call: one comma-separated row per
+# line, with no comment or quote character.
+_READER = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 1}
+
+
+def _text_lines(path: Path) -> tuple[list, list, bool]:
+    """A text file's lines, its first two non-blank lines (fewer if it has
+    fewer), the header and the first data row, and whether every line is plain."""
+    text = _utf8_text(path)
+    lines = text.splitlines()
+    return lines, list(islice(filter(str.strip, lines), 2)), _plain(text)
+
+
+def _utf8_text(path: Path) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 raises a ValueError
+    naming the file, the row and the byte offset."""
+    data = path.read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as e:
+        row = data.count(b"\n", 0, e.start) + 1
+        raise ValueError(
+            f"{path} row {row}: not UTF-8 text (byte {data[e.start]:#04x} at offset {e.start})"
+        ) from None
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry, or None."""
+    return int(mask.argmax()) if mask.any() else None
+
+
+def _plain(row: str) -> bool:
+    """True for a row the reader may see: ASCII without the \\x1f separator.
+    NumPy's integer reader takes some non-ASCII letters for digits, and its
+    number readers skip \\x1f as a space where float() and int() refuse it."""
+    return row.isascii() and "\x1f" not in row
+
+
+def _read_table(path: Path, lines: list, plain: bool, width: int, read, checks) -> tuple:
+    """Columns of the data rows, the non-blank lines after the header (the
+    first non-blank line); raises for the first bad row. plain says whether
+    every line is plain, as _text_lines gives it.
+
+    read(rows) turns a list of rows into a tuple of columns with one NumPy
+    reader pass, and raises ValueError when a row does not parse; an empty
+    line is skipped. checks(*columns) lists (mask, message) value checks; a
+    callable message takes the row index. A row is checked for its field
+    count, then parsed, then checked in list order, and the error of the
+    first bad row in file order is raised with its file line.
+    """
+    # One reader pass over the lines after the first. It fails, and the search
+    # below runs, when the first line is not the header, a later line is blank
+    # but not empty, or a row is bad.
+    if plain:
+        try:
+            cols = read(lines[1:])
+        except ValueError:
+            pass
+        else:
+            if not any(mask.any() for mask, _ in checks(*cols)):
+                return cols
+    at = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines)))[1:]
+    rows = [lines[i] for i in at.tolist()]
+    n = len(rows)
+    ncols = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n) + 1
+    miscounted = ncols != width
+    end = _first(miscounted | ~np.fromiter(map(_plain, rows), bool, n))
+    parsed = _parsed(read, rows[:end])
+    bad = [
+        (_first(miscounted), lambda r: f"expected {width} columns, got {ncols[r]}"),
+        (parsed if parsed < n else None, "could not parse values"),
+    ]
+    if parsed:
+        cols = read(rows[:parsed])
+        bad += [(_first(mask), msg) for mask, msg in checks(*cols)]
+    bad = [(r, msg) for r, msg in bad if r is not None]
+    if bad:
+        r, msg = min(bad, key=lambda b: b[0])  # min keeps the first check of a row
+        raise ValueError(f"{path} row {at[r] + 1}: {msg(r) if callable(msg) else msg}")
+    return cols
+
+
+def _parsed(read, rows: list) -> int:
+    """Length of the longest prefix of rows that parses. Rows parse one by
+    one, so each bisection step reads only rows past the known good prefix."""
+    good, bad = 0, len(rows)  # rows[:good] parse; no prefix longer than bad does
+    while good < bad:
+        mid = (good + bad + 1) // 2
+        try:
+            read(rows[good:mid])
+            good = mid
+        except ValueError:
+            bad = mid - 1
+    return good

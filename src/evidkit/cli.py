@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-data, train, evaluate, gradcheck, sweep, census, report.
-Exit codes: 0 success, 1 validation error, 2 runtime failure. All numeric
-output uses 17 significant digits. EVIDKIT_OUT sets the default output
+Exit codes: 0 success, 1 validation error, 2 runtime failure. CSV files
+and stdout give floats with 17 significant digits; JSON files give each
+float as its shortest round-trip repr. EVIDKIT_OUT sets the default output
 directory for commands that take --out DIR.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import write_csv
 from ._schema import member, read_object
 from .datasets import save_csv
 from .evidence import Activation
@@ -34,7 +36,8 @@ from .metrics import (
 from .network import load_checkpoint, save_checkpoint
 from .regularizers import IncReg
 from .trainer import (
-    ConfigError, DataConfig, ExperimentConfig, evaluate, run_experiment, save_epoch_csv, sweep
+    ConfigError, DataConfig, ExperimentConfig, _check_lambda1, evaluate, run_experiment,
+    save_epoch_csv, sweep,
 )
 
 __all__ = ["main"]
@@ -156,7 +159,7 @@ def cmd_gradcheck(args) -> int:
     # each value is reported by where it came from: its flag, else the config
     settings = ("samples", "h", "tol")
     labels = [f"--{k}" if getattr(args, k) is not None else where + k for k in settings]
-    _check_settings(samples, h, tol, labels)
+    _check_settings(samples, h, tol, args.seed, [*labels, "--seed"])
     results = run_grid(
         losses=grid.get("losses"),
         acts=grid.get("activations"),
@@ -190,34 +193,28 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    grid = _parse_floats(args.grid, "--grid")
-    if not grid:
-        raise ConfigError("--grid: must be nonempty")
+    grid = _check_lambda1(_parse_floats(args.grid, "--grid"), "--grid")
     if args.workers < 1:
         raise ConfigError("--workers: must be >= 1")
     out = _out_dir(args)
     rows = sweep(cfg, grid, workers=args.workers)
-    census_cols = ",".join(f"census_{c}" for c in CensusBuckets.COLUMNS)
-    lines = [f"lambda1,seed,final_train_acc,final_test_acc,{census_cols},mean_test_vacuity"]
     for row in rows:
-        census = ",".join(map(str, row.census.as_dict().values()))
-        lines.append(
-            f"{_fmt(row.lambda1)},{row.seed},{_fmt(row.final_train_acc)},"
-            f"{_fmt(row.final_test_acc)},{census},{_fmt(row.mean_test_vacuity)}"
-        )
         print(
             f"lambda1={row.lambda1:g}: train_acc={_fmt(row.final_train_acc)} "
             f"test_acc={_fmt(row.final_test_acc)}"
         )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    header = ["lambda1", "seed", "final_train_acc", "final_test_acc"]
+    header += [f"census_{c}" for c in CensusBuckets.COLUMNS] + ["mean_test_vacuity"]
+    ints = np.array([(row.seed, *row.census.as_dict().values()) for row in rows], np.int64)
+    f = np.array([(r.lambda1, r.final_train_acc, r.final_test_acc, r.mean_test_vacuity) for r in rows])
+    write_csv(out / "sweep.csv", ",".join(header), [f[:, 0], ints[:, 0], f[:, 1:3], ints[:, 1:], f[:, 3]])
     print(f"sweep table at {out / 'sweep.csv'}")
     return EXIT_OK
 
 
 def _write_census(census: CensusBuckets, path: Path) -> None:
     counts = census.as_dict()
-    rows = ([*counts, "n"], [*counts.values(), census.n])
-    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+    write_csv(path, ",".join([*counts, "n"]), [np.array([[*counts.values(), census.n]])])
 
 
 def cmd_census(args) -> int:
@@ -235,18 +232,13 @@ def cmd_report(args) -> int:
     thresholds = _parse_floats(args.thresholds, "--thresholds") if args.thresholds else None
     fractions = _parse_floats(args.fractions, "--fractions") if args.fractions else None
 
-    curve = accuracy_vacuity_curve(records, thresholds)
-    lines = ["threshold,coverage,accuracy"]
-    for t, cov, acc in curve:
-        lines.append(f"{_fmt(t)},{_fmt(cov)},{'' if acc is None else _fmt(acc)}")
-    (out / "accuracy_vacuity.csv").write_text("\n".join(lines) + "\n")
+    # an accuracy of None becomes NaN, an empty field
+    curve = np.array(accuracy_vacuity_curve(records, thresholds), float).reshape(-1, 3)
+    write_csv(out / "accuracy_vacuity.csv", "threshold,coverage,accuracy", list(curve.T))
 
-    topk = topk_confident_accuracy(records, fractions)
-    lines = ["fraction,count,accuracy"]
-    for f, acc in topk:
-        count = int(np.ceil(f * len(records)))
-        lines.append(f"{_fmt(f)},{count},{_fmt(acc)}")
-    (out / "topk.csv").write_text("\n".join(lines) + "\n")
+    f, acc = np.array(topk_confident_accuracy(records, fractions), float).reshape(-1, 2).T
+    count = np.ceil(f * len(records)).astype(np.int64)
+    write_csv(out / "topk.csv", "fraction,count,accuracy", [f, count, acc])
 
     _write_census(evidence_census(records), out / "census.csv")
 

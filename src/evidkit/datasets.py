@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
 
-from ._arrays import format_g17, int_cells, write_csv
+from ._arrays import _READER, _read_table, _text_lines, write_csv
 from ._schema import read_object
 
 __all__ = [
@@ -156,22 +155,9 @@ def _sidecar_path(path) -> Path:
 
 def save_csv(ds: Dataset, path) -> None:
     """Header f0,...,f{D-1},label; features as "%.17g" writes them; JSON sidecar."""
-    path = Path(path)
     header = ",".join([f"f{i}" for i in range(ds.d)] + ["label"])
-
-    def fields(rows: slice) -> list:
-        feats = ds.features[rows]
-        return [format_g17(feats).reshape(len(feats), ds.d, -1), int_cells(ds.labels[rows])]
-
-    write_csv(path, header, ds.n, fields)
-    meta = {
-        "name": ds.name,
-        "k": ds.k,
-        "d": ds.d,
-        "n": ds.n,
-        "seed": ds.seed,
-        "ood": ds.ood,
-    }
+    write_csv(path, header, [ds.features, ds.labels])
+    meta = {name: getattr(ds, name) for name in _SIDECAR_FIELDS}
     _sidecar_path(path).write_text(json.dumps(meta, indent=1))
 
 
@@ -218,99 +204,3 @@ def load_csv(path, k: int | None = None) -> Dataset:
         ood=bool(meta.get("ood", False)),
         seed=meta.get("seed"),
     )
-
-
-# Keyword arguments of every np.loadtxt call: one comma-separated row per
-# line, with no comment or quote character.
-_READER = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 1}
-
-
-def _text_lines(path: Path) -> tuple[list, list, bool]:
-    """A text file's lines, its first two non-blank lines (fewer if it has
-    fewer), the header and the first data row, and whether every line is plain."""
-    text = _utf8_text(path)
-    lines = text.splitlines()
-    return lines, list(islice(filter(str.strip, lines), 2)), _plain(text)
-
-
-def _utf8_text(path: Path) -> str:
-    """A UTF-8 file's text; a byte that is not UTF-8 raises a ValueError
-    naming the file, the row and the byte offset."""
-    data = path.read_bytes()
-    try:
-        return data.decode()
-    except UnicodeDecodeError as e:
-        row = data.count(b"\n", 0, e.start) + 1
-        raise ValueError(
-            f"{path} row {row}: not UTF-8 text (byte {data[e.start]:#04x} at offset {e.start})"
-        ) from None
-
-
-def _first(mask: np.ndarray) -> int | None:
-    """Index of the first true entry, or None."""
-    return int(mask.argmax()) if mask.any() else None
-
-
-def _plain(row: str) -> bool:
-    """True for a row the reader may see: ASCII without the \\x1f separator.
-    NumPy's integer reader takes some non-ASCII letters for digits, and its
-    number readers skip \\x1f as a space where float() and int() refuse it."""
-    return row.isascii() and "\x1f" not in row
-
-
-def _read_table(path: Path, lines: list, plain: bool, width: int, read, checks) -> tuple:
-    """Columns of the data rows, the non-blank lines after the header (the
-    first non-blank line); raises for the first bad row. plain says whether
-    every line is plain, as _text_lines gives it.
-
-    read(rows) turns a list of rows into a tuple of columns with one NumPy
-    reader pass, and raises ValueError when a row does not parse; an empty
-    line is skipped. checks(*columns) lists (mask, message) value checks; a
-    callable message takes the row index. A row is checked for its field
-    count, then parsed, then checked in list order, and the error of the
-    first bad row in file order is raised with its file line.
-    """
-    # One reader pass over the lines after the first. It fails, and the search
-    # below runs, when the first line is not the header, a later line is blank
-    # but not empty, or a row is bad.
-    if plain:
-        try:
-            cols = read(lines[1:])
-        except ValueError:
-            pass
-        else:
-            if not any(mask.any() for mask, _ in checks(*cols)):
-                return cols
-    at = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines)))[1:]
-    rows = [lines[i] for i in at.tolist()]
-    n = len(rows)
-    ncols = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n) + 1
-    miscounted = ncols != width
-    end = _first(miscounted | ~np.fromiter(map(_plain, rows), bool, n))
-    parsed = _parsed(read, rows[:end])
-    bad = [
-        (_first(miscounted), lambda r: f"expected {width} columns, got {ncols[r]}"),
-        (parsed if parsed < n else None, "could not parse values"),
-    ]
-    if parsed:
-        cols = read(rows[:parsed])
-        bad += [(_first(mask), msg) for mask, msg in checks(*cols)]
-    bad = [(r, msg) for r, msg in bad if r is not None]
-    if bad:
-        r, msg = min(bad, key=lambda b: b[0])  # min keeps the first check of a row
-        raise ValueError(f"{path} row {at[r] + 1}: {msg(r) if callable(msg) else msg}")
-    return cols
-
-
-def _parsed(read, rows: list) -> int:
-    """Length of the longest prefix of rows that parses. Rows parse one by
-    one, so each bisection step reads only rows past the known good prefix."""
-    good, bad = 0, len(rows)  # rows[:good] parse; no prefix longer than bad does
-    while good < bad:
-        mid = (good + bad + 1) // 2
-        try:
-            read(rows[good:mid])
-            good = mid
-        except ValueError:
-            bad = mid - 1
-    return good

@@ -213,14 +213,16 @@ def check_case(
     return analytic, numeric, skip
 
 
-def _check_settings(n_cases, h, tol, names=("n_cases", "h", "tol")) -> None:
+def _check_settings(n_cases, h, tol, seed, names=("n_cases", "h", "tol", "seed")) -> None:
     """The oracle's settings rule: n_cases >= 1, h and tol finite and > 0 (an
-    infinite tol passes every cell); a ValueError names the first bad one."""
+    infinite tol passes every cell), seed >= 0; a ValueError names the first bad one."""
     if not n_cases >= 1:
         raise ValueError(f"{names[0]}: must be >= 1")
-    for name, value in zip(names[1:], (h, tol)):
+    for name, value in zip(names[1:3], (h, tol)):
         if not 0 < value < math.inf:  # NaN fails both comparisons
             raise ValueError(f"{name}: must be finite and > 0")
+    if not seed >= 0:
+        raise ValueError(f"{names[3]}: must be >= 0")
 
 
 def _sample_logits(rng: np.random.Generator, k: int, act: Activation) -> np.ndarray:
@@ -251,7 +253,7 @@ def run_grid(
     being run, as "loss:act:reg"; its analytic gradient gets a deliberate
     perturbation, so the harness can prove it catches wrong gradients.
     """
-    _check_settings(n_cases, h, tol)
+    _check_settings(n_cases, h, tol, seed)
     cells = grid_cells(losses, acts, regs)
     results = [CellResult(kind.value, act.value, reg, n_cases) for kind, act, reg in cells]
     if corrupt is not None and corrupt not in [cell.name for cell in results]:

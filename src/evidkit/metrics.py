@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._arrays import G17_WIDTH, format_g17, int_cells, write_csv
-from .datasets import _READER, _read_table, _text_lines
+from ._arrays import _READER, _read_table, _text_lines, write_csv
 
 __all__ = [
     "CENSUS_THRESHOLDS",
@@ -275,20 +274,7 @@ def save_records(records: RecordColumns | Sequence[SampleRecord], path) -> None:
     """Write a records CSV: floats as "%.17g" writes them, max_softmax empty
     where absent."""
     cols = _columns(records)
-
-    def fields(rows: slice) -> list:
-        sm = cols.max_softmax[rows]
-        present = ~np.isnan(sm)
-        sm_cells = np.zeros((sm.size, G17_WIDTH if present.any() else 0), np.uint8)
-        if present.any():  # an absent value is an empty field
-            sm_cells[present] = format_g17(sm[present])
-        return [
-            int_cells(cols.predicted[rows]), int_cells(cols.actual[rows]),
-            format_g17(cols.vacuity[rows]), format_g17(cols.mean_evidence[rows]),
-            sm_cells, int_cells(cols.is_ood[rows]),
-        ]
-
-    write_csv(path, RECORDS_HEADER, len(cols), fields)
+    write_csv(path, RECORDS_HEADER, [getattr(cols, name) for name in _COLUMN_DTYPES])
 
 
 def load_records(path) -> list[SampleRecord]:

@@ -125,8 +125,8 @@ def anneal_eta1(lambda1, epoch):
     Scalars give a float; (N,) arrays give one weight per case.
     """
     lambda1, epoch = np.asarray(lambda1, dtype=float), np.asarray(epoch)
-    if np.any(lambda1 < 0):
-        raise ValueError("lambda1 must be >= 0")
+    if not np.all((lambda1 >= 0) & (lambda1 < np.inf)):  # NaN fails both comparisons
+        raise ValueError("lambda1 must be >= 0 and finite")
     if np.any(epoch < 0):
         raise ValueError("epoch must be >= 0")
     return _unbox(lambda1 * np.minimum(1.0, epoch / 10.0))

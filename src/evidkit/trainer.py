@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import write_csv
 from ._schema import ConfigError, check_fields, member
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class
@@ -78,8 +79,10 @@ class DataConfig:
                 raise ConfigError(f"{where}.k: must be >= 2")
             if self.n_per_class < 1:
                 raise ConfigError(f"{where}.n_per_class: must be >= 1")
-            if self.stddev <= 0:
-                raise ConfigError(f"{where}.stddev: must be > 0")
+            if not 0 < self.stddev < np.inf:  # NaN fails both comparisons
+                raise ConfigError(f"{where}.stddev: must be > 0 and finite")
+            if not np.isfinite(self.radius):
+                raise ConfigError(f"{where}.radius: must be finite")
             if self.means is not None:
                 # row by row, so ragged means are named here, not by NumPy
                 if [np.shape(row) for row in self.means] != [(self.d,)] * self.k:
@@ -88,6 +91,8 @@ class DataConfig:
             s = np.asarray(self.shift, dtype=float)
             if s.shape != (self.d,):
                 raise ConfigError(f"{where}.shift: expected {self.d} components")
+            if not np.isfinite(s).all():
+                raise ConfigError(f"{where}.shift: must be finite")
 
     def build(self) -> Dataset:
         if self.kind == "toy4":
@@ -152,8 +157,7 @@ class ExperimentConfig:
         loss = member(Loss, self.loss, "loss", "loss kind")
         act = member(Activation, self.activation, "activation", "activation")
         inc = member(IncReg, self.inc_reg, "inc_reg", "regularizer")
-        if self.lambda1 < 0:
-            raise ConfigError("lambda1: must be >= 0")
+        _check_lambda1([self.lambda1], "lambda1")
         if self.use_correct_reg and act != Activation.EXP:
             raise ConfigError("use_correct_reg: requires activation=exp")
         if loss == Loss.SOFTMAX_CE and (inc != IncReg.NONE or self.use_correct_reg):
@@ -312,19 +316,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def epoch_csv_header(taus) -> str:
-    zero_cols = ",".join(f"zero_ev_{repr(float(t))}" for t in taus)
-    return f"epoch,train_loss,train_acc,test_acc,{zero_cols},mean_vacuity"
+    zero_cols = [f"zero_ev_{repr(float(t))}" for t in taus]
+    return ",".join(["epoch", "train_loss", "train_acc", "test_acc", *zero_cols, "mean_vacuity"])
 
 
 def save_epoch_csv(logs, taus, path) -> None:
-    lines = [epoch_csv_header(taus)]
-    for log in logs:
-        zero = ",".join(str(log.zero_ev[float(t)]) for t in taus)
-        lines.append(
-            f"{log.epoch},{log.train_loss:.17g},{log.train_acc:.17g},"
-            f"{log.test_acc:.17g},{zero},{log.mean_vacuity:.17g}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write epochs.csv: one row per EpochLog, floats as "%.17g" writes them."""
+    ints = [(log.epoch, *(log.zero_ev[float(t)] for t in taus)) for log in logs]
+    ints = np.array(ints, np.int64).reshape(len(logs), 1 + len(taus))
+    floats = [(log.train_loss, log.train_acc, log.test_acc, log.mean_vacuity) for log in logs]
+    floats = np.array(floats, float).reshape(len(logs), 4)
+    write_csv(path, epoch_csv_header(taus), [ints[:, 0], floats[:, :3], ints[:, 1:], floats[:, 3]])
 
 
 @dataclass
@@ -358,11 +360,21 @@ def _sweep_point(args: tuple) -> SweepRow:
     )
 
 
+def _check_lambda1(values, name: str) -> list[float]:
+    """The lambda1 rule for a config's value or a sweep's whole grid, checked
+    before any point runs: nonempty, each value >= 0 and finite."""
+    values = [float(v) for v in values]
+    if not values:
+        raise ConfigError(f"{name}: must be nonempty")
+    for lam in values:
+        if not 0 <= lam < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"{name}: must be >= 0 and finite, got {lam!r}")
+    return values
+
+
 def sweep(base: ExperimentConfig, grid, workers: int = 1) -> list:
     """Run one experiment per lambda1 grid point; rows come back in grid order."""
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ConfigError("sweep grid: must be nonempty")
+    grid = _check_lambda1(grid, "sweep grid")
     base.validate()
     args = [(base, lam, i) for i, lam in enumerate(grid)]
     if workers <= 1:

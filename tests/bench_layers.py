@@ -13,11 +13,15 @@ small network (batch 32, Adam), and one (cell, K) group of the gradient
 oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and
 RecordColumns.load on 30,000 rows each, written as save_csv and save_records
 write them: a D = 2 dataset, and evidential records with no max_softmax;
-and it times save_csv and save_records writing those same rows back.
+and it times save_csv and save_records writing those same rows back, and
+save_records writing 30,000 softmax-baseline records, every max_softmax
+present, so the writer's filled and all-empty float columns are both timed.
 Last, it times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
 parameters, the shape of the trainer's blocked-step pin), whose reading is
 mostly the JSON parse and the type check of every weight.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -108,6 +112,8 @@ def read_path_files(tmp_path_factory):
         is_ood=rng.random(n) < 0.5,
     )
     save_records(records, out / "records.csv")
+    baseline = dataclasses.replace(records, max_softmax=rng.uniform(1 / 3, 1.0, n))
+    save_records(baseline, out / "baseline_records.csv")
     return out
 
 
@@ -125,6 +131,11 @@ def test_save_csv(benchmark, read_path_files, tmp_path):
 
 def test_save_records(benchmark, read_path_files, tmp_path):
     benchmark(save_records, RecordColumns.load(read_path_files / "records.csv"), tmp_path / "records.csv")
+
+
+def test_save_records_baseline(benchmark, read_path_files, tmp_path):
+    records = RecordColumns.load(read_path_files / "baseline_records.csv")
+    benchmark(save_records, records, tmp_path / "records.csv")
 
 
 def test_load_checkpoint(benchmark, tmp_path):

@@ -85,6 +85,16 @@ def test_gen_data_bad_shift_exits_one(tmp_path, capsys):
     assert "comma-separated numbers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--stddev", "--radius", "--shift"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_gen_data_names_a_non_finite_flag(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    text = f"{value},0" if flag == "--shift" else value
+    assert main(["gen-data", "--kind", "blobs", "--out", str(out), flag, text]) == 1
+    assert f"error: dataset.{flag[2:]}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- train ----------------------------------------------------------------------
 
 
@@ -449,6 +459,12 @@ def test_gradcheck_config_rejects_unknown_fields(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_gradcheck_negative_seed_names_the_flag(capsys):
+    assert main(["gradcheck", "--samples", "1", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed: must be >= 0\n" and captured.out == ""
+
+
 def test_gradcheck_flag_validation(tmp_path, capsys):
     assert main(["gradcheck", "--samples", "0"]) == 1
     assert "--samples" in capsys.readouterr().err
@@ -511,6 +527,16 @@ def test_sweep_writes_table(tmp_path, capsys):
     assert lines[1].startswith("0,")
     stdout = capsys.readouterr().out
     assert "lambda1=0:" in stdout and "lambda1=1:" in stdout
+
+
+@pytest.mark.parametrize("grid", ["nan", "inf", "0,-1", "0,nan"])
+def test_sweep_checks_every_grid_value_before_the_first_run(tmp_path, capsys, grid):
+    cfg = write_cfg(tmp_path, epochs=1)
+    out = tmp_path / "sw"
+    assert main(["sweep", "--config", str(cfg), "--grid", grid, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --grid: must be >= 0 and finite, got ")
+    assert captured.out == "" and not out.exists()
 
 
 def test_sweep_flag_validation(tmp_path, capsys):

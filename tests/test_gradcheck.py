@@ -482,6 +482,7 @@ def test_run_grid_owns_its_settings_rule():
         (dict(tol=0.0), "tol: must be finite and > 0"),
         (dict(h=math.nan), "h: must be finite and > 0"),
         (dict(h=-math.inf), "h: must be finite and > 0"),
+        (dict(seed=-1), "seed: must be >= 0"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_grid(losses=[Loss.EV_LOG], acts=[Activation.EXP], regs=["none"], **setting)

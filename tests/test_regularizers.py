@@ -247,6 +247,12 @@ def test_anneal_eta1():
         anneal_eta1(1.0, -1)
 
 
+@pytest.mark.parametrize("lambda1", [math.nan, math.inf, [1.0, math.nan]])
+def test_anneal_eta1_rejects_a_non_finite_lambda1(lambda1):
+    with pytest.raises(ValueError, match="lambda1 must be >= 0 and finite"):
+        anneal_eta1(lambda1, 3)
+
+
 def test_composite_rejects_negative_eta1():
     o = np.array([0.4, -1.0])
     for eta1 in (-1.0, -1e-300):

@@ -84,6 +84,20 @@ def test_data_config_validation_messages():
         tiny_cfg(train_data=blob_data(means=[[0.0, 0.0]])).validate()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_lambda1_and_data_fields_are_named(value):
+    with pytest.raises(ConfigError, match=f"^lambda1: must be >= 0 and finite, got {value}$"):
+        tiny_cfg(lambda1=value).validate()
+    for over, field in (
+        (dict(stddev=value), "stddev: must be > 0 and finite"),
+        (dict(radius=value), "radius: must be finite"),
+        (dict(radius=-value), "radius: must be finite"),
+        (dict(shift=[0.0, value]), "shift: must be finite"),
+    ):
+        with pytest.raises(ConfigError, match=f"^train_data.{field}$"):
+            tiny_cfg(train_data=blob_data(**over)).validate()
+
+
 def test_from_dict_rejects_unknown_fields_and_missing_required():
     with pytest.raises(ConfigError, match="^learning_rate: unknown field$"):
         ExperimentConfig.from_dict(
@@ -442,6 +456,16 @@ def test_epoch_csv_header_exact():
     )
 
 
+def test_empty_zero_ev_taus_writes_no_zero_evidence_columns(tmp_path):
+    assert epoch_csv_header(()) == "epoch,train_loss,train_acc,test_acc,mean_vacuity"
+    result = run_experiment(tiny_cfg(epochs=2, zero_ev_taus=[]))
+    save_epoch_csv(result.logs, [], tmp_path / "epochs.csv")
+    lines = (tmp_path / "epochs.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,train_acc,test_acc,mean_vacuity"
+    assert [len(line.split(",")) for line in lines[1:]] == [5, 5]
+    assert "" not in lines[1].split(",")
+
+
 def test_save_epoch_csv(tmp_path):
     result = run_experiment(tiny_cfg(epochs=3))
     path = tmp_path / "epochs.csv"
@@ -493,3 +517,13 @@ def test_sweep_takes_a_python_built_config_as_run_experiment_does():
 def test_sweep_rejects_empty_grid():
     with pytest.raises(ConfigError, match="sweep grid"):
         sweep(tiny_cfg(), [])
+
+
+@pytest.mark.parametrize("grid", [[float("nan")], [float("inf")], [0.0, -1.0], [0.0, float("nan")]])
+def test_sweep_checks_every_grid_value_before_the_first_run(monkeypatch, grid):
+    def no_run(cfg):
+        raise AssertionError("a grid point ran")
+
+    monkeypatch.setattr("evidkit.trainer.run_experiment", no_run)
+    with pytest.raises(ConfigError, match="^sweep grid: must be >= 0 and finite, got "):
+        sweep(tiny_cfg(), grid)

@@ -1,11 +1,13 @@
 """Differential tests of the CSV text writer.
 
 format_g17 is checked against Python's own "%.17g" on hypothesis draws of
-any float and on fixed edge sets. save_records and save_csv are checked
-byte for byte against the per-row formatting they replaced, which is kept
-here as the reference.
+any float and on fixed edge sets. Every CSV the program writes (records,
+datasets, epochs.csv, sweep.csv, census.csv, accuracy_vacuity.csv and
+topk.csv) is checked byte for byte against the per-row formatting it
+replaced, which is kept here as the reference.
 """
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -18,11 +20,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from evidkit._arrays import _BLOCK_ROWS, format_g17, int_cells
+from evidkit.cli import main
 from evidkit.datasets import BlobSpec, Dataset, circle_means, make_blobs, save_csv
 from evidkit.evidence import Activation
-from evidkit.metrics import RECORDS_HEADER, RecordColumns, save_records
+from evidkit.metrics import (
+    RECORDS_HEADER,
+    CensusBuckets,
+    RecordColumns,
+    accuracy_vacuity_curve,
+    evidence_census,
+    save_records,
+    topk_confident_accuracy,
+)
 from evidkit.network import dense_specs, init_network
-from evidkit.trainer import evaluate
+from evidkit.trainer import EpochLog, ExperimentConfig, evaluate, save_epoch_csv, sweep
 
 WRITER = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -184,3 +195,116 @@ def test_save_csv_is_byte_identical_to_per_row_formatting(tmp_path):
     reference_save_csv(ds, tmp_path / "old.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert b",-0," in (tmp_path / "new.csv").read_bytes()
+
+
+# --- tables against the f-string writers they replaced -------------------------
+
+
+def _fmt(x: float) -> str:
+    return f"{float(x):.17g}"
+
+
+def reference_save_epoch_csv(logs, taus, path: Path) -> None:
+    zero_cols = ",".join(f"zero_ev_{repr(float(t))}" for t in taus)
+    lines = [f"epoch,train_loss,train_acc,test_acc,{zero_cols},mean_vacuity"]
+    for log in logs:
+        zero = ",".join(str(log.zero_ev[float(t)]) for t in taus)
+        lines.append(
+            f"{log.epoch},{log.train_loss:.17g},{log.train_acc:.17g},"
+            f"{log.test_acc:.17g},{zero},{log.mean_vacuity:.17g}"
+        )
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_sweep_csv(rows, path: Path) -> None:
+    census_cols = ",".join(f"census_{c}" for c in CensusBuckets.COLUMNS)
+    lines = [f"lambda1,seed,final_train_acc,final_test_acc,{census_cols},mean_test_vacuity"]
+    for row in rows:
+        census = ",".join(map(str, row.census.as_dict().values()))
+        lines.append(
+            f"{_fmt(row.lambda1)},{row.seed},{_fmt(row.final_train_acc)},"
+            f"{_fmt(row.final_test_acc)},{census},{_fmt(row.mean_test_vacuity)}"
+        )
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_census_csv(census: CensusBuckets, path: Path) -> None:
+    counts = census.as_dict()
+    rows = ([*counts, "n"], [*counts.values(), census.n])
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+
+
+def reference_accuracy_vacuity_csv(curve, path: Path) -> None:
+    lines = ["threshold,coverage,accuracy"]
+    for t, cov, acc in curve:
+        lines.append(f"{_fmt(t)},{_fmt(cov)},{'' if acc is None else _fmt(acc)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def reference_topk_csv(topk, n: int, path: Path) -> None:
+    lines = ["fraction,count,accuracy"]
+    for f, acc in topk:
+        count = int(np.ceil(f * n))
+        lines.append(f"{_fmt(f)},{count},{_fmt(acc)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def assert_same_bytes(new: Path, old: Path) -> None:
+    assert new.read_bytes() == old.read_bytes()
+
+
+def test_epochs_csv_is_byte_identical_to_per_row_formatting(tmp_path):
+    # more epochs than one block, losses over many magnitudes, and a tau of 0.0
+    rng = np.random.default_rng(9)
+    taus = (0.0, 0.01, 0.1, 1.0)
+    logs = [
+        EpochLog(
+            epoch=i, train_loss=float(np.exp(rng.normal(0.0, 20.0))),
+            train_acc=float(rng.integers(0, 301)) / 300, test_acc=float(rng.random()),
+            zero_ev={t: int(rng.integers(0, 10**6)) for t in taus}, mean_vacuity=float(rng.random()),
+        )
+        for i in range(N)
+    ]
+    save_epoch_csv(logs, taus, tmp_path / "new.csv")
+    reference_save_epoch_csv(logs, taus, tmp_path / "old.csv")
+    assert_same_bytes(tmp_path / "new.csv", tmp_path / "old.csv")
+
+
+def test_sweep_csv_is_byte_identical_to_per_row_formatting(tmp_path):
+    doc = {
+        "name": "tiny", "train_data": {"kind": "toy4", "d": 2, "seed": 0}, "hidden_dims": [4],
+        "loss": "ev_mse", "activation": "relu", "epochs": 2, "batch_size": 2, "seed": 1,
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    grid = [0.0, 0.1, 2.5]
+    argv = ["sweep", "--config", str(tmp_path / "cfg.json"), "--grid", "0,0.1,2.5"]
+    assert main([*argv, "--out", str(tmp_path / "sw")]) == 0
+    reference_sweep_csv(sweep(ExperimentConfig.from_dict(doc), grid), tmp_path / "old.csv")
+    assert_same_bytes(tmp_path / "sw" / "sweep.csv", tmp_path / "old.csv")
+
+
+def test_report_and_census_tables_are_byte_identical_to_per_row_formatting(tmp_path):
+    # no vacuity lies at or below 0.1, so the first curve row has no accuracy
+    cols = exp_records(lambda rng: np.zeros(N, bool))
+    cols = RecordColumns(
+        cols.predicted, cols.actual, 0.2 + 0.8 * cols.vacuity, cols.mean_evidence,
+        cols.max_softmax, cols.is_ood,
+    )
+    save_records(cols, tmp_path / "records.csv")
+    thresholds, fractions = [0.1, 0.3, 0.7, 1.0], [0.1, 0.33, 0.5, 1.0]
+    curve = accuracy_vacuity_curve(cols, thresholds)
+    assert curve[0][2] is None and curve[1][2] is not None
+    out = tmp_path / "report"
+    assert main([
+        "report", "--records", str(tmp_path / "records.csv"), "--out", str(out),
+        "--thresholds", "0.1,0.3,0.7,1", "--fractions", "0.1,0.33,0.5,1",
+    ]) == 0
+    assert main(["census", "--records", str(tmp_path / "records.csv"),
+                 "--out", str(tmp_path / "census.csv")]) == 0
+    reference_accuracy_vacuity_csv(curve, tmp_path / "accuracy_vacuity.csv")
+    reference_topk_csv(topk_confident_accuracy(cols, fractions), N, tmp_path / "topk.csv")
+    reference_census_csv(evidence_census(cols), tmp_path / "old_census.csv")
+    for name in ("accuracy_vacuity.csv", "topk.csv"):
+        assert_same_bytes(out / name, tmp_path / name)
+    assert_same_bytes(out / "census.csv", tmp_path / "old_census.csv")
+    assert_same_bytes(tmp_path / "census.csv", tmp_path / "old_census.csv")
