@@ -73,8 +73,12 @@ class BlobSpec:
         object.__setattr__(self, "means", means)
         if means.ndim != 2 or means.shape[0] != self.k:
             raise ValueError("means must have shape (K, D)")
+        if not np.isfinite(means).all():
+            raise ValueError("means must be finite")
         if self.stddev <= 0:
             raise ValueError("stddev must be > 0")
+        if not np.isfinite(self.stddev):
+            raise ValueError("stddev must be finite")
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
 

@@ -212,6 +212,9 @@ class OptimizerState:
                 raise ValueError(f"{name}: must be in [0, 1), got {getattr(self, name)!r}")
         if not self.eps > 0:
             raise ValueError(f"eps: must be > 0, got {self.eps!r}")
+        for name in ("lr", "eps"):
+            if getattr(self, name) == np.inf:
+                raise ValueError(f"{name}: must be finite, got inf")
 
 
 def _grad_vector(net: Network, grads) -> np.ndarray:

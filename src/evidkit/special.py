@@ -26,8 +26,6 @@ __all__ = ["log_gamma", "digamma", "trigamma", "gamma_family"]
 _ASYMPTOTIC_Z = 10.0
 # Rungs 0..10 of the recurrence ladder: 10 unit steps lift any z > 0 past 10.
 _LIFT_RUNGS = 11
-# gamma_family refills a ladder of more bytes than this instead of copying it.
-_REFILL_NBYTES = 1 << 17
 # Smallest arguments accepted. digamma(z) ~ -1/z, which overflows below
 # _DIGAMMA_MIN_Z. trigamma(z) ~ 1/z**2: below _TRIGAMMA_MIN_Z, z*z is no
 # longer a normal float, and 1/z**2 overflows at about half of it.
@@ -60,22 +58,18 @@ def _elementwise(fn, z: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, memoryview(z.ravel())), float, count=z.size).reshape(z.shape)
 
 
-def _ladder(z: np.ndarray, ladder: np.ndarray) -> np.ndarray:
-    """Fill the (_LIFT_RUNGS, z.size + 1) ladder: rung 0 is z flattened and a
-    pad of _ASYMPTOTIC_Z, and rung j is rung 0 + 1 + ... + 1, rounded after
-    each addition: what a cumsum over the rungs gives, at a fraction of its cost."""
+def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ladder, high, lifted) for lifting every entry of z, and the pad, to at
+    least _ASYMPTOTIC_Z by the unit recurrence. The (_LIFT_RUNGS, z.size + 1)
+    ladder's rung 0 is z flattened and a pad of _ASYMPTOTIC_Z, and rung j is
+    rung 0 + 1 + ... + 1, rounded after each addition: what a cumsum over the
+    rungs gives, at a fraction of its cost. high marks the rungs at or past the
+    threshold, and lifted is the first of them."""
+    ladder = np.empty((_LIFT_RUNGS, z.size + 1))
     ladder[0, :-1] = z.reshape(-1)
     ladder[0, -1] = _ASYMPTOTIC_Z
     for prev, rung in zip(ladder, ladder[1:]):
         np.add(prev, 1.0, out=rung)
-    return ladder
-
-
-def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ladder, high, lifted) for lifting every entry of z, and the pad, to at
-    least _ASYMPTOTIC_Z by the unit recurrence: high marks the rungs at or
-    past the threshold, and lifted is the first of them."""
-    ladder = _ladder(z, np.empty((_LIFT_RUNGS, z.size + 1)))
     high = ladder >= _ASYMPTOTIC_Z
     return ladder, high, ladder.min(axis=0, where=high, initial=np.inf)
 
@@ -152,9 +146,7 @@ def gamma_family(z):
     z = _check_arg(z, "gamma_family", _TRIGAMMA_MIN_Z)
     ladder, high, lifted = _lift(z)
     w = 1.0 / (lifted * lifted)
-    # trigamma takes a copy of a small ladder; a large one, for which filling
-    # it again costs about what the copy costs, is refilled so only one is held
-    refill = ladder.nbytes > _REFILL_NBYTES
-    tg = _psi1(ladder if refill else ladder.copy(), high, lifted, w)
-    dg = _psi(_ladder(z, ladder) if refill else ladder, high, lifted, w)
+    # each series overwrites its ladder: trigamma takes a copy, digamma the original
+    tg = _psi1(ladder.copy(), high, lifted, w)
+    dg = _psi(ladder, high, lifted, w)
     return _unbox(_elementwise(math.lgamma, z)), _unpad(dg, z.shape), _unpad(tg, z.shape)

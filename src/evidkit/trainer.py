@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import write_csv
+from ._arrays import all_finite, write_csv
 from ._schema import ConfigError, check_fields, member
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class
@@ -64,6 +64,9 @@ class DataConfig:
     def validate(self, where: str) -> None:
         if self.kind not in ("toy4", "blobs", "csv"):
             raise ConfigError(f"{where}.kind: expected toy4, blobs, or csv, got {self.kind!r}")
+        for name in ("means", "shift"):
+            if self.kind != "blobs" and getattr(self, name) is not None:
+                raise ConfigError(f"{where}.{name}: only blobs data takes {name}")
         if self.kind == "csv":
             if not self.path:
                 raise ConfigError(f"{where}.path: required for kind=csv")
@@ -87,6 +90,8 @@ class DataConfig:
                 # row by row, so ragged means are named here, not by NumPy
                 if [np.shape(row) for row in self.means] != [(self.d,)] * self.k:
                     raise ConfigError(f"{where}.means: expected shape ({self.k}, {self.d})")
+                if not np.isfinite(np.asarray(self.means, dtype=float)).all():
+                    raise ConfigError(f"{where}.means: must be finite")
         if self.shift is not None:
             s = np.asarray(self.shift, dtype=float)
             if s.shape != (self.d,):
@@ -169,7 +174,7 @@ class ExperimentConfig:
             raise ConfigError("seed: must be >= 0")
         if not self.hidden_dims or any(int(h) < 1 for h in self.hidden_dims):
             raise ConfigError("hidden_dims: need at least one positive width")
-        if any(t < 0 for t in self.zero_ev_taus):
+        if any(not t >= 0 for t in self.zero_ev_taus):  # NaN fails the comparison
             raise ConfigError("zero_ev_taus: thresholds must be >= 0")
         for name in ("train_data", "test_data", "ood_data"):
             if getattr(self, name) is not None:
@@ -242,7 +247,10 @@ def evaluate(
     """One record per sample, as columns; never mutates the network."""
     if net.out_dim != ds.k:
         raise ValueError(f"network emits {net.out_dim} logits but dataset has {ds.k} classes")
-    logits = forward(net, ds.features)[0]
+    return _records(forward(net, ds.features)[0], ds, act, baseline)
+
+
+def _records(logits: np.ndarray, ds: Dataset, act: Activation, baseline: bool) -> RecordColumns:
     st = evidence_state(act, logits)
     pred = logits.argmax(axis=1) if baseline else predict_class(st)
     max_sm = softmax(logits).max(axis=1) if baseline else np.full(ds.n, np.nan)
@@ -256,6 +264,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     train = cfg.train_data.build()
     test = cfg.test_data.build() if cfg.test_data is not None else None
     ood = cfg.ood_data.build() if cfg.ood_data is not None else None
+    # a set the network cannot score is refused before any training
+    for name, ds in (("test_data", test), ("ood_data", ood)):
+        if ds is not None and ds.k != train.k:
+            raise ConfigError(f"{name}: {ds.k} classes, but train_data has {train.k}")
+        if ds is not None and ds.d != train.d:
+            raise ConfigError(f"{name}: {ds.d} features per sample, but train_data has {train.d}")
 
     loss_kind = Loss(cfg.loss)
     act = Activation(cfg.activation)
@@ -269,6 +283,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     opt = cfg.optimizer.build()
     shuffle_rng = np.random.default_rng(shuffle_seed)
 
+    def scored(ds: Dataset, name: str, epoch: int) -> RecordColumns:
+        logits = forward(net, ds.features)[0]
+        _check_finite(logits, f"logits at epoch {epoch}, evaluating {name}")
+        return _records(logits, ds, act, baseline)
+
     x, labels = train.features, train.labels
     n = train.n
     logs = []
@@ -278,29 +297,28 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             rows = perm[start : start + cfg.batch_size]
+            batch = f"at epoch {epoch}, batch {start // cfg.batch_size}"
             logits, cache = forward(net, x[rows])
-            if not np.all(np.isfinite(logits)):
-                raise RuntimeError(
-                    f"non-finite logits at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
+            _check_finite(logits, f"logits {batch}")
             batch_loss, g = composite_loss(
                 loss_kind, inc, act, logits, labels[rows],
                 eta1=eta1, use_correct_reg=cfg.use_correct_reg,
             )
             # cumsum adds strictly left to right, keeping epochs.csv bit-stable.
             batch_loss = float(np.cumsum(batch_loss)[-1])
-            if not np.isfinite(batch_loss):
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
-                )
+            _check_finite(batch_loss, f"loss {batch}")
             loss_sum += batch_loss
-            step(net, opt, backward(net, cache, g / len(rows)))
-        stats = evaluate(net, train, act, baseline)
+            grads = backward(net, cache, g / len(rows))
+            try:
+                step(net, opt, grads)
+            except ValueError as err:  # backward's gradients fit the net: one is not finite
+                raise RuntimeError(f"{err} {batch}") from None
+        stats = scored(train, "train_data", epoch)
         # the last epoch always evaluates, so columns end as the run's result
         if test is None:
             columns = stats
         elif epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            columns = evaluate(net, test, act, baseline)
+            columns = scored(test, "test_data", epoch)
         logs.append(
             EpochLog(
                 epoch=epoch,
@@ -311,8 +329,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 mean_vacuity=stats.mean_vacuity,
             )
         )
-    ood_columns = evaluate(net, ood, act, baseline) if ood is not None else None
+    ood_columns = scored(ood, "ood_data", cfg.epochs - 1) if ood is not None else None
     return RunResult(config=cfg, logs=logs, net=net, columns=columns, ood_columns=ood_columns)
+
+
+def _check_finite(x, what: str) -> None:
+    """A run that diverges is a runtime failure that says where it was found."""
+    if not all_finite(np.asarray(x)):
+        raise RuntimeError(f"non-finite {what}")
 
 
 def epoch_csv_header(taus) -> str:

@@ -1,7 +1,8 @@
 """Layer microbenchmarks: the fixed cost of one training mini-batch, piece by
 piece, and the read path's two CSV loaders.
 
-The file name keeps it out of the test suite. Run it with pytest-benchmark:
+The file name keeps it out of the collected suite, which runs it once untimed
+through tests/test_bench_layers.py. Time it with pytest-benchmark:
 
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 

@@ -6,7 +6,7 @@ import pytest
 
 from evidkit.cli import main
 from evidkit.datasets import load_csv
-from evidkit.metrics import SampleRecord, load_records, save_records
+from evidkit.metrics import RecordColumns, SampleRecord, load_records, save_records
 from evidkit.network import dense_specs, init_network, save_checkpoint
 
 
@@ -129,16 +129,17 @@ def test_train_with_ood_writes_auroc(tmp_path):
     assert "mean_vacuity_ood" in metrics
 
 
-def test_train_metric_failure_writes_no_files(tmp_path, capsys):
-    # an OOD-flagged test set has no in-distribution record to summarize
+def test_train_summarizes_an_ood_flagged_test_set(tmp_path):
+    # its mean vacuity is that of every test record, as sweep reports it
     blob = {"kind": "blobs", "k": 3, "n_per_class": 10, "seed": 3}
     cfg = write_cfg(
         tmp_path, train_data=blob, test_data={**blob, "seed": 4, "shift": [3, -4]}, epochs=2
     )
     out = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
-    assert "error: need at least one in-distribution record" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    records = RecordColumns.load(out / "records.csv")
+    assert len(records) == 30 and records.is_ood.all()
+    assert json.loads((out / "metrics.json").read_text())["mean_vacuity"] == records.mean_vacuity
 
 
 def test_train_config_errors_exit_one(tmp_path, capsys):
@@ -199,6 +200,31 @@ def test_train_divergence_exits_two(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_train_divergence_found_by_an_epoch_evaluation_exits_two(tmp_path, capsys):
+    import numpy as np
+
+    # one mini-batch per epoch, so the epoch's evaluation of the training set
+    # is the first to meet the logits its step overflowed
+    blobs = {"kind": "blobs", "k": 3, "n_per_class": 10, "seed": 1}
+    cfg = write_cfg(
+        tmp_path, train_data=blobs, batch_size=32, optimizer={"kind": "sgd_momentum", "lr": 1e300}
+    )
+    with np.errstate(over="ignore"):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == "error: non-finite logits at epoch 0, evaluating train_data\n"
+
+
+def test_train_refuses_a_shift_on_toy4_data(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, train_data={"kind": "toy4", "shift": [50, 50]})
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 1
+    assert capsys.readouterr().err == "error: train_data.shift: only blobs data takes shift\n"
+    assert not (tmp_path / "r").exists()
+    out = tmp_path / "toy.csv"
+    assert main(["gen-data", "--kind", "toy4", "--out", str(out), "--shift", "50,50"]) == 1
+    assert capsys.readouterr().err == "error: dataset.shift: only blobs data takes shift\n"
+    assert not out.exists()
 
 
 # --- evaluate --------------------------------------------------------------------

@@ -76,6 +76,21 @@ def test_blob_spec_validation():
         BlobSpec(k=1, means=[[0.0, 0.0]], stddev=1.0, n_per_class=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (dict(means=[[0.0, float("nan")]]), "means must be finite"),
+        (dict(means=[[float("-inf"), 0.0]]), "means must be finite"),
+        (dict(stddev=float("nan")), "stddev must be finite"),
+        (dict(stddev=float("inf")), "stddev must be finite"),
+    ],
+)
+def test_blob_spec_names_a_non_finite_mean_or_stddev(over, message):
+    spec = dict(k=1, means=[[0.0, 0.0]], stddev=1.0, n_per_class=5, seed=0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BlobSpec(**{**spec, **over})
+
+
 def test_ood_shift_is_exact_translation_and_flagged():
     base = BlobSpec(k=2, means=[[0.0, 0.0], [4.0, 0.0]], stddev=1.0, n_per_class=8, seed=3)
     inn = make_blobs(base)

@@ -572,6 +572,8 @@ def test_optimizer_state_validation():
         ("beta2", 1.0, r"beta2: must be in \[0, 1\)"),
         ("eps", 0.0, "eps: must be > 0"),
         ("lr", float("nan"), "lr: must be > 0"),
+        ("lr", float("inf"), "lr: must be finite, got inf"),
+        ("eps", float("inf"), "eps: must be finite, got inf"),
     ],
 )
 def test_optimizer_state_rejects_out_of_range_settings(field, value, match):

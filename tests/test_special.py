@@ -16,7 +16,6 @@ from hypothesis.extra.numpy import arrays
 
 from evidkit.special import (
     _LIFT_RUNGS,
-    _REFILL_NBYTES,
     _TRIGAMMA_MIN_Z,
     digamma,
     gamma_family,
@@ -259,10 +258,10 @@ def test_gamma_family_equals_the_three_functions_bit_for_bit(z):
 
 
 def test_gamma_family_refills_a_large_ladder_with_the_same_bits():
-    # past _REFILL_NBYTES the ladder is filled a second time for digamma
-    # instead of being copied for trigamma
+    # a ladder of about 290 KB, near the gradient oracle's largest, takes the
+    # one path every size takes: trigamma on a copy, digamma on the ladder
     lo, hi = math.log(_TRIGAMMA_MIN_Z), math.log(1e14)
     z = np.exp(np.random.default_rng(0).uniform(lo, hi, (300, 11)))
-    assert _LIFT_RUNGS * z.nbytes > _REFILL_NBYTES
+    assert _LIFT_RUNGS * z.nbytes > 1 << 18
     for got, fn in zip(gamma_family(z), (log_gamma, digamma, trigamma)):
         assert got.tobytes() == fn(z).tobytes()

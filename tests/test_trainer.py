@@ -6,8 +6,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from evidkit import regularizers
-from evidkit.datasets import Dataset, make_toy4
+from evidkit import regularizers, trainer
+from evidkit.datasets import Dataset, make_toy4, save_csv
 from evidkit.evidence import Activation, evidence_state, predict_class
 from evidkit.losses import softmax
 from evidkit.network import LayerSpec, Network, dense_specs, init_network
@@ -96,6 +96,35 @@ def test_non_finite_lambda1_and_data_fields_are_named(value):
     ):
         with pytest.raises(ConfigError, match=f"^train_data.{field}$"):
             tiny_cfg(train_data=blob_data(**over)).validate()
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        (
+            dict(train_data=blob_data(means=[[0.0, float("nan")], [1.0, 1.0]])),
+            "train_data.means: must be finite",
+        ),
+        (dict(zero_ev_taus=[0.1, float("nan")]), "zero_ev_taus: thresholds must be >= 0"),
+        (dict(optimizer=OptConfig(lr=float("inf"))), "optimizer.lr: must be finite, got inf"),
+        (
+            dict(optimizer=OptConfig(kind="adam_like", eps=float("inf"))),
+            "optimizer.eps: must be finite, got inf",
+        ),
+    ],
+)
+def test_non_finite_values_of_a_python_built_config_are_named(over, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        tiny_cfg(**over).validate()
+
+
+@pytest.mark.parametrize("kind", ["toy4", "csv"])
+@pytest.mark.parametrize("field, value", [("shift", [50.0, 50.0]), ("means", [[0.0, 0.0]] * 4)])
+def test_only_blobs_data_takes_means_and_shift(tmp_path, kind, field, value):
+    save_csv(make_toy4(2, 0), tmp_path / "toy.csv")
+    data = DataConfig(kind=kind, path=str(tmp_path / "toy.csv"), **{field: value})
+    with pytest.raises(ConfigError, match=f"^train_data.{field}: only blobs data takes {field}$"):
+        tiny_cfg(train_data=data).validate()
 
 
 def test_from_dict_rejects_unknown_fields_and_missing_required():
@@ -345,6 +374,43 @@ def test_divergence_aborts_with_epoch_and_batch():
             RuntimeError, match=r"non-finite (logits|loss) at epoch \d+, batch \d+"
         ):
             run_experiment(cfg)
+
+
+def test_a_non_finite_gradient_is_a_runtime_failure_naming_the_epoch():
+    cfg = tiny_cfg(
+        train_data=blob_data(k=3, n_per_class=10, seed=1),
+        hidden_dims=[8, 8],
+        optimizer=OptConfig(lr=1e80),
+        batch_size=8,
+    )
+    with np.errstate(all="ignore"):
+        with pytest.raises(
+            RuntimeError, match="^non-finite gradient for layer 0 weights at epoch 0, batch 1$"
+        ):
+            run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "field, over, message",
+    [
+        ("test_data", dict(k=3), "test_data: 3 classes, but train_data has 2"),
+        (
+            "ood_data",
+            dict(d=3, shift=[9.0, 9.0, 9.0]),
+            "ood_data: 3 features per sample, but train_data has 2",
+        ),
+    ],
+)
+def test_a_set_the_network_cannot_score_is_refused_before_training(
+    monkeypatch, field, over, message
+):
+    def no_step(*args):
+        raise AssertionError("trained before the data was checked")
+
+    monkeypatch.setattr(trainer, "step", no_step)
+    cfg = tiny_cfg(train_data=blob_data(), **{field: blob_data(seed=5, **over)})
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        run_experiment(cfg)
 
 
 def test_eval_every_reuses_stale_test_accuracy():
