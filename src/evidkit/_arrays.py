@@ -191,14 +191,62 @@ def _cells(x: np.ndarray) -> np.ndarray:
 # Keyword arguments of every np.loadtxt call: one comma-separated row per
 # line, with no comment or quote character.
 _READER = {"delimiter": ",", "comments": None, "quotechar": None, "ndmin": 1}
+# Text holding any of these is not read in one pass. str.splitlines breaks
+# lines at \x0b, \x0c and \x1c-\x1e, where NumPy's reader reads on; NumPy's
+# number readers skip \x1f as a space; and a one-character field of \x00
+# reads as empty.
+_ODD = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _text_lines(path: Path) -> tuple[list, list, bool]:
-    """A text file's lines, its first two non-blank lines (fewer if it has
-    fewer), the header and the first data row, and whether every line is plain."""
+def read_csv(path, kind: str, layout) -> tuple:
+    """The columns of a CSV file's data rows, the non-blank lines after the
+    header (its first non-blank line). A missing file raises
+    FileNotFoundError naming the kind of file; text that is not UTF-8, and
+    the first bad row in file order, raise ValueError naming the file line.
+
+    layout(head) gets the first two non-blank lines (fewer if the file has
+    fewer), raises ValueError unless they are a good header and a data row,
+    and returns the row's structured dtype and checks(*columns), a list of
+    (mask, message) value checks whose callable message takes the row index.
+    A field of dtype object is an optional float, absent where empty; it
+    gives two columns, its values (NaN where absent) and its present mask.
+    A row is checked for its field count, then parsed, then checked in list
+    order.
+
+    ASCII text without _ODD's characters is read in one NumPy reader pass
+    with no Python string per row: by path for a file named *.csv (NumPy
+    decompresses by suffix), else from its lines. An optional field is read
+    as a float if the first data row holds one, else as one character, then
+    as text. The pass is kept if it parses, passes the checks, and the file
+    still has the inode, size and modification time it had before its text
+    was read, so a file changed between the two reads is parsed from the
+    checked text. Any other file is searched row by row.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    seen = _stamp(path)
     text = _utf8_text(path)
-    lines = text.splitlines()
-    return lines, list(islice(filter(str.strip, lines), 2)), _plain(text)
+    head = _head(text)
+    row, checks = layout(head)
+    if text.isascii() and not any(c in text for c in _ODD):
+        source = str(path) if path.suffix == ".csv" else text.splitlines()
+        for dtype in dict.fromkeys((_one_pass(row, head[1]), row)):
+            try:
+                cols = _fields(np.loadtxt(source, dtype, skiprows=1, **_READER), row)
+                unchanged = _stamp(path) == seen
+            except (ValueError, OSError):
+                continue
+            if unchanged and not any(mask.any() for mask, _ in checks(*cols)):
+                return cols
+            break
+    return _search(path, text.splitlines(), row, checks)
+
+
+def _stamp(path: Path) -> tuple:
+    """A file's inode, size and modification time."""
+    st = path.stat()
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def _utf8_text(path: Path) -> str:
@@ -214,6 +262,56 @@ def _utf8_text(path: Path) -> str:
         ) from None
 
 
+def _head(text: str) -> list:
+    """The first two non-blank lines of text (fewer if it has fewer), as
+    text.splitlines() gives them, from as short a prefix as holds them."""
+    size = 4096
+    while True:
+        whole = size >= len(text)
+        lines = text[:size].splitlines()[: None if whole else -1]  # the last may be cut short
+        head = list(islice(filter(str.strip, lines), 2))
+        if len(head) == 2 or whole:
+            return head
+        size *= 16
+
+
+def _one_pass(row: np.dtype, first: str) -> np.dtype:
+    """row with each optional field read as a float where the first data
+    row's field is present, and as one character where it is empty."""
+    fields, at, out = first.split(","), 0, []
+    for name in row.names:
+        dtype = row[name]
+        if dtype == object:
+            dtype = np.dtype("U1" if fields[at : at + 1] == [""] else float)
+        out.append((name, dtype))
+        at += math.prod(dtype.shape)
+    return np.dtype(out)
+
+
+def _fields(table: np.ndarray, row: np.dtype) -> tuple:
+    """The columns of a parsed table, one per field of row and two per
+    optional field. The table holds an optional field as a float (every one
+    present), as one character (every one empty, or ValueError; its uint32
+    view tells with no Python string) or as text, whose non-empty fields a
+    second reader pass parses."""
+    cols = []
+    for name in row.names:
+        col = np.ascontiguousarray(table[name])
+        if row[name] != object:
+            cols.append(col)
+        elif col.dtype.kind == "f":
+            cols += [col, np.ones(len(col), bool)]
+        else:
+            if col.dtype.kind == "U" and col.view(np.uint32).any():
+                raise ValueError(f"a {name} field is not empty")
+            present = col.astype(bool) if col.dtype == object else np.zeros(len(col), bool)
+            values = np.full(len(col), math.nan)
+            if present.any():
+                values[present] = np.loadtxt(col[present], float, **_READER)
+            cols += [values, present]
+    return tuple(cols)
+
+
 def _first(mask: np.ndarray) -> int | None:
     """Index of the first true entry, or None."""
     return int(mask.argmax()) if mask.any() else None
@@ -226,32 +324,18 @@ def _plain(row: str) -> bool:
     return row.isascii() and "\x1f" not in row
 
 
-def _read_table(path: Path, lines: list, plain: bool, width: int, read, checks) -> tuple:
-    """Columns of the data rows, the non-blank lines after the header (the
-    first non-blank line); raises for the first bad row. plain says whether
-    every line is plain, as _text_lines gives it.
+def _search(path: Path, lines: list, row: np.dtype, checks) -> tuple:
+    """read_csv's columns of the file's lines, from a search for the first
+    bad row: field counts and plain text are tested row by row, and the
+    reader parses the longest prefix of rows that parses."""
 
-    read(rows) turns a list of rows into a tuple of columns with one NumPy
-    reader pass, and raises ValueError when a row does not parse; an empty
-    line is skipped. checks(*columns) lists (mask, message) value checks; a
-    callable message takes the row index. A row is checked for its field
-    count, then parsed, then checked in list order, and the error of the
-    first bad row in file order is raised with its file line.
-    """
-    # One reader pass over the lines after the first. It fails, and the search
-    # below runs, when the first line is not the header, a later line is blank
-    # but not empty, or a row is bad.
-    if plain:
-        try:
-            cols = read(lines[1:])
-        except ValueError:
-            pass
-        else:
-            if not any(mask.any() for mask, _ in checks(*cols)):
-                return cols
+    def read(rows: list) -> tuple:
+        return _fields(np.loadtxt(rows, row, **_READER), row)
+
     at = np.flatnonzero(np.fromiter(map(bool, map(str.strip, lines)), bool, len(lines)))[1:]
     rows = [lines[i] for i in at.tolist()]
     n = len(rows)
+    width = sum(math.prod(row[name].shape) for name in row.names)
     ncols = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n) + 1
     miscounted = ncols != width
     end = _first(miscounted | ~np.fromiter(map(_plain, rows), bool, n))

@@ -10,6 +10,7 @@ directory for commands that take --out DIR.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -26,8 +27,8 @@ from .losses import Loss
 from .metrics import (
     CensusBuckets,
     RecordColumns,
+    _ood_auroc,
     accuracy_vacuity_curve,
-    auroc,
     evidence_census,
     save_records,
     topk_confident_accuracy,
@@ -114,7 +115,8 @@ def cmd_train(args) -> int:
     }
     if ood is not None:
         metrics["mean_vacuity_ood"] = ood.mean_vacuity
-        metrics["auroc_vacuity"] = auroc(ood.vacuity, records.vacuity)
+        # scored by vacuity in every arm, with the sides split as report splits them
+        metrics["auroc_vacuity"] = _ood_auroc(records, ood, "vacuity")[1]
     save_epoch_csv(result.logs, cfg.zero_ev_taus, out / "epochs.csv")
     save_checkpoint(result.net, out / "checkpoint.json")
     save_records(records, out / "records.csv")
@@ -244,29 +246,22 @@ def cmd_report(args) -> int:
 
     # InD and OOD are told apart by each record's flag, in either file
     mean_ind, mean_ood = vacuity_summary(records, ood)
+    score_kind, score = _ood_auroc(records, ood)
     summary = {
         "n": len(records),
         "n_ood": 0 if ood is None else len(ood),
         "accuracy": records.accuracy,
         "mean_vacuity_ind": mean_ind,
         "mean_vacuity_ood": mean_ood,
-        "auroc": None,
-        "score_kind": None,
+        "auroc": score,
+        "score_kind": score_kind,
     }
-    if mean_ood is not None:
-        sets = [c for c in (records, ood) if c is not None]
-        softmax = not any(np.isnan(c.max_softmax).any() for c in sets)
-        summary["score_kind"] = "one_minus_max_softmax" if softmax else "vacuity"
-        scores = [(1.0 - c.max_softmax if softmax else c.vacuity, c.is_ood) for c in sets]
-        summary["auroc"] = auroc(
-            np.concatenate([s[flag] for s, flag in scores]),
-            np.concatenate([s[~flag] for s, flag in scores]),
-        )
     (out / "summary.json").write_text(json.dumps(summary, indent=1))
     print(f"report written to {out}")
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> _Parser:
     parser = _Parser(prog="evidkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import _READER, _read_table, _text_lines, write_csv
+from ._arrays import read_csv, write_csv
 from ._schema import read_object
 
 __all__ = [
@@ -171,24 +171,21 @@ def load_csv(path, k: int | None = None) -> Dataset:
     Malformed rows are rejected with their file line number.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"dataset file not found: {path}")
-    lines, head, plain = _text_lines(path)
-    if len(head) < 2:
-        raise ValueError(f"{path}: empty dataset (need a header and at least one row)")
-    header = head[0].split(",")
-    if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
-        raise ValueError(f"{path}: bad header, expected f0,...,f{{D-1}},label")
-    d = len(header) - 1
-    sidecar = _sidecar_path(path)
-    meta = read_object(sidecar, "sidecar", _SIDECAR_FIELDS) if sidecar.exists() else {}
-    if k is None:
-        k = meta.get("k")
-    row = np.dtype([("features", float, (d,)), ("label", np.int64)])
+    meta = {}
 
-    def read(rows: list) -> tuple:
-        table = np.loadtxt(rows, row, **_READER)
-        return np.ascontiguousarray(table["features"]), np.ascontiguousarray(table["label"])
+    def layout(head: list) -> tuple:
+        nonlocal k
+        if len(head) < 2:
+            raise ValueError(f"{path}: empty dataset (need a header and at least one row)")
+        header = head[0].split(",")
+        if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
+            raise ValueError(f"{path}: bad header, expected f0,...,f{{D-1}},label")
+        sidecar = _sidecar_path(path)
+        if sidecar.exists():
+            meta.update(read_object(sidecar, "sidecar", _SIDECAR_FIELDS))
+        if k is None:
+            k = meta.get("k")
+        return np.dtype([("features", float, (len(header) - 1,)), ("label", np.int64)]), checks
 
     def checks(feats, labels) -> list:
         bad_label = labels < 0 if k is None else (labels < 0) | (labels >= k)
@@ -197,7 +194,7 @@ def load_csv(path, k: int | None = None) -> Dataset:
             (bad_label, lambda r: f"label {labels[r]} out of range [0, {k})"),
         ]
 
-    feats, labels = _read_table(path, lines, plain, d + 1, read, checks)
+    feats, labels = read_csv(path, "dataset", layout)
     if k is None:
         k = int(labels.max()) + 1
     return Dataset(

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._arrays import _READER, _read_table, _text_lines, write_csv
+from ._arrays import read_csv, write_csv
 
 __all__ = [
     "CENSUS_THRESHOLDS",
@@ -143,15 +143,15 @@ class RecordColumns:
     def load(cls, path) -> RecordColumns:
         """Read a records CSV; a malformed row is rejected with its file line."""
         path = Path(path)
-        if not path.exists():
-            raise FileNotFoundError(f"records file not found: {path}")
-        lines, head, plain = _text_lines(path)
-        if not head or head[0] != RECORDS_HEADER:
-            raise ValueError(f"{path}: expected header '{RECORDS_HEADER}'")
-        if len(head) < 2:
-            raise ValueError(f"{path}: no data rows")
-        cols = _read_table(path, lines, plain, 6, _read_records, _record_checks)
-        pred, actual, vac, mean_ev, max_sm, _, flag = cols
+
+        def layout(head: list) -> tuple:
+            if not head or head[0] != RECORDS_HEADER:
+                raise ValueError(f"{path}: expected header '{RECORDS_HEADER}'")
+            if len(head) < 2:
+                raise ValueError(f"{path}: no data rows")
+            return _RECORD_ROW, _record_checks
+
+        pred, actual, vac, mean_ev, max_sm, _, flag = read_csv(path, "records", layout)
         return cls(pred, actual, vac, mean_ev, max_sm, flag == 1)
 
 
@@ -249,6 +249,27 @@ def vacuity_summary(
     return _mean(ind), _mean(ood) if ood.size else None
 
 
+def _ood_auroc(
+    records: RecordColumns, ood: RecordColumns | None, kind: str | None = None
+) -> tuple[str | None, float | None]:
+    """(score kind, AUROC) of telling OOD records from in-distribution ones,
+    over records, then ood: each record's is_ood flag puts it on a side. kind
+    is "vacuity" or "one_minus_max_softmax"; None picks the second when
+    every record has a max_softmax. Both are None unless each side has a
+    record."""
+    sets = [c for c in (records, ood) if c is not None]
+    flags = [c.is_ood for c in sets]
+    if not any(f.any() for f in flags) or all(f.all() for f in flags):
+        return None, None
+    if kind is None:
+        softmax = not any(np.isnan(c.max_softmax).any() for c in sets)
+        kind = "one_minus_max_softmax" if softmax else "vacuity"
+    scores = [c.vacuity if kind == "vacuity" else 1.0 - c.max_softmax for c in sets]
+    pos = np.concatenate([s[f] for s, f in zip(scores, flags)])
+    neg = np.concatenate([s[~f] for s, f in zip(scores, flags)])
+    return kind, auroc(pos, neg)
+
+
 def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     """Rank-based (Mann-Whitney) AUROC with ties counted 1/2."""
     pos = np.asarray(scores_pos, dtype=float)
@@ -281,22 +302,9 @@ def load_records(path) -> list[SampleRecord]:
     return RecordColumns.load(path).to_records()
 
 
-# One records CSV row: is_ood is read as an integer, which must be 0 or 1, and
-# max_softmax as text, so an empty field (absent) stays apart from a number.
+# One records CSV row: max_softmax is an optional float, absent where empty,
+# and is_ood is read as an integer, which must be 0 or 1.
 _RECORD_ROW = np.dtype(list({**_COLUMN_DTYPES, "max_softmax": object, "is_ood": np.int64}.items()))
-
-
-def _read_records(rows: list) -> tuple:
-    """Columns of records CSV rows, plus the mask of non-empty max_softmax
-    fields (an empty one is absent, NaN in the column); a second reader
-    pass parses the others."""
-    table = np.loadtxt(rows, _RECORD_ROW, **_READER)
-    pred, actual, vac, mean_ev, sm, flag = (np.ascontiguousarray(table[n]) for n in _RECORD_ROW.names)
-    present = sm.astype(bool)
-    max_sm = np.full(len(sm), math.nan)
-    if present.any():
-        max_sm[present] = np.loadtxt(sm[present], float, **_READER)
-    return pred, actual, vac, mean_ev, max_sm, present, flag
 
 
 def _record_checks(pred, actual, vac, mean_ev, max_sm, present, flag) -> list:

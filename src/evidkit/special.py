@@ -59,19 +59,25 @@ def _elementwise(fn, z: np.ndarray) -> np.ndarray:
 
 
 def _lift(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ladder, high, lifted) for lifting every entry of z, and the pad, to at
+    """(ladder, low, lifted) for lifting every entry of z, and the pad, to at
     least _ASYMPTOTIC_Z by the unit recurrence. The (_LIFT_RUNGS, z.size + 1)
     ladder's rung 0 is z flattened and a pad of _ASYMPTOTIC_Z, and rung j is
     rung 0 + 1 + ... + 1, rounded after each addition: what a cumsum over the
-    rungs gives, at a fraction of its cost. high marks the rungs at or past the
-    threshold, and lifted is the first of them."""
+    rungs gives, at a fraction of its cost. low marks the rungs below the
+    threshold, and lifted is the first rung past them: the rungs increase, so
+    it is rung low.sum() of each column.
+
+    A series sums its steps over the rungs with low as the numerator of each
+    divide, so a rung past the threshold adds 0.0. Over the 2 or more columns
+    the pad ensures, that reduce adds the rungs in order, as a step-by-step
+    loop adds them."""
     ladder = np.empty((_LIFT_RUNGS, z.size + 1))
     ladder[0, :-1] = z.reshape(-1)
     ladder[0, -1] = _ASYMPTOTIC_Z
     for prev, rung in zip(ladder, ladder[1:]):
         np.add(prev, 1.0, out=rung)
-    high = ladder >= _ASYMPTOTIC_Z
-    return ladder, high, ladder.min(axis=0, where=high, initial=np.inf)
+    low = ladder < _ASYMPTOTIC_Z
+    return ladder, low, ladder[low.sum(axis=0), np.arange(z.size + 1)]
 
 
 def _unpad(x: np.ndarray, shape: tuple):
@@ -79,25 +85,20 @@ def _unpad(x: np.ndarray, shape: tuple):
     return _unbox(x[:-1].reshape(shape))
 
 
-def _below(steps: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """acc with f(z) = acc + f(lifted z), where steps (overwritten) holds
-    f(v) - f(v + 1) at each rung v. Over the 2 or more columns the pad ensures,
-    the reduce adds the rungs in order, as a step-by-step loop adds them."""
-    np.copyto(steps, 0.0, where=high)
-    return np.add.reduce(steps, axis=0)
-
-
-def _psi(ladder, high, z, w) -> np.ndarray:
-    """digamma from the ladder, which is overwritten, at the lifted z; w = 1/z**2."""
-    acc = _below(np.divide(-1.0, ladder, out=ladder), high)
+def _psi(ladder, low, z, w) -> np.ndarray:
+    """digamma from the ladder, which is overwritten, at the lifted z; w = 1/z**2.
+    psi(v) - psi(v + 1) = -1/v: the sum of 1/v over the low rungs, negated,
+    which is exact under rounding to nearest."""
+    acc = -np.add.reduce(np.divide(low, ladder, out=ladder), axis=0)
     # psi(z) ~ ln z - 1/(2z) - sum_k B_2k / (2k z^2k)
     poly = _nested(w, (1 / 12, 1 / 120, 1 / 252, 1 / 240, 1 / 132, 691 / 32760))
     return acc + (_elementwise(math.log, z) - 0.5 / z - w * poly)
 
 
-def _psi1(ladder, high, z, w) -> np.ndarray:
+def _psi1(ladder, low, z, w) -> np.ndarray:
     """trigamma from the ladder, which is overwritten, at the lifted z; w = 1/z**2."""
-    acc = _below(np.divide(1.0, np.multiply(ladder, ladder, out=ladder), out=ladder), high)
+    # psi1(v) - psi1(v + 1) = 1/v**2
+    acc = np.add.reduce(np.divide(low, np.multiply(ladder, ladder, out=ladder), out=ladder), axis=0)
     # psi1(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
     poly = _nested(w, (1 / 6, 1 / 30, 1 / 42, 1 / 30, 5 / 66, 691 / 2730))
     return acc + (1.0 / z + 0.5 * w + (w / z) * poly)
@@ -123,8 +124,8 @@ def digamma(z):
     Satisfies the recurrence psi(z+1) = psi(z) + 1/z to ~1e-15 absolute.
     """
     z = _check_arg(z, "digamma", _DIGAMMA_MIN_Z)
-    ladder, high, lifted = _lift(z)
-    return _unpad(_psi(ladder, high, lifted, 1.0 / (lifted * lifted)), z.shape)
+    ladder, low, lifted = _lift(z)
+    return _unpad(_psi(ladder, low, lifted, 1.0 / (lifted * lifted)), z.shape)
 
 
 def trigamma(z):
@@ -135,8 +136,8 @@ def trigamma(z):
     the bound 1/z**2 < psi1(z) < 1/z**2 + pi**2/6.
     """
     z = _check_arg(z, "trigamma", _TRIGAMMA_MIN_Z)
-    ladder, high, lifted = _lift(z)
-    return _unpad(_psi1(ladder, high, lifted, 1.0 / (lifted * lifted)), z.shape)
+    ladder, low, lifted = _lift(z)
+    return _unpad(_psi1(ladder, low, lifted, 1.0 / (lifted * lifted)), z.shape)
 
 
 def gamma_family(z):
@@ -144,9 +145,9 @@ def gamma_family(z):
     result bit for bit, from one argument check and one lift ladder; for z >=
     about 1.5e-154, as trigamma requires."""
     z = _check_arg(z, "gamma_family", _TRIGAMMA_MIN_Z)
-    ladder, high, lifted = _lift(z)
+    ladder, low, lifted = _lift(z)
     w = 1.0 / (lifted * lifted)
     # each series overwrites its ladder: trigamma takes a copy, digamma the original
-    tg = _psi1(ladder.copy(), high, lifted, w)
-    dg = _psi(ladder, high, lifted, w)
+    tg = _psi1(ladder.copy(), low, lifted, w)
+    dg = _psi(ladder, low, lifted, w)
     return _unbox(_elementwise(math.lgamma, z)), _unpad(dg, z.shape), _unpad(tg, z.shape)

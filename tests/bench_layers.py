@@ -7,16 +7,18 @@ through tests/test_bench_layers.py. Time it with pytest-benchmark:
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
 It times the rb-red objective on one (32, 5) mini-batch, the special-function
-kernel on the (32, 6) argument that objective passes it, one Adam step on
-a small (2 -> 16 -> 5) and a wide (64 -> 1024 -> 1024 -> 10) network, with
-the gradients backward returns, forward + backward + step together on the
-small network (batch 32, Adam), and one (cell, K) group of the gradient
-oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and
-RecordColumns.load on 30,000 rows each, written as save_csv and save_records
-write them: a D = 2 dataset, and evidential records with no max_softmax;
-and it times save_csv and save_records writing those same rows back, and
-save_records writing 30,000 softmax-baseline records, every max_softmax
-present, so the writer's filled and all-empty float columns are both timed.
+kernel on the (32, 6) argument that objective passes it and on the
+(4020, 101) argument of one K = 100 group of the gradient oracle (20
+ev_log:exp:edl_kl cases), one Adam step on a small (2 -> 16 -> 5) and a wide
+(64 -> 1024 -> 1024 -> 10) network, with the gradients backward returns,
+forward + backward + step together on the small network (batch 32, Adam),
+and one (cell, K) group of the gradient oracle: 12 ev_log:exp:edl_kl cases at
+K = 5. It also times load_csv and RecordColumns.load on 30,000 rows each,
+written as save_csv and save_records write them: a D = 2 dataset, evidential
+records with no max_softmax, and softmax-baseline records with every
+max_softmax present; and it times save_csv and save_records writing those
+same rows back, and save_records writing the 30,000 softmax-baseline records,
+so the writer's filled and all-empty float columns are both timed.
 Last, it times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
 parameters, the shape of the trainer's blocked-step pin), whose reading is
 mostly the JSON parse and the type check of every weight.
@@ -27,6 +29,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from evidkit import regularizers
 from evidkit.datasets import Dataset, load_csv, save_csv
 from evidkit.evidence import Activation
 from evidkit.gradcheck import check_case
@@ -60,6 +63,19 @@ def test_composite_loss_rb_red(benchmark):
 def test_gamma_family(benchmark):
     alpha = 1.0 + np.exp(np.random.default_rng(1).normal(size=(32, 5)) * 2.0)
     benchmark(gamma_family, np.concatenate((alpha, alpha.sum(axis=1, keepdims=True)), axis=1))
+
+
+def test_gamma_family_k100_oracle_group(benchmark):
+    rng = np.random.default_rng(7)
+    o = rng.uniform(-4.0, 4.0, size=(20, 100))
+    gt, epoch = rng.integers(100, size=20), rng.integers(1, 13, size=20)
+    seen = []  # the argument the oracle's one objective call passes the kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "gamma_family", lambda z: seen.append(z) or gamma_family(z))
+        check_case(Loss.EV_LOG, Activation.EXP, "edl_kl", o, gt, lambda1=1.0, epoch=epoch)
+    [z] = seen
+    assert z.shape == (4020, 101)
+    benchmark(gamma_family, z)
 
 
 @pytest.mark.parametrize(
@@ -124,6 +140,10 @@ def test_load_csv(benchmark, read_path_files):
 
 def test_record_columns_load(benchmark, read_path_files):
     benchmark(RecordColumns.load, read_path_files / "records.csv")
+
+
+def test_record_columns_load_baseline(benchmark, read_path_files):
+    benchmark(RecordColumns.load, read_path_files / "baseline_records.csv")
 
 
 def test_save_csv(benchmark, read_path_files, tmp_path):

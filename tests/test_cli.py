@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface (in-process)."""
 
+import argparse
 import json
 
 import pytest
@@ -50,6 +51,24 @@ def test_unknown_command_and_missing_args_exit_one(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["gen-data", "--kind", "toy4"]) == 1  # missing --out
     assert "--out" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    main(["--help"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["frobnicate"]) == 1
+    assert main(["census", "--records", str(tmp_path / "none.csv")]) == 1
+    assert "records file not found" in capsys.readouterr().err
+    assert main(["gen-data", "--kind", "toy4", "--out", str(tmp_path / "t.csv")]) == 0
+    assert main(["--help"]) == 0
+    assert built == []
 
 
 # --- gen-data ------------------------------------------------------------------
@@ -140,6 +159,31 @@ def test_train_summarizes_an_ood_flagged_test_set(tmp_path):
     records = RecordColumns.load(out / "records.csv")
     assert len(records) == 30 and records.is_ood.all()
     assert json.loads((out / "metrics.json").read_text())["mean_vacuity"] == records.mean_vacuity
+
+
+@pytest.mark.parametrize("ood_shift", [[3, -4], None], ids=["ood-flagged", "ood-unflagged"])
+def test_train_scores_ood_by_each_record_flag_as_report_does(tmp_path, ood_shift):
+    # the test set is shifted, so flagged OOD. With a flagged OOD set no
+    # record is in-distribution, and there is no AUROC; with an unflagged
+    # one, the test records are the positives. train wrote
+    # auroc(ood vacuity, test vacuity) for both.
+    blob = {"kind": "blobs", "k": 3, "n_per_class": 10, "seed": 3}
+    ood = {**blob, "seed": 5, "stddev": 3.0}
+    cfg = write_cfg(
+        tmp_path, train_data=blob, test_data={**blob, "seed": 4, "shift": [3, -4]},
+        ood_data=ood if ood_shift is None else {**ood, "shift": ood_shift}, epochs=2,
+    )
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    got = json.loads((out / "metrics.json").read_text())["auroc_vacuity"]
+    files = ["--records", str(out / "records.csv"), "--ood-records", str(out / "ood_records.csv")]
+    if ood_shift is not None:
+        assert got is None
+        assert main(["report", *files, "--out", str(tmp_path / "rep")]) == 1
+    else:
+        assert main(["report", *files, "--out", str(tmp_path / "rep")]) == 0
+        summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+        assert summary["score_kind"] == "vacuity" and got == summary["auroc"] != 0.5
 
 
 def test_train_config_errors_exit_one(tmp_path, capsys):
