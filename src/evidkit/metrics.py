@@ -280,7 +280,9 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     order = np.argsort(scores, kind="mergesort")
-    _, first, count = np.unique(scores[order], return_index=True, return_counts=True)
+    s = scores[order]
+    first = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])  # where each tie group starts
+    count = np.diff(first, append=s.size)
     ranks = np.empty(scores.size)
     # each tie group shares its average rank, 1-based: first + (count + 1) / 2
     ranks[order] = np.repeat(first + 0.5 * (count - 1) + 1.0, count)

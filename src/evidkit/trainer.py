@@ -46,9 +46,19 @@ __all__ = [
 ]
 
 
+# The fields each data kind reads; DataConfig.validate holds every other field at its default.
+_KIND_READS = {
+    "toy4": ("d", "seed"),
+    "blobs": ("d", "seed", "k", "n_per_class", "stddev", "radius", "means", "shift"),
+    "csv": ("path",),
+}
+
+
 @dataclass
 class DataConfig:
-    """Declarative dataset description: toy4, blobs, or a CSV file."""
+    """Declarative dataset description: toy4, blobs, or a CSV file. A field its
+    kind does not read (_KIND_READS) must keep its default, and one equal to its
+    default counts as unset; every default passes every range rule."""
 
     kind: str
     d: int = 2
@@ -59,39 +69,39 @@ class DataConfig:
     radius: float = 6.0
     means: list[list[float]] | None = None  # explicit (K, D) means; otherwise circle placement
     shift: list[float] | None = None  # translation marking the set out-of-distribution
-    path: str | None = None  # CSV path for kind="csv"
+    path: str | None = None
 
     def validate(self, where: str) -> None:
-        if self.kind not in ("toy4", "blobs", "csv"):
+        if self.kind not in _KIND_READS:
             raise ConfigError(f"{where}.kind: expected toy4, blobs, or csv, got {self.kind!r}")
-        for name in ("means", "shift"):
-            if self.kind != "blobs" and getattr(self, name) is not None:
-                raise ConfigError(f"{where}.{name}: only blobs data takes {name}")
-        if self.kind == "csv":
-            if not self.path:
-                raise ConfigError(f"{where}.path: required for kind=csv")
-            if not Path(self.path).exists():
-                raise ConfigError(f"{where}.path: dataset file not found: {self.path}")
-            return
+        for f in dataclasses.fields(self)[1:]:
+            value = getattr(self, f.name)
+            is_set = value is not None if f.default is None else value != f.default
+            if is_set and f.name not in _KIND_READS[self.kind]:
+                kinds = " or ".join(kind for kind, reads in _KIND_READS.items() if f.name in reads)
+                raise ConfigError(f"{where}.{f.name}: only {kinds} data takes {f.name}")
+        if self.kind == "csv" and not self.path:
+            raise ConfigError(f"{where}.path: required for kind=csv")
+        if self.path and not Path(self.path).is_file():
+            raise ConfigError(f"{where}.path: dataset file not found: {self.path}")
         if self.seed < 0:
             raise ConfigError(f"{where}.seed: must be >= 0")
         if self.d < 2:
             raise ConfigError(f"{where}.d: must be >= 2")
-        if self.kind == "blobs":
-            if self.k < 2:
-                raise ConfigError(f"{where}.k: must be >= 2")
-            if self.n_per_class < 1:
-                raise ConfigError(f"{where}.n_per_class: must be >= 1")
-            if not 0 < self.stddev < np.inf:  # NaN fails both comparisons
-                raise ConfigError(f"{where}.stddev: must be > 0 and finite")
-            if not np.isfinite(self.radius):
-                raise ConfigError(f"{where}.radius: must be finite")
-            if self.means is not None:
-                # row by row, so ragged means are named here, not by NumPy
-                if [np.shape(row) for row in self.means] != [(self.d,)] * self.k:
-                    raise ConfigError(f"{where}.means: expected shape ({self.k}, {self.d})")
-                if not np.isfinite(np.asarray(self.means, dtype=float)).all():
-                    raise ConfigError(f"{where}.means: must be finite")
+        if self.k < 2:
+            raise ConfigError(f"{where}.k: must be >= 2")
+        if self.n_per_class < 1:
+            raise ConfigError(f"{where}.n_per_class: must be >= 1")
+        if not 0 < self.stddev < np.inf:  # NaN fails both comparisons
+            raise ConfigError(f"{where}.stddev: must be > 0 and finite")
+        if not np.isfinite(self.radius):
+            raise ConfigError(f"{where}.radius: must be finite")
+        if self.means is not None:
+            # row by row, so ragged means are named here, not by NumPy
+            if [np.shape(row) for row in self.means] != [(self.d,)] * self.k:
+                raise ConfigError(f"{where}.means: expected shape ({self.k}, {self.d})")
+            if not np.isfinite(np.asarray(self.means, dtype=float)).all():
+                raise ConfigError(f"{where}.means: must be finite")
         if self.shift is not None:
             s = np.asarray(self.shift, dtype=float)
             if s.shape != (self.d,):

@@ -21,10 +21,14 @@ same rows back, and save_records writing the 30,000 softmax-baseline records,
 so the writer's filled and all-empty float columns are both timed.
 Last, it times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
 parameters, the shape of the trainer's blocked-step pin), whose reading is
-mostly the JSON parse and the type check of every weight.
+mostly the JSON parse and the type check of every weight. And it times the
+vacuity AUROC that `report --ood-records` computes in the benchmark's score
+workload: 30,000 OOD rows ranked against 30,000 in-distribution rows, scored
+by that workload's recipe (the criterion-08 model on its blobs).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from evidkit.datasets import Dataset, load_csv, save_csv
 from evidkit.evidence import Activation
 from evidkit.gradcheck import check_case
 from evidkit.losses import Loss
-from evidkit.metrics import RecordColumns, save_records
+from evidkit.metrics import RecordColumns, auroc, save_records
 from evidkit.network import (
     OptimizerState,
     OptKind,
@@ -48,6 +52,7 @@ from evidkit.network import (
 )
 from evidkit.regularizers import IncReg, composite_loss
 from evidkit.special import gamma_family
+from evidkit.trainer import DataConfig, ExperimentConfig, evaluate, run_experiment
 
 
 def test_composite_loss_rb_red(benchmark):
@@ -163,3 +168,23 @@ def test_load_checkpoint(benchmark, tmp_path):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(init_network(dense_specs(2, [300, 200], 5), seed=6), path)
     benchmark(load_checkpoint, path)
+
+
+def test_auroc_score_op(benchmark):
+    fit = ExperimentConfig.from_dict({
+        "name": "ood-red",
+        "train_data": {
+            "kind": "blobs", "k": 3, "n_per_class": 50, "stddev": 0.25, "radius": 10.0, "seed": 11,
+        },
+        "hidden_dims": [32], "loss": "ev_log", "activation": "exp", "inc_reg": "edl_kl",
+        "lambda1": 2.0, "use_correct_reg": True, "optimizer": {"kind": "adam_like", "lr": 0.005},
+        "epochs": 60, "batch_size": 32, "seed": 5, "eval_every": 60,
+    })
+    net = run_experiment(fit).net
+    # 10,000 rows per class; the OOD blobs sit near the origin, shifted 20 sigma at 300 degrees
+    shift = [5.0 * math.cos(math.radians(300.0)), 5.0 * math.sin(math.radians(300.0))]
+    blobs = dict(kind="blobs", k=3, n_per_class=10_000, stddev=0.25)
+    ind = DataConfig(**blobs, radius=10.0, seed=1).build()
+    ood = DataConfig(**blobs, radius=0.5, seed=2, shift=shift).build()
+    ind_vac, ood_vac = (evaluate(net, ds, Activation.EXP).vacuity for ds in (ind, ood))
+    benchmark(auroc, ood_vac, ind_vac)

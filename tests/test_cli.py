@@ -6,7 +6,7 @@ import json
 import pytest
 
 from evidkit.cli import main
-from evidkit.datasets import load_csv
+from evidkit.datasets import load_csv, make_toy4, save_csv
 from evidkit.metrics import RecordColumns, SampleRecord, load_records, save_records
 from evidkit.network import dense_specs, init_network, save_checkpoint
 
@@ -111,6 +111,13 @@ def test_gen_data_names_a_non_finite_flag(tmp_path, capsys, flag, value):
     text = f"{value},0" if flag == "--shift" else value
     assert main(["gen-data", "--kind", "blobs", "--out", str(out), flag, text]) == 1
     assert f"error: dataset.{flag[2:]}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_data_refuses_a_flag_its_kind_does_not_read(tmp_path, capsys):
+    out = tmp_path / "toy.csv"
+    assert main(["gen-data", "--kind", "toy4", "--out", str(out), "--k", "9"]) == 1
+    assert capsys.readouterr().err == "error: dataset.k: only blobs data takes k\n"
     assert not out.exists()
 
 
@@ -271,6 +278,33 @@ def test_train_refuses_a_shift_on_toy4_data(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            {"kind": "toy4", "path": "nowhere.csv", "k": 9, "n_per_class": 3},
+            "train_data.k: only blobs data takes k",
+        ),
+        (
+            {"kind": "csv", "path": "t.csv", "seed": 5, "k": 7, "d": 9},
+            "train_data.d: only toy4 or blobs data takes d",
+        ),
+        ({"kind": "csv", "path": "adir"}, "train_data.path: dataset file not found: adir"),
+    ],
+    ids=["toy4-k-n_per_class-path", "csv-seed-k-d", "csv-directory"],
+)
+def test_train_refuses_data_fields_it_would_ignore_or_not_read(
+    tmp_path, monkeypatch, capsys, data, message
+):
+    monkeypatch.chdir(tmp_path)
+    save_csv(make_toy4(2, 0), "t.csv")
+    (tmp_path / "adir").mkdir()
+    cfg = write_cfg(tmp_path, train_data=data)
+    assert main(["train", "--config", str(cfg), "--out", "r"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "r").exists()
+
+
 # --- evaluate --------------------------------------------------------------------
 
 
@@ -309,6 +343,16 @@ def test_evaluate_class_mismatch_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "4 logits but dataset has 2 classes" in capsys.readouterr().err
+
+
+def test_evaluate_a_directory_as_data_exits_one_naming_the_field(tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    save_checkpoint(init_network(dense_specs(2, [4], 4), seed=0), ckpt)
+    out = tmp_path / "r.csv"
+    code = main(["evaluate", "--checkpoint", str(ckpt), "--data", str(tmp_path), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: data.path: dataset file not found: {tmp_path}\n"
+    assert not out.exists()
 
 
 def _without(d, key):

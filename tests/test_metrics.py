@@ -149,6 +149,27 @@ def test_auroc_matches_brute_force_exactly():
     assert auroc(pos, neg) == brute_auroc(pos, neg)
 
 
+def unique_auroc(pos, neg):
+    # the tie groups found by np.unique, which sorts the sorted scores again
+    scores = np.concatenate([pos, neg])
+    order = np.argsort(scores, kind="mergesort")
+    _, first, count = np.unique(scores[order], return_index=True, return_counts=True)
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(first + 0.5 * (count - 1) + 1.0, count)
+    u = ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2.0
+    return float(u / (len(pos) * len(neg)))
+
+
+def test_auroc_tie_groups_match_the_unique_formula_bit_for_bit():
+    rng = np.random.default_rng(51)
+    for _ in range(300):
+        # few distinct values, with 0.0 and -0.0 both drawn, so ties run long
+        values = np.r_[0.0, -0.0, rng.normal(size=rng.integers(1, 6))]
+        pos = rng.choice(values, rng.integers(1, 80))
+        neg = rng.choice(values, rng.integers(1, 80))
+        assert auroc(pos, neg).hex() == unique_auroc(pos, neg).hex()
+
+
 def test_auroc_extremes_and_ties():
     assert auroc([2.0, 3.0], [0.0, 1.0]) == 1.0
     assert auroc([0.0, 1.0], [2.0, 3.0]) == 0.0

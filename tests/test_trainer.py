@@ -118,13 +118,52 @@ def test_non_finite_values_of_a_python_built_config_are_named(over, message):
         tiny_cfg(**over).validate()
 
 
-@pytest.mark.parametrize("kind", ["toy4", "csv"])
-@pytest.mark.parametrize("field, value", [("shift", [50.0, 50.0]), ("means", [[0.0, 0.0]] * 4)])
-def test_only_blobs_data_takes_means_and_shift(tmp_path, kind, field, value):
-    save_csv(make_toy4(2, 0), tmp_path / "toy.csv")
-    data = DataConfig(kind=kind, path=str(tmp_path / "toy.csv"), **{field: value})
-    with pytest.raises(ConfigError, match=f"^train_data.{field}: only blobs data takes {field}$"):
-        tiny_cfg(train_data=data).validate()
+# a non-default value of each field, and the kinds that read it
+FIELD_VALUES = {
+    "d": (3, "toy4 or blobs"),
+    "seed": (5, "toy4 or blobs"),
+    "k": (9, "blobs"),
+    "n_per_class": (3, "blobs"),
+    "stddev": (2.0, "blobs"),
+    "radius": (3.0, "blobs"),
+    "means": ([[0.0, 0.0]] * 4, "blobs"),
+    "shift": ([50.0, 50.0], "blobs"),
+    "path": ("toy.csv", "csv"),
+}
+UNREAD = [
+    (kind, name)
+    for kind in ("toy4", "blobs", "csv")
+    for name, (_, kinds) in FIELD_VALUES.items()
+    if kind not in kinds
+]
+
+
+@pytest.mark.parametrize("built", ["python", "json"])
+@pytest.mark.parametrize("kind, field", UNREAD, ids=[f"{k}-{f}" for k, f in UNREAD])
+def test_a_data_kind_takes_only_the_fields_it_reads(tmp_path, monkeypatch, kind, field, built):
+    monkeypatch.chdir(tmp_path)
+    save_csv(make_toy4(2, 0), "toy.csv")
+    value, kinds = FIELD_VALUES[field]
+    doc = {"kind": kind, "path": "toy.csv"} if kind == "csv" else {"kind": kind}
+    doc[field] = value
+    with pytest.raises(ConfigError, match=f"^train_data.{field}: only {kinds} data takes {field}$"):
+        if built == "python":
+            tiny_cfg(train_data=DataConfig(**doc)).validate()
+        else:
+            ExperimentConfig.from_dict({"name": "x", "train_data": doc}).validate()
+
+
+@pytest.mark.parametrize("kind", ["toy4", "blobs", "csv"])
+def test_a_data_kind_accepts_every_field_it_does_not_read_at_its_default(
+    tmp_path, monkeypatch, kind
+):
+    monkeypatch.chdir(tmp_path)
+    save_csv(make_toy4(2, 0), "toy.csv")
+    defaults = {f.name: f.default for f in dataclasses.fields(DataConfig)}
+    doc = {"kind": kind, "path": "toy.csv"} if kind == "csv" else {"kind": kind}
+    doc.update((name, defaults[name]) for k, name in UNREAD if k == kind)
+    tiny_cfg(train_data=DataConfig(**doc)).validate()
+    ExperimentConfig.from_dict({"name": "x", "train_data": doc}).validate()
 
 
 def test_from_dict_rejects_unknown_fields_and_missing_required():
