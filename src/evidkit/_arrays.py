@@ -200,8 +200,8 @@ _ODD = "\x00\x0b\x0c\x1c\x1d\x1e\x1f"
 
 def read_csv(path, kind: str, layout) -> tuple:
     """The columns of a CSV file's data rows, the non-blank lines after the
-    header (its first non-blank line). A missing file raises
-    FileNotFoundError naming the kind of file; text that is not UTF-8, and
+    header (its first non-blank line). A path that is not a regular file
+    raises FileNotFoundError naming the kind of file; text that is not UTF-8, and
     the first bad row in file order, raise ValueError naming the file line.
 
     layout(head) gets the first two non-blank lines (fewer if the file has
@@ -223,7 +223,7 @@ def read_csv(path, kind: str, layout) -> tuple:
     checked text. Any other file is searched row by row.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise FileNotFoundError(f"{kind} file not found: {path}")
     seen = _stamp(path)
     text = _utf8_text(path)

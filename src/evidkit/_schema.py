@@ -18,10 +18,10 @@ class ConfigError(ValueError):
 def read_object(path, what: str, types: dict | None = None, required=None) -> dict:
     """The JSON object in a UTF-8 file, each error naming the file as what it
     is; given types, its fields pass check_fields first."""
+    if not Path(path).is_file():  # missing, a directory, or under a non-directory
+        raise ConfigError(f"{what} file not found: {path}")
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
     except ValueError as e:  # not UTF-8, not JSON, or an int too long to read
         raise ConfigError(f"{what} {path}: invalid JSON ({e})") from None
     if not isinstance(doc, dict):

@@ -196,10 +196,8 @@ def cmd_gradcheck(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     grid = _check_lambda1(_parse_floats(args.grid, "--grid"), "--grid")
-    if args.workers < 1:
-        raise ConfigError("--workers: must be >= 1")
     out = _out_dir(args)
-    rows = sweep(cfg, grid, workers=args.workers)
+    rows = sweep(cfg, grid)
     for row in rows:
         print(
             f"lambda1={row.lambda1:g}: train_acc={_fmt(row.final_train_acc)} "
@@ -303,7 +301,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a lambda1 sweep from a base config")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", required=True, help="comma-separated lambda1 values")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output directory (default: EVIDKIT_OUT or .)")
     p.set_defaults(func=cmd_sweep)
 

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._arrays import all_finite
 from .evidence import Activation, EvidenceState, evidence_state
 from .special import _unbox, digamma, trigamma
 
@@ -114,6 +115,8 @@ def softmax(o) -> np.ndarray:
 def loss_softmax_ce(o, gt) -> LossGrad:
     """Standard cross-entropy on logits; grad_k = softmax_k - y_k in [-1, 1]."""
     o = np.asarray(o, dtype=float)
+    if not all_finite(o):  # named before bad labels, as evidence_state names them
+        raise ValueError("logits must be finite")
     return _softmax_ce(o, _labels(gt, o.shape))
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .evidence import Activation, EvidenceState, evidence_state
-from .losses import Loss, LossGrad, _col, _gather, _labels, _softmax_ce, _state_loss_grad
+from .losses import Loss, LossGrad, _col, _gather, _labels, _softmax_ce, _state_loss_grad, loss_softmax_ce
 from .special import _unbox, gamma_family
 
 __all__ = [
@@ -163,8 +163,9 @@ def composite_loss(
     if np.any(eta1 < 0):
         raise ValueError("eta1 must be >= 0")
     o = np.asarray(o, dtype=float)
-    needs_state = kind != Loss.SOFTMAX_CE or inc != IncReg.NONE or use_correct_reg
-    state = evidence_state(act, o) if needs_state else None
+    if kind == Loss.SOFTMAX_CE and inc == IncReg.NONE and not use_correct_reg:
+        return loss_softmax_ce(o, gt)  # the bare baseline builds no state
+    state = evidence_state(act, o)
     # checked once, after the state so that bad logits are named first
     y = _labels(gt, o.shape)
     if kind == Loss.SOFTMAX_CE:

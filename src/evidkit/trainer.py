@@ -5,7 +5,6 @@ loop with per-epoch logging, held-out/OOD evaluation, and lambda1 sweeps.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -132,10 +131,10 @@ class DataConfig:
 class OptConfig:
     kind: str = "sgd_momentum"
     lr: float = 0.1
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    momentum: float = OptimizerState.momentum
+    beta1: float = OptimizerState.beta1
+    beta2: float = OptimizerState.beta2
+    eps: float = OptimizerState.eps
 
     def validate(self, where: str = "optimizer") -> None:
         member(OptKind, self.kind, f"{where}.kind", "optimizer")
@@ -374,12 +373,11 @@ class SweepRow:
 
 
 def derive_sweep_seed(base_seed: int, index: int) -> int:
-    """Stable per-grid-point seed, independent of worker scheduling."""
+    """Stable per-grid-point seed: it depends only on the base seed and the index."""
     return int(np.random.SeedSequence([int(base_seed), int(index)]).generate_state(1)[0])
 
 
-def _sweep_point(args: tuple) -> SweepRow:
-    base, lam, index = args
+def _sweep_point(base: ExperimentConfig, lam: float, index: int) -> SweepRow:
     cfg = dataclasses.replace(
         base, lambda1=lam, seed=derive_sweep_seed(base.seed, index), name=f"{base.name}-lam{lam:g}"
     )
@@ -406,12 +404,8 @@ def _check_lambda1(values, name: str) -> list[float]:
     return values
 
 
-def sweep(base: ExperimentConfig, grid, workers: int = 1) -> list:
-    """Run one experiment per lambda1 grid point; rows come back in grid order."""
+def sweep(base: ExperimentConfig, grid) -> list:
+    """One row per lambda1 grid point, in grid order, each run in this process."""
     grid = _check_lambda1(grid, "sweep grid")
     base.validate()
-    args = [(base, lam, i) for i, lam in enumerate(grid)]
-    if workers <= 1:
-        return [_sweep_point(a) for a in args]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        return pool.map(_sweep_point, args)
+    return [_sweep_point(base, lam, i) for i, lam in enumerate(grid)]

@@ -355,6 +355,46 @@ def test_evaluate_a_directory_as_data_exits_one_naming_the_field(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["census", "--records", "adir"], "records file not found: adir"),
+        (["report", "--records", "adir", "--out", "r"], "records file not found: adir"),
+        (["train", "--config", "adir", "--out", "r"], "config file not found: adir"),
+        (["train", "--config", "cfg.json/x", "--out", "r"], "config file not found: cfg.json/x"),
+        (["sweep", "--config", "adir", "--grid", "0", "--out", "r"], "config file not found: adir"),
+        (["gradcheck", "--config", "adir"], "config file not found: adir"),
+        (
+            ["evaluate", "--checkpoint", "adir", "--data", "t.csv", "--out", "r"],
+            "checkpoint file not found: adir",
+        ),
+        (
+            ["evaluate", "--checkpoint", "ckpt.json", "--data", "u.csv", "--out", "r"],
+            "sidecar file not found: u.csv.meta.json",
+        ),
+    ],
+    ids=[
+        "census-records", "report-records", "train-config", "train-config-under-a-file",
+        "sweep-config", "gradcheck-config", "evaluate-checkpoint", "evaluate-data-sidecar",
+    ],
+)
+def test_an_input_path_that_is_no_file_exits_one_naming_its_role(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    write_cfg(tmp_path)
+    save_checkpoint(init_network(dense_specs(2, [4], 4), seed=0), "ckpt.json")
+    save_csv(make_toy4(2, 0), "t.csv")
+    save_csv(make_toy4(2, 0), "u.csv")
+    (tmp_path / "u.csv.meta.json").unlink()
+    (tmp_path / "u.csv.meta.json").mkdir()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == "" and not (tmp_path / "r").exists()
+
+
 def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 

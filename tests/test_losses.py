@@ -264,3 +264,20 @@ def test_gt_out_of_range_rejected():
             loss_ev_mse(st, bad)
         with pytest.raises(ValueError):
             grad_logits(Loss.EV_MSE, Activation.RELU, np.array([0.5, 0.5]), bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", list(Loss))
+def test_every_loss_refuses_non_finite_logits_before_its_labels(kind, bad):
+    # label 5 is out of range too: the logits are named first, as the state names them
+    o = np.array([[0.0, 1.0], [bad, 0.0]])
+    calls = [
+        lambda: composite_loss(kind, IncReg.NONE, Activation.EXP, o, [0, 5]),
+        lambda: grad_logits(kind, Activation.EXP, o, [0, 5]),
+        lambda: grad_logits(kind, Activation.EXP, o[1], 5),
+    ]
+    if kind == Loss.SOFTMAX_CE:
+        calls.append(lambda: loss_softmax_ce(o, [0, 5]))
+    for call in calls:
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            call()
