@@ -124,18 +124,20 @@ def evidence_state(kind: Activation, o) -> EvidenceState:
     # under EXP the derivative is the clamped evidence itself
     dact = e if kind == Activation.EXP else activation_grad(kind, o)
     k = o.shape[-1]
-    strength = _unbox(k + e.sum(axis=-1))
+    strength = np.add.reduce(e, axis=-1)
+    strength += k
     alpha = e + 1.0
-    beliefs = e / np.asarray(strength)[..., None]
+    beliefs = e / strength[..., None]
     for arr in (e, alpha, beliefs, dact):
-        arr.flags.writeable = False
+        arr.setflags(write=False)
+    strength = _unbox(strength)
     return EvidenceState(
         evidence=e,
         alpha=alpha,
         strength=strength,
         vacuity=k / strength,
         beliefs=beliefs,
-        kind=Activation(kind),
+        kind=kind if type(kind) is Activation else Activation(kind),
         dact=dact,
     )
 

@@ -55,10 +55,12 @@ def _labels(gt, shape: tuple[int, ...]) -> np.ndarray:
     if gt.shape != shape[:-1]:
         raise ValueError(f"labels of shape {gt.shape} do not match logits of shape {shape}")
     k = shape[-1]
-    bad = (gt < 0) | (gt >= k)
-    if bad.any():
+    y = np.arange(k) == gt[..., None]
+    # a label in range marks exactly one class, so a short count finds a bad one
+    if np.count_nonzero(y) != gt.size:
+        bad = (gt < 0) | (gt >= k)
         raise ValueError(f"label {gt[bad].flat[0]} out of range for {k} classes")
-    return np.arange(k) == gt[..., None]
+    return y
 
 
 def _col(x):
@@ -148,7 +150,8 @@ def _dalpha_ev_ce(state: EvidenceState, y: np.ndarray) -> np.ndarray:
 
 
 def _dalpha_ev_log(state: EvidenceState, y: np.ndarray) -> np.ndarray:
-    return 1.0 / _col(state.strength) - y / state.alpha
+    dalpha = np.divide(y, state.alpha)
+    return np.subtract(1.0 / _col(state.strength), dalpha, out=dalpha)
 
 
 _EVIDENTIAL = {
@@ -163,7 +166,9 @@ def _state_loss_grad(kind: Loss, state: EvidenceState, y: np.ndarray) -> LossGra
     """Evidential loss and its logit gradient at an already built state,
     for the checked gt mask y."""
     loss, dalpha = _EVIDENTIAL[kind]
-    return LossGrad(loss(state, y), dalpha(state, y) * state.dact)
+    grad = dalpha(state, y)  # a fresh (..., K) array from every loss
+    grad *= state.dact
+    return LossGrad(loss(state, y), grad)
 
 
 def grad_logits(kind: Loss, act: Activation, o, gt) -> LossGrad:

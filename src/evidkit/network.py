@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -58,11 +59,14 @@ class Network:
     seed: int
     param_version: int = 0
     _views: list[np.ndarray] = field(init=False, repr=False, compare=False)
+    _layout: list[tuple[int, int, tuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arrays = [np.asarray(a, dtype=float) for p in zip(self.weights, self.biases) for a in p]
         params = np.concatenate([a.reshape(-1) for a in arrays])
-        self._views = _views(params, arrays)
+        ends = itertools.accumulate(a.size for a in arrays)
+        self._layout = [(end - a.size, end, a.shape) for a, end in zip(arrays, ends)]
+        self._views = _views(params, self._layout)
         self.weights, self.biases = self._views[0::2], self._views[1::2]
 
     def __setstate__(self, state: dict) -> None:  # a copy or an unpickled net packs anew
@@ -83,10 +87,9 @@ class Network:
         return self.params.size
 
 
-def _views(vector: np.ndarray, like) -> list[np.ndarray]:
-    """Views of consecutive stretches of a vector, shaped like the given arrays."""
-    ends = itertools.accumulate(a.size for a in like)
-    return [vector[end - a.size : end].reshape(a.shape) for a, end in zip(like, ends)]
+def _views(vector: np.ndarray, layout) -> list[np.ndarray]:
+    """Views of a vector laid out as a network's parameters: W0, b0, W1, b1, ..."""
+    return [vector[lo:hi].reshape(shape) for lo, hi, shape in layout]
 
 
 @dataclass
@@ -170,11 +173,11 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
         )
     if net.specs[-1].hidden:
         raise ValueError("final layer must be identity (logits are pre-activation)")
-    views = _views(np.empty(net.params.size), net._views)
+    views = _views(np.empty(net.params.size), net._layout)
     grads = list(zip(views[0::2], views[1::2]))
     for i in reversed(range(len(net.specs))):
         np.matmul(d.T, cache.inputs[i], out=grads[i][0])
-        d.sum(axis=0, out=grads[i][1])
+        np.add.reduce(d, axis=0, out=grads[i][1])
         if i > 0:
             # d @ W is a fresh array, so the mask goes on in place and d_logits is
             # never written; ReLU is positive exactly where its argument is, so
@@ -255,7 +258,7 @@ def step(net: Network, opt: OptimizerState, grads) -> None:
     parameter views, the gradients and the slots match the network.
     """
     views = [a for pair in zip(net.weights, net.biases) for a in pair]
-    if len(views) != len(net._views) or any(a is not b for a, b in zip(views, net._views)):
+    if len(views) != len(net._views) or not all(map(operator.is_, views, net._views)):
         raise ValueError("weights and biases must stay views of net.params; edit them in place")
     params, vector = net.params, _grad_vector(net, grads)
     adam = opt.kind == OptKind.ADAM_LIKE
@@ -269,10 +272,11 @@ def step(net: Network, opt: OptimizerState, grads) -> None:
         c1 = 1.0 - opt.beta1**opt.t
         c2 = 1.0 - opt.beta2**opt.t
     arrays = [params, vector, opt.slot1] + ([opt.slot2] if adam else [])
+    one_block = params.size <= _STEP_BLOCK
     s1, s2 = np.empty((2, min(_STEP_BLOCK, params.size)))
     for lo in range(0, params.size, _STEP_BLOCK):
-        block = [a[lo : lo + _STEP_BLOCK] for a in arrays]
-        t1, t2 = s1[: block[0].size], s2[: block[0].size]
+        block = arrays if one_block else [a[lo : lo + _STEP_BLOCK] for a in arrays]
+        t1, t2 = (s1, s2) if one_block else (s1[: block[0].size], s2[: block[0].size])
         if adam:
             pb, gb, mb, vb = block
             # m = m*beta1 + (1-beta1)*g

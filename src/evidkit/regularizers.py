@@ -53,20 +53,28 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
 
 def _edl_kl(state: EvidenceState, y: np.ndarray) -> LossGrad:
     k = state.k
-    at = np.where(y, 1.0, state.alpha)
-    a_sum = at.sum(axis=-1)
-    # one special-function call: alpha~ and A side by side as (..., K+1); the
-    # functions are elementwise, so each entry gets what a call of its own gives
-    lg, dg, tg = gamma_family(np.concatenate((at, _col(a_sum)), axis=-1))
-    # cumsum adds strictly left to right, as the per-class sums always have
+    # one special-function call: alpha~ and A side by side as (..., K+1),
+    # written in place; the functions are elementwise, so each entry gets what
+    # a call of its own gives
+    arg = np.empty(y.shape[:-1] + (k + 1,))
+    at, a_sum = arg[..., :k], arg[..., k]
+    np.copyto(at, state.alpha)
+    np.putmask(at, y, 1.0)
+    np.add.reduce(at, axis=-1, out=a_sum)
+    lg, dg, tg = gamma_family(arg)
+    am1 = at - 1.0
+    # add.accumulate adds strictly left to right, as the per-class sums always have
     loss = (
         lg[..., k]
         - math.lgamma(k)
-        - np.cumsum(lg[..., :k], axis=-1)[..., -1]
-        + np.cumsum((at - 1.0) * (dg[..., :k] - dg[..., k:]), axis=-1)[..., -1]
+        - np.add.accumulate(lg[..., :k], axis=-1)[..., -1]
+        + np.add.accumulate(am1 * (dg[..., :k] - dg[..., k:]), axis=-1)[..., -1]
     )
-    coef = (at - 1.0) * tg[..., :k] - _col((a_sum - k) * tg[..., k])
-    return LossGrad(_unbox(loss), np.where(y, 0.0, coef) * state.dact)
+    coef = np.multiply(am1, tg[..., :k], out=am1)
+    coef -= _col((a_sum - k) * tg[..., k])
+    np.putmask(coef, y, 0.0)
+    coef *= state.dact
+    return LossGrad(_unbox(loss), coef)
 
 
 def reg_adl_sum(state: EvidenceState, gt) -> LossGrad:
@@ -106,17 +114,34 @@ def reg_correct(state: EvidenceState, gt, weight=None) -> LossGrad:
     the gt gradient is exactly -weight, even where exp underflows to 0, and
     every non-gt coordinate gets exactly 0.
     """
+    if weight is not None:
+        weight = _weight(weight, "weight")
     return _correct(state, _labels(gt, state.evidence.shape), weight)
 
 
 def _correct(state: EvidenceState, y: np.ndarray, weight) -> LossGrad:
-    if state.kind != Activation.EXP:
+    if state.kind is not Activation.EXP:
         raise ValueError("the correct-evidence regularizer requires the exp activation")
     e_gt = _gather(state.evidence, y)
     # one weight per sample, also where a single frozen weight is given
-    weight = state.vacuity if weight is None else np.broadcast_to(weight, np.shape(e_gt))
-    loss = -weight * np.log(e_gt + CORRECT_REG_EPS)
-    return LossGrad(_unbox(loss), np.where(y, _col(-weight), 0.0))
+    neg = -(state.vacuity if weight is None else np.broadcast_to(weight, np.shape(e_gt)))
+    loss = neg * np.log(e_gt + CORRECT_REG_EPS)
+    return LossGrad(_unbox(loss), np.where(y, _col(neg), 0.0))
+
+
+def _weight(x, name: str):
+    """The one rule for every weight and schedule argument: each entry finite
+    and >= 0 (NaN fails both comparisons), else a ValueError naming it. A
+    Python float, as training passes, is tested as it is; anything else comes
+    back as a float array, or a float when 0-d."""
+    if type(x) is float:
+        if 0.0 <= x < math.inf:
+            return x
+    else:
+        x = np.asarray(x, dtype=float)
+        if ((x >= 0.0) & (x < math.inf)).all():
+            return _unbox(x)
+    raise ValueError(f"{name} must be >= 0 and finite")
 
 
 def anneal_eta1(lambda1, epoch):
@@ -124,11 +149,7 @@ def anneal_eta1(lambda1, epoch):
 
     Scalars give a float; (N,) arrays give one weight per case.
     """
-    lambda1, epoch = np.asarray(lambda1, dtype=float), np.asarray(epoch)
-    if not np.all((lambda1 >= 0) & (lambda1 < np.inf)):  # NaN fails both comparisons
-        raise ValueError("lambda1 must be >= 0 and finite")
-    if np.any(epoch < 0):
-        raise ValueError("epoch must be >= 0")
+    lambda1, epoch = _weight(lambda1, "lambda1"), _weight(epoch, "epoch")
     return _unbox(lambda1 * np.minimum(1.0, epoch / 10.0))
 
 
@@ -159,9 +180,9 @@ def composite_loss(
     overrides the vacuity weight; gradient checks use it to hold the weight
     fixed while logits are perturbed.
     """
-    eta1 = _unbox(np.asarray(eta1, dtype=float))
-    if np.any(eta1 < 0):
-        raise ValueError("eta1 must be >= 0")
+    eta1 = _weight(eta1, "eta1")
+    if correct_weight is not None:
+        correct_weight = _weight(correct_weight, "correct_weight")
     o = np.asarray(o, dtype=float)
     if kind == Loss.SOFTMAX_CE and inc == IncReg.NONE and not use_correct_reg:
         return loss_softmax_ce(o, gt)  # the bare baseline builds no state
@@ -172,12 +193,13 @@ def composite_loss(
         total, grad = _softmax_ce(o, y)
     else:
         total, grad = _state_loss_grad(kind, state, y)
-    if inc != IncReg.NONE and np.any(eta1 != 0.0):
+    # every term returns fresh arrays, so the sums build up in place
+    if inc != IncReg.NONE and (eta1 != 0.0 if type(eta1) is float else eta1.any()):
         r = _INC_REG[inc](state, y)
-        total = total + eta1 * r.loss
-        grad = grad + _col(eta1) * r.grad
+        total += eta1 * r.loss
+        grad += np.multiply(r.grad, eta1 if type(eta1) is float else _col(eta1), out=r.grad)
     if use_correct_reg:
         r = _correct(state, y, correct_weight)
-        total = total + r.loss
-        grad = grad + r.grad
+        total += r.loss
+        grad += r.grad
     return LossGrad(total, grad)

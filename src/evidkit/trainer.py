@@ -5,6 +5,7 @@ loop with per-epoch logging, held-out/OOD evaluation, and lambda1 sweeps.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -284,6 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     act = Activation(cfg.activation)
     inc = IncReg(cfg.inc_reg)
     baseline = loss_kind == Loss.SOFTMAX_CE
+    objective = (loss_kind, inc, act, cfg.use_correct_reg)
     specs = dense_specs(train.d, [int(h) for h in cfg.hidden_dims], train.k)
     net_seed, shuffle_seed = (
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(2)
@@ -304,24 +306,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         eta1 = anneal_eta1(cfg.lambda1, epoch)
         perm = shuffle_rng.permutation(n)
         loss_sum = 0.0
-        for start in range(0, n, cfg.batch_size):
+        for batch, start in enumerate(range(0, n, cfg.batch_size)):
             rows = perm[start : start + cfg.batch_size]
-            batch = f"at epoch {epoch}, batch {start // cfg.batch_size}"
-            logits, cache = forward(net, x[rows])
-            _check_finite(logits, f"logits {batch}")
-            batch_loss, g = composite_loss(
-                loss_kind, inc, act, logits, labels[rows],
-                eta1=eta1, use_correct_reg=cfg.use_correct_reg,
+            batch_loss, _, grads = _mini_batch(
+                net, x[rows], labels[rows], objective, eta1, f"at epoch {epoch}, batch {batch}"
             )
-            # cumsum adds strictly left to right, keeping epochs.csv bit-stable.
-            batch_loss = float(np.cumsum(batch_loss)[-1])
-            _check_finite(batch_loss, f"loss {batch}")
             loss_sum += batch_loss
-            grads = backward(net, cache, g / len(rows))
             try:
                 step(net, opt, grads)
             except ValueError as err:  # backward's gradients fit the net: one is not finite
-                raise RuntimeError(f"{err} {batch}") from None
+                raise RuntimeError(f"{err} at epoch {epoch}, batch {batch}") from None
         stats = scored(train, "train_data", epoch)
         # the last epoch always evaluates, so columns end as the run's result
         if test is None:
@@ -340,6 +334,24 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         )
     ood_columns = scored(ood, "ood_data", cfg.epochs - 1) if ood is not None else None
     return RunResult(config=cfg, logs=logs, net=net, columns=columns, ood_columns=ood_columns)
+
+
+def _mini_batch(net: Network, x: np.ndarray, gt: np.ndarray, objective: tuple, eta1, where: str):
+    """One mini-batch up to the optimizer step: the forward pass, the
+    finiteness checks, the objective (loss kind, regularizer, activation,
+    correct-evidence flag) at weight eta1, the batch loss and the backward
+    pass. Returns the batch loss, summed left to right as epochs.csv has
+    always had it, the objective's logit gradient (one row per sample) and
+    the parameter gradients of the batch-mean loss. A non-finite logit or
+    loss is a runtime failure that names `where` the batch is."""
+    loss_kind, inc, act, use_correct_reg = objective
+    logits, cache = forward(net, x)
+    _check_finite(logits, f"logits {where}")
+    loss, g = composite_loss(loss_kind, inc, act, logits, gt, eta1=eta1, use_correct_reg=use_correct_reg)
+    batch_loss = float(np.add.accumulate(loss)[-1])
+    if not math.isfinite(batch_loss):
+        raise RuntimeError(f"non-finite loss {where}")
+    return batch_loss, g, backward(net, cache, g / len(x))
 
 
 def _check_finite(x, what: str) -> None:

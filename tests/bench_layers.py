@@ -12,8 +12,10 @@ kernel on the (32, 6) argument that objective passes it and on the
 ev_log:exp:edl_kl cases), one Adam step on a small (2 -> 16 -> 5) and a wide
 (64 -> 1024 -> 1024 -> 10) network, with the gradients backward returns,
 forward + backward + step together on the small network (batch 32, Adam),
-and one (cell, K) group of the gradient oracle: 12 ev_log:exp:edl_kl cases at
-K = 5. It also times load_csv and RecordColumns.load on 30,000 rows each,
+one whole rb-red training mini-batch at eta1 = 1 on that network (the
+trainer's mini-batch function, then step), gate 05's single-sample pair
+(evidence_state under ReLU at K = 5, then loss_ev_mse), and one (cell, K)
+group of the gradient oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and RecordColumns.load on 30,000 rows each,
 written as save_csv and save_records write them: a D = 2 dataset, evidential
 records with no max_softmax, and softmax-baseline records with every
 max_softmax present; and it times save_csv and save_records writing those
@@ -33,11 +35,11 @@ import math
 import numpy as np
 import pytest
 
-from evidkit import regularizers
+from evidkit import regularizers, trainer
 from evidkit.datasets import Dataset, load_csv, save_csv
-from evidkit.evidence import Activation
+from evidkit.evidence import Activation, evidence_state
 from evidkit.gradcheck import check_case
-from evidkit.losses import Loss
+from evidkit.losses import Loss, loss_ev_mse
 from evidkit.metrics import RecordColumns, auroc, save_records
 from evidkit.network import (
     OptimizerState,
@@ -106,6 +108,29 @@ def test_forward_backward_step_2_16_5(benchmark):
         step(net, opt, backward(net, cache, logits / 32.0))
 
     benchmark(mini_batch)
+
+
+def test_rb_red_mini_batch_2_16_5(benchmark):
+    # what run_experiment does per mini-batch of the train-red workload once
+    # edl_kl is annealed in: forward, the rb-red objective, backward and step
+    net = init_network(dense_specs(2, [16], 5), seed=0)
+    rng = np.random.default_rng(5)
+    x, gt = rng.normal(0.0, 6.0, size=(32, 2)), rng.integers(5, size=32)
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=1e-9)
+    objective = (Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, True)
+
+    def mini_batch():
+        _, _, grads = trainer._mini_batch(net, x, gt, objective, 1.0, "in the benchmark")
+        step(net, opt, grads)
+
+    benchmark(mini_batch)
+
+
+def test_gate_05_single_sample_pair(benchmark):
+    # one iteration of criterion 05's loop: a (K,) state under ReLU, then ev_mse
+    rng = np.random.default_rng(31337)
+    e, gt = np.exp(rng.uniform(-30.0, 30.0, 5)), int(rng.integers(5))
+    benchmark(lambda: loss_ev_mse(evidence_state(Activation.RELU, e), gt))
 
 
 def test_check_case_group(benchmark):

@@ -260,6 +260,46 @@ def test_composite_rejects_negative_eta1():
             composite_loss(Loss.EV_MSE, IncReg.EDL_KL, Activation.EXP, o, 0, eta1=eta1)
 
 
+BAD_WEIGHTS = [math.nan, math.inf, -math.inf, -1.0, np.float64(math.nan), np.array(math.inf)]
+
+
+@pytest.mark.parametrize("eta1", BAD_WEIGHTS + [[0.5, math.nan], [1.0, math.inf], [-1.0, 0.5]])
+def test_composite_rejects_an_eta1_that_is_not_finite_and_nonnegative(eta1):
+    # NaN passed the old `eta1 < 0` test and came back as a NaN loss and gradient
+    o = np.array([[0.4, -1.0, 2.0], [1.5, 0.2, -0.3]])
+    with pytest.raises(ValueError, match="^eta1 must be >= 0 and finite$"):
+        composite_loss(Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, o, [0, 2], eta1=eta1)
+
+
+@pytest.mark.parametrize("weight", BAD_WEIGHTS)
+def test_the_correct_evidence_weight_must_be_finite_and_nonnegative(weight):
+    # weight=-1 flipped the sign of the term, and NaN made it NaN
+    o = np.array([0.4, -1.0, 2.0])
+    with pytest.raises(ValueError, match="^weight must be >= 0 and finite$"):
+        reg_correct(evidence_state(Activation.EXP, o), 1, weight=weight)
+    with pytest.raises(ValueError, match="^correct_weight must be >= 0 and finite$"):
+        composite_loss(
+            Loss.EV_LOG, IncReg.NONE, Activation.EXP, o, 1, use_correct_reg=True, correct_weight=weight
+        )
+
+
+@pytest.mark.parametrize("epoch", [math.nan, math.inf, -1, np.array([3.0, math.nan])])
+def test_anneal_eta1_rejects_an_epoch_that_is_not_finite_and_nonnegative(epoch):
+    with pytest.raises(ValueError, match="^epoch must be >= 0 and finite$"):
+        anneal_eta1(1.0, epoch)
+
+
+def test_every_finite_nonnegative_weight_is_taken_as_given():
+    o = np.array([[0.4, -1.0, 2.0], [1.5, 0.2, -0.3]])
+    want = composite_loss(Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, o, [0, 2], eta1=1.0)
+    for eta1 in (1, np.float64(1.0), np.array(1.0), np.array([1.0, 1.0]), [1, 1]):
+        got = composite_loss(Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, o, [0, 2], eta1=eta1)
+        assert np.array_equal(got.loss, want.loss) and np.array_equal(got.grad, want.grad)
+    for weight in (0.0, -0.0, 0.25, np.array([0.0, 1e300])):
+        reg_correct(evidence_state(Activation.EXP, o), [0, 2], weight=weight)
+    assert anneal_eta1(0.0, 0.0) == 0.0
+
+
 def test_composite_degenerate_equals_plain_loss():
     o = np.array([0.4, -1.0, 2.0])
     for kind in EVIDENTIAL_LOSSES:

@@ -345,6 +345,44 @@ def test_blocked_step_run_is_pinned_bit_for_bit(optimizer, want):
     assert run_digest(run_experiment(cfg)) == want
 
 
+@pytest.mark.parametrize(
+    "recipe, want",
+    [
+        (
+            dict(loss="ev_mse", activation="relu", inc_reg="adl_sum", lambda1=1.0,
+                 optimizer=OptConfig(kind="sgd_momentum", lr=0.05)),
+            "615bef60df0f8b505358d13bb2a23233e41e76c03156ab4ec01309f820208583",
+        ),
+        (
+            dict(loss="ev_ce", activation="softplus", inc_reg="units_belief", lambda1=1.0,
+                 optimizer=OptConfig(kind="adam_like", lr=0.005)),
+            "0dfa138a9d5dc5c678d836a46fa256453d4851432a052684cbac6fd05881c1ba",
+        ),
+        (
+            dict(loss="softmax_ce", optimizer=OptConfig(kind="sgd_momentum", lr=0.05)),
+            "9648e4c24a0927a4e507841974000c918ac77b5b28793be936ae3a742bd72bf1",
+        ),
+    ],
+    ids=["ev_mse-relu-adl_sum-sgd", "ev_ce-softplus-units_belief-adam", "softmax_ce"],
+)
+def test_other_heads_and_terms_are_pinned_bit_for_bit(recipe, want):
+    # The pins above run ev_log under exp only; these cover the other losses,
+    # heads and incorrect-evidence terms, and the softmax baseline, on the
+    # rb-red blobs. Recorded on the same platform as the rb-red pin.
+    blobs = dict(kind="blobs", d=2, k=5, n_per_class=12, stddev=1.0, radius=6.0)
+    cfg = ExperimentConfig(
+        name="pinned",
+        train_data=DataConfig(**blobs, seed=1),
+        test_data=DataConfig(**blobs, seed=2),
+        hidden_dims=[16],
+        epochs=14,
+        batch_size=16,
+        seed=4,
+        **recipe,
+    )
+    assert run_digest(run_experiment(cfg)) == want
+
+
 def test_seed_changes_the_run():
     a = run_experiment(tiny_cfg(seed=1, epochs=2))
     b = run_experiment(tiny_cfg(seed=2, epochs=2))
