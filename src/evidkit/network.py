@@ -50,8 +50,8 @@ class LayerSpec:
 
 @dataclass
 class Network:
-    """Construction packs the parameters into one float64 vector, `params`,
-    laid out W0, b0, W1, b1, ...; weights[i] and biases[i] are views of it."""
+    """Construction checks the arrays against specs and packs them into one float64
+    vector, `params`, laid out W0, b0, W1, b1, ...; weights[i] and biases[i] view it."""
 
     specs: list[LayerSpec]
     weights: list[np.ndarray]  # each (out_dim, in_dim)
@@ -62,7 +62,14 @@ class Network:
     _layout: list[tuple[int, int, tuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for part, given in (("weights", self.weights), ("biases", self.biases)):
+            if len(given) != len(self.specs):
+                raise ValueError(f"{part}: {len(given)} given for {len(self.specs)} layers")
+        shapes = [s for spec in self.specs for s in ((spec.out_dim, spec.in_dim), (spec.out_dim,))]
         arrays = [np.asarray(a, dtype=float) for p in zip(self.weights, self.biases) for a in p]
+        for j, (a, shape) in enumerate(zip(arrays, shapes)):
+            if a.shape != shape:
+                raise ValueError(f"{_entry(j)}: shape {a.shape}, but the spec is {shape}")
         params = np.concatenate([a.reshape(-1) for a in arrays])
         ends = itertools.accumulate(a.size for a in arrays)
         self._layout = [(end - a.size, end, a.shape) for a, end in zip(arrays, ends)]
@@ -90,6 +97,11 @@ class Network:
 def _views(vector: np.ndarray, layout) -> list[np.ndarray]:
     """Views of a vector laid out as a network's parameters: W0, b0, W1, b1, ..."""
     return [vector[lo:hi].reshape(shape) for lo, hi, shape in layout]
+
+
+def _entry(j: int) -> str:
+    """The name of entry j of a network's layout."""
+    return f"layer {j // 2} {('weights', 'biases')[j % 2]}"
 
 
 @dataclass
@@ -154,12 +166,13 @@ def forward(net: Network, x) -> tuple[np.ndarray, ForwardCache]:
     return (h[0] if single else h), cache
 
 
-def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients from d loss / d logits, summed over the batch.
+def backward(net: Network, cache: ForwardCache, d_logits) -> np.ndarray:
+    """Parameter gradient from d loss / d logits, summed over the batch.
 
     Pass per-sample gradient rows divided by the batch size to get the
-    gradient of the batch-mean loss. The pairs are views of one fresh vector
-    in the parameters' layout, which step takes whole.
+    gradient of the batch-mean loss. The gradient is one fresh float64
+    vector laid out as net.params, which step takes whole;
+    _views(grad, net._layout) gives its per-layer views.
     """
     if cache.param_version != net.param_version:
         raise ValueError("stale cache: network parameters changed since forward")
@@ -173,11 +186,11 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
         )
     if net.specs[-1].hidden:
         raise ValueError("final layer must be identity (logits are pre-activation)")
-    views = _views(np.empty(net.params.size), net._layout)
-    grads = list(zip(views[0::2], views[1::2]))
+    grad = np.empty(net.params.size)
+    views = _views(grad, net._layout)
     for i in reversed(range(len(net.specs))):
-        np.matmul(d.T, cache.inputs[i], out=grads[i][0])
-        np.add.reduce(d, axis=0, out=grads[i][1])
+        np.matmul(d.T, cache.inputs[i], out=views[2 * i])
+        np.add.reduce(d, axis=0, out=views[2 * i + 1])
         if i > 0:
             # d @ W is a fresh array, so the mask goes on in place and d_logits is
             # never written; ReLU is positive exactly where its argument is, so
@@ -185,7 +198,7 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> list[tuple[np.ndarr
             d = d @ net.weights[i]
             if net.specs[i - 1].hidden:
                 d *= cache.inputs[i] > 0.0
-    return grads
+    return grad
 
 
 class OptKind(str, Enum):
@@ -220,47 +233,32 @@ class OptimizerState:
                 raise ValueError(f"{name}: must be finite, got inf")
 
 
-def _grad_vector(net: Network, grads) -> np.ndarray:
-    """The gradients as one vector laid out as net.params, after checking their
-    count, shapes and finiteness. Pairs that view one such vector, as backward's
-    do, are read through it; any other list is tested pair by pair and packed."""
-    if len(grads) != len(net.specs):
-        raise ValueError(f"expected {len(net.specs)} gradient pairs, got {len(grads)}")
-    entries = [a for dw, db in grads for a in (dw, db)]
-    vector = getattr(entries[0], "base", None)
-    if isinstance(vector, np.ndarray) and vector.shape == net.params.shape and all(
-        a.base is vector and a.shape == p.shape for a, p in zip(entries, net._views)
-    ) and all_finite(vector):
-        return vector
-    for i, (dw, db) in enumerate(grads):
-        if dw.shape != net.weights[i].shape or db.shape != net.biases[i].shape:
-            raise ValueError(f"gradient shape mismatch at layer {i}")
-        if not all_finite(dw):
-            raise ValueError(f"non-finite gradient for layer {i} weights")
-        if not all_finite(db):
-            raise ValueError(f"non-finite gradient for layer {i} biases")
-    return np.concatenate([a.reshape(-1) for a in entries])
-
-
 # Elements per block of the update loop. Every ufunc of a block writes into
 # one of two block-sized scratch buffers, so the temporaries stay in cache and
 # each parameter, gradient and slot is read from memory once per step.
 _STEP_BLOCK = 32768
 
 
-def step(net: Network, opt: OptimizerState, grads) -> None:
-    """Apply one optimizer update in place.
+def step(net: Network, opt: OptimizerState, grad) -> None:
+    """Apply one optimizer update in place, from the gradient vector that
+    backward returns: float64, finite and laid out as net.params.
 
     The parameter, gradient and slot vectors are walked as aligned blocks;
     a network that fits in one block is updated whole. Every rounding step
     of the expression form in the comments is kept, in the same order, so
     the result is bit-identical to it. No parameter is touched unless the
-    parameter views, the gradients and the slots match the network.
+    parameter views, the gradient and the slots match the network.
     """
     views = [a for pair in zip(net.weights, net.biases) for a in pair]
     if len(views) != len(net._views) or not all(map(operator.is_, views, net._views)):
         raise ValueError("weights and biases must stay views of net.params; edit them in place")
-    params, vector = net.params, _grad_vector(net, grads)
+    params = net.params
+    if not isinstance(grad, np.ndarray) or grad.dtype != np.float64 or grad.shape != params.shape:
+        raise ValueError(f"gradient must be backward's float64 vector of {params.size} entries")
+    if not all_finite(grad):  # only on failure: find the layout entry of the first bad value
+        bad = int(np.isfinite(grad).argmin())
+        j = next(j for j, (_, hi, _) in enumerate(net._layout) if bad < hi)
+        raise ValueError(f"non-finite gradient for {_entry(j)}")
     adam = opt.kind == OptKind.ADAM_LIKE
     if opt.slot1 is None:
         opt.slot1, opt.slot2 = np.zeros_like(params), (np.zeros_like(params) if adam else None)
@@ -271,7 +269,7 @@ def step(net: Network, opt: OptimizerState, grads) -> None:
         opt.t += 1
         c1 = 1.0 - opt.beta1**opt.t
         c2 = 1.0 - opt.beta2**opt.t
-    arrays = [params, vector, opt.slot1] + ([opt.slot2] if adam else [])
+    arrays = [params, grad, opt.slot1] + ([opt.slot2] if adam else [])
     one_block = params.size <= _STEP_BLOCK
     s1, s2 = np.empty((2, min(_STEP_BLOCK, params.size)))
     for lo in range(0, params.size, _STEP_BLOCK):

@@ -308,13 +308,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         loss_sum = 0.0
         for batch, start in enumerate(range(0, n, cfg.batch_size)):
             rows = perm[start : start + cfg.batch_size]
-            batch_loss, _, grads = _mini_batch(
+            batch_loss, _, grad = _mini_batch(
                 net, x[rows], labels[rows], objective, eta1, f"at epoch {epoch}, batch {batch}"
             )
             loss_sum += batch_loss
             try:
-                step(net, opt, grads)
-            except ValueError as err:  # backward's gradients fit the net: one is not finite
+                step(net, opt, grad)
+            except ValueError as err:  # backward's vector fits the net: an entry is not finite
                 raise RuntimeError(f"{err} at epoch {epoch}, batch {batch}") from None
         stats = scored(train, "train_data", epoch)
         # the last epoch always evaluates, so columns end as the run's result
@@ -342,8 +342,8 @@ def _mini_batch(net: Network, x: np.ndarray, gt: np.ndarray, objective: tuple, e
     correct-evidence flag) at weight eta1, the batch loss and the backward
     pass. Returns the batch loss, summed left to right as epochs.csv has
     always had it, the objective's logit gradient (one row per sample) and
-    the parameter gradients of the batch-mean loss. A non-finite logit or
-    loss is a runtime failure that names `where` the batch is."""
+    backward's gradient vector of the batch-mean loss, which step takes. A
+    non-finite logit or loss is a runtime failure that names `where` the batch is."""
     loss_kind, inc, act, use_correct_reg = objective
     logits, cache = forward(net, x)
     _check_finite(logits, f"logits {where}")

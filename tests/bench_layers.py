@@ -10,7 +10,7 @@ It times the rb-red objective on one (32, 5) mini-batch, the special-function
 kernel on the (32, 6) argument that objective passes it and on the
 (4020, 101) argument of one K = 100 group of the gradient oracle (20
 ev_log:exp:edl_kl cases), one Adam step on a small (2 -> 16 -> 5) and a wide
-(64 -> 1024 -> 1024 -> 10) network, with the gradients backward returns,
+(64 -> 1024 -> 1024 -> 10) network, with the gradient vector backward returns,
 forward + backward + step together on the small network (batch 32, Adam),
 one whole rb-red training mini-batch at eta1 = 1 on that network (the
 trainer's mini-batch function, then step), gate 05's single-sample pair
@@ -91,13 +91,13 @@ def test_gamma_family_k100_oracle_group(benchmark):
 def test_adam_step(benchmark, in_dim, hidden, out_dim):
     net = init_network(dense_specs(in_dim, hidden, out_dim), seed=0)
     logits, cache = forward(net, np.random.default_rng(2).normal(size=(32, in_dim)))
-    grads = backward(net, cache, logits / 32.0)
+    grad = backward(net, cache, logits / 32.0)
     # a tiny rate keeps the parameters near their start over many rounds
-    benchmark(step, net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=1e-9), grads)
+    benchmark(step, net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=1e-9), grad)
 
 
 def test_forward_backward_step_2_16_5(benchmark):
-    # backward fills the gradient vector that step then walks whole, so work
+    # backward returns the gradient vector that step then walks whole, so work
     # moves between the two; compare their sum across commits, not each alone
     net = init_network(dense_specs(2, [16], 5), seed=0)
     x = np.random.default_rng(2).normal(size=(32, 2))
@@ -120,8 +120,8 @@ def test_rb_red_mini_batch_2_16_5(benchmark):
     objective = (Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, True)
 
     def mini_batch():
-        _, _, grads = trainer._mini_batch(net, x, gt, objective, 1.0, "in the benchmark")
-        step(net, opt, grads)
+        _, _, grad = trainer._mini_batch(net, x, gt, objective, 1.0, "in the benchmark")
+        step(net, opt, grad)
 
     benchmark(mini_batch)
 

@@ -423,6 +423,19 @@ def test_run_grid_full_default_grid_passes():
     assert all(r.n_skipped == 0 for r in results)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 10: finite-difference error, not a wrong gradient. At K=10 the last "
+    "entry reads 1.072796e-06 analytic against 1.073075e-06 numeric, just above _TINY, so the "
+    "relative rule sees 2.6e-4; the cell passes at h=3e-5 and fails at h=1e-4 and h=3e-6",
+)
+def test_run_grid_passes_the_benchmark_gradcheck_seed_117():
+    # the gradcheck workload's grid seed at workload seed 117 (its first sub-seed);
+    # of workload seeds 1-300 only this one fails, and only in this cell
+    [cell] = run_grid([Loss.EV_MSE], [Activation.SOFTPLUS], ["edl_kl"], n_cases=50, seed=2948099320)
+    assert cell.passed, cell.worst_detail
+
+
 def test_run_grid_is_deterministic():
     a = run_grid(losses=[Loss.EV_CE], n_cases=5, seed=99)
     b = run_grid(losses=[Loss.EV_CE], n_cases=5, seed=99)

@@ -17,6 +17,7 @@ from evidkit.network import (
     Network,
     OptimizerState,
     OptKind,
+    _views,
     backward,
     dense_specs,
     forward,
@@ -63,6 +64,31 @@ def test_spec_validation_errors():
         init_network([LayerSpec(0, 3, False)], seed=0)
     with pytest.raises(ValueError, match="at least one layer"):
         init_network([], seed=0)
+
+
+@pytest.mark.parametrize(
+    "weights, biases, match",
+    [
+        ([np.ones((3, 2))], [np.zeros(3)], "^weights: 1 given for 2 layers$"),
+        ([np.ones((3, 2)), np.ones((2, 3))], [np.zeros(3)], "^biases: 1 given for 2 layers$"),
+        ([np.ones((3, 2))] * 3, [np.zeros(3)] * 3, "^weights: 3 given for 2 layers$"),
+        ([np.ones((2, 3)), np.ones((2, 3))], [np.zeros(3), np.zeros(2)],
+         r"^layer 0 weights: shape \(2, 3\), but the spec is \(3, 2\)$"),
+        ([np.ones((3, 2)), np.ones(6)], [np.zeros(3), np.zeros(2)],
+         r"^layer 1 weights: shape \(6,\), but the spec is \(2, 3\)$"),
+        ([np.ones((3, 2)), np.ones((2, 3))], [np.zeros(3), np.zeros(3)],
+         r"^layer 1 biases: shape \(3,\), but the spec is \(2,\)$"),
+        ([np.ones((3, 2)), np.ones((2, 3))], [np.zeros((3, 1)), np.zeros(2)],
+         r"^layer 0 biases: shape \(3, 1\), but the spec is \(3,\)$"),
+    ],
+    ids=["one-weight", "one-bias", "three-layers", "w0-transposed", "w1-flat", "b1-long", "b0-column"],
+)
+def test_network_refuses_arrays_that_do_not_match_its_specs(weights, biases, match):
+    # one layer's arrays for a two-layer spec once built a net whose forward
+    # gave 3 logits for out_dim 2, and whose checkpoint saved and loaded one layer
+    specs = [LayerSpec(2, 3, hidden=True), LayerSpec(3, 2, hidden=False)]
+    with pytest.raises(ValueError, match=match):
+        Network(specs=specs, weights=weights, biases=biases, seed=0)
 
 
 def test_init_scaled_uniform_bounds_and_zero_biases():
@@ -150,26 +176,25 @@ def test_backward_matches_finite_differences():
     logits, cache = forward(net, x)
     pre = x @ net.weights[0].T + net.biases[0]
     assert np.abs(pre).min() > 1e-3  # comfortably off the ReLU kink
-    grads = backward(net, cache, logits)
+    grads = _views(backward(net, cache, logits), net._layout)
 
     def total_loss():
         out, _ = forward(net, x)
         return 0.5 * float((out * out).sum())
 
     h = 1e-6
-    for li in range(len(net.specs)):
-        for params, analytic in ((net.weights[li], grads[li][0]), (net.biases[li], grads[li][1])):
-            it = np.nditer(params, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = params[idx]
-                params[idx] = orig + h
-                up = total_loss()
-                params[idx] = orig - h
-                down = total_loss()
-                params[idx] = orig
-                fd = (up - down) / (2.0 * h)
-                assert analytic[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    for params, analytic in zip(net._views, grads):  # W0, b0, W1, b1 with their gradients
+        it = np.nditer(params, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = params[idx]
+            params[idx] = orig + h
+            up = total_loss()
+            params[idx] = orig - h
+            down = total_loss()
+            params[idx] = orig
+            fd = (up - down) / (2.0 * h)
+            assert analytic[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_backward_masks_from_inputs_equal_pre_activation_masks():
@@ -191,16 +216,16 @@ def test_backward_masks_from_inputs_equal_pre_activation_masks():
     assert np.isnan(pres[0][0, 1]) and np.all(pres[0][:, 0] == 0.0)
     for i in (1, 2):
         assert np.array_equal(cache.inputs[i] > 0.0, pres[i - 1] > 0.0)
-    want, g = [None] * 3, d
+    want, g = [None] * 6, d
     for i in (2, 1, 0):
         inp = x if i == 0 else np.maximum(pres[i - 1], 0.0)
-        want[i] = (g.T @ inp, g.sum(axis=0))
+        want[2 * i : 2 * i + 2] = g.T @ inp, g.sum(axis=0)
         if i > 0:
             g = (g @ net.weights[i]) * (pres[i - 1] > 0.0)
     with np.errstate(invalid="ignore"):
-        got = backward(net, cache, d)
-    for (gw, gb), (ww, wb) in zip(got, want):
-        assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+        got = _views(backward(net, cache, d), net._layout)
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_backward_batch_mean_semantics():
@@ -209,15 +234,12 @@ def test_backward_batch_mean_semantics():
     net = small_net()
     x = np.array([[0.5, -1.2], [1.5, 0.7]])
     logits, cache = forward(net, x)
-    mean_grads = backward(net, cache, logits / 2.0)
+    mean_grad = backward(net, cache, logits / 2.0)
     singles = []
     for i in range(2):
         li, ci = forward(net, x[i])
         singles.append(backward(net, ci, li))
-    for layer in range(len(net.specs)):
-        for part in range(2):
-            avg = (singles[0][layer][part] + singles[1][layer][part]) / 2.0
-            assert np.allclose(mean_grads[layer][part], avg, atol=1e-15)
+    assert np.allclose(mean_grad, (singles[0] + singles[1]) / 2.0, atol=1e-15)
 
 
 def test_backward_rejects_stale_cache():
@@ -258,7 +280,7 @@ def test_sgd_momentum_update_math():
     p = 0.5
     v = 0.0
     for g in gs:
-        step(net, opt, [(np.array([[g]]), np.array([0.0]))])
+        step(net, opt, np.array([g, 0.0]))
         v = v * mom + g
         p = p - lr * v
         assert float(net.weights[0][0, 0]) == p  # bit-exact mirror
@@ -271,7 +293,7 @@ def test_adam_like_update_math():
     gs = [2.0, -1.0, 0.5]
     p, m, v = 0.5, 0.0, 0.0
     for t, g in enumerate(gs, start=1):
-        step(net, opt, [(np.array([[g]]), np.array([0.0]))])
+        step(net, opt, np.array([g, 0.0]))
         c1 = 1.0 - b1**t
         c2 = 1.0 - b2**t
         m = m * b1 + (1.0 - b1) * g
@@ -296,7 +318,7 @@ def test_sgd_momentum_update_math_across_blocks():
     v = np.zeros_like(p)
     for scale in (1.0, 1e-3, 7.5):
         g = rng.normal(size=p.shape) * scale
-        step(net, opt, [(g, np.zeros(1))])
+        step(net, opt, np.append(g, 0.0))
         v = v * mom + g
         p = p - lr * v
         assert np.array_equal(net.weights[0], p)  # bit-exact mirror, every block
@@ -312,7 +334,7 @@ def test_adam_like_update_math_across_blocks():
     v = np.zeros_like(p)
     for t, scale in enumerate((1.0, 1e-3, 7.5), start=1):
         g = rng.normal(size=p.shape) * scale
-        step(net, opt, [(g, np.zeros(1))])
+        step(net, opt, np.append(g, 0.0))
         c1 = 1.0 - b1**t
         c2 = 1.0 - b2**t
         m = m * b1 + (1.0 - b1) * g
@@ -324,22 +346,20 @@ def test_adam_like_update_math_across_blocks():
     assert np.array_equal(opt.slot2[: v.size], v.reshape(-1))
 
 
-def one_vector_grads(value):
-    """Hand-built gradients of a 1024 -> 1024 layer, laid out as backward
-    lays them out: views of one vector, so step takes them without a copy."""
-    g = np.full(1024 * 1024 + 1024, value)
-    return [(g[: 1024 * 1024].reshape(1024, 1024), g[1024 * 1024 :])]
+def one_vector_grad(value):
+    """A hand-built gradient of a 1024 -> 1024 layer: one vector, as backward returns."""
+    return np.full(1024 * 1024 + 1024, value)
 
 
 @pytest.mark.parametrize("kind", list(OptKind))
 def test_step_temporaries_stay_small(kind):
     net = init_network([LayerSpec(1024, 1024, hidden=False)], seed=0)
-    grads = one_vector_grads(1e-3)
+    grad = one_vector_grad(1e-3)
     opt = OptimizerState(kind=kind, lr=0.01)
-    step(net, opt, grads)  # allocates the slots
+    step(net, opt, grad)  # allocates the slots
     tracemalloc.start()
     try:
-        step(net, opt, grads)
+        step(net, opt, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,14 +373,14 @@ def test_adam_step_checks_finiteness_without_a_gradient_sized_temporary(source):
     net = init_network([LayerSpec(1024, 1024, hidden=False)], seed=0)
     if source == "backward":
         logits, cache = forward(net, np.full((1, 1024), 1e-3))
-        grads = backward(net, cache, logits)
+        grad = backward(net, cache, logits)
     else:
-        grads = one_vector_grads(1e-3)
+        grad = one_vector_grad(1e-3)
     opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.01)
-    step(net, opt, grads)
+    step(net, opt, grad)
     tracemalloc.start()
     try:
-        step(net, opt, grads)
+        step(net, opt, grad)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,11 +404,11 @@ def test_all_finite_on_an_array_that_is_summed_first(entries, finite):
 
 def test_step_rejects_a_non_finite_entry_of_a_large_gradient():
     net = init_network([LayerSpec(128, 64, hidden=False)], seed=0)
-    dw = np.zeros((64, 128))
-    dw[3, 5] = np.nan
+    grad = np.zeros(net.params.size)
+    grad[3 * 128 + 5] = np.nan  # W0[3, 5]
     before = net.weights[0].copy()
     with pytest.raises(ValueError, match="non-finite gradient for layer 0 weights"):
-        step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.01), [(dw, np.zeros(64))])
+        step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.01), grad)
     assert np.array_equal(net.weights[0], before)
 
 
@@ -402,10 +422,10 @@ def test_step_rejects_slots_of_another_network(kind):
     # same layer count, larger shapes: flat blocks would update only a prefix
     other = init_network(dense_specs(2, [5], 2), seed=4)
     logits, cache = forward(other, np.array([0.5, -1.2]))
-    grads = backward(other, cache, logits)
+    grad = backward(other, cache, logits)
     before = [a.copy() for a in other.weights + other.biases]
     with pytest.raises(ValueError, match="slot1 does not match"):
-        step(other, opt, grads)
+        step(other, opt, grad)
     for a, a0 in zip(other.weights + other.biases, before):
         assert np.array_equal(a, a0)
     assert other.param_version == 0
@@ -427,11 +447,10 @@ def test_step_rejects_a_non_contiguous_parameter():
     net = Network(specs=[LayerSpec(2, 2, hidden=False)], weights=[w], biases=[np.zeros(2)], seed=0)
     assert np.array_equal(net.params, [1.0, 3.0, 2.0, 4.0, 0.0, 0.0])
     opt = OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1)
-    grads = [(np.ones((2, 2)), np.ones(2))]
     # ... but one assigned later is a view step would not update
     net.weights[0] = net.weights[0].T
     with pytest.raises(ValueError, match="must stay views of net.params"):
-        step(net, opt, grads)
+        step(net, opt, np.ones(6))
     assert np.array_equal(net.params, [1.0, 3.0, 2.0, 4.0, 0.0, 0.0])
     assert opt.slot1 is None and net.param_version == 0
 
@@ -458,59 +477,40 @@ def test_a_copied_network_has_its_own_vector_and_steps(how):
     assert np.array_equal(net.params, before) and not np.array_equal(twin.params, before)
 
 
-def test_backward_pairs_view_one_fresh_vector_that_step_does_not_keep():
+def test_backward_returns_one_fresh_vector_that_step_does_not_keep():
     net = small_net()
     logits, cache = forward(net, np.array([[0.5, -1.2], [1.5, 0.7]]))
-    grads = backward(net, cache, logits)
-    vector = grads[0][0].base
-    assert vector.shape == net.params.shape and not np.shares_memory(vector, net.params)
-    assert all(a.base is vector for pair in grads for a in pair)
-    assert backward(net, cache, logits)[0][0].base is not vector
-    kept = weakref.ref(vector)
-    step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), grads)
-    del grads, vector
+    grad = backward(net, cache, logits)
+    assert grad.dtype == np.float64 and grad.shape == net.params.shape
+    assert grad.base is None and not np.shares_memory(grad, net.params)
+    assert not np.shares_memory(backward(net, cache, logits), grad)
+    kept = weakref.ref(grad)
+    step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), grad)
+    del grad
     assert kept() is None
-
-
-@pytest.mark.parametrize("kind", list(OptKind))
-def test_a_hand_built_gradient_list_steps_like_backwards_vector(kind):
-    # a list that is not backward's is checked pair by pair and packed once;
-    # the update is the same, bit for bit, over several steps
-    a, b = (init_network(dense_specs(3, [4, 5], 2), seed=2) for _ in range(2))
-    opt_a, opt_b = OptimizerState(kind=kind, lr=0.05), OptimizerState(kind=kind, lr=0.05)
-    x = np.random.default_rng(4).normal(size=(6, 3))
-    for _ in range(3):
-        logits, cache = forward(a, x)
-        grads = backward(a, cache, logits / 6.0)
-        step(b, opt_b, [(dw.copy(), db.copy()) for dw, db in grads])
-        step(a, opt_a, grads)
-        assert a.params.tobytes() == b.params.tobytes()
-        assert opt_a.slot1.tobytes() == opt_b.slot1.tobytes()
-    if kind == OptKind.ADAM_LIKE:
-        assert opt_a.slot2.tobytes() == opt_b.slot2.tobytes()
 
 
 @pytest.mark.parametrize("replace", ["weights", "biases"])
 def test_step_rejects_a_reassigned_parameter_array(replace):
     net = small_net()
     logits, cache = forward(net, np.array([0.5, -1.2]))
-    grads = backward(net, cache, logits)
+    grad = backward(net, cache, logits)
     arrays = getattr(net, replace)
     arrays[1] = arrays[1].copy()  # same values, but forward would read it and step would not
     before = net.params.copy()
     with pytest.raises(ValueError, match="weights and biases must stay views of net.params"):
-        step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), grads)
+        step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), grad)
     assert np.array_equal(net.params, before) and net.param_version == 0
 
 
 def test_step_names_the_layer_of_a_non_finite_entry_of_backwards_vector():
     net = small_net()
     logits, cache = forward(net, np.array([0.5, -1.2]))
-    grads = backward(net, cache, logits)
-    grads[1][1][0] = np.inf  # written through the view, into the vector
+    grad = backward(net, cache, logits)
+    _views(grad, net._layout)[3][0] = np.inf  # b1[0], written through its view
     before = net.params.copy()
     with pytest.raises(ValueError, match="non-finite gradient for layer 1 biases"):
-        step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), grads)
+        step(net, OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1), grad)
     assert np.array_equal(net.params, before)
 
 
@@ -531,30 +531,76 @@ def test_step_rejects_per_parameter_slots(kind):
 def test_step_increments_param_version():
     net = scalar_net()
     assert net.param_version == 0
-    step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), [(np.ones((1, 1)), np.zeros(1))])
+    step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), np.array([1.0, 0.0]))
     assert net.param_version == 1
 
 
 def test_step_rejects_non_finite_gradients_and_leaves_params_unchanged():
     net = small_net()
     logits, cache = forward(net, np.array([0.5, -1.2]))
-    grads = backward(net, cache, logits)
-    grads[1] = (grads[1][0] * np.nan, grads[1][1])
+    grad = backward(net, cache, logits)
+    _views(grad, net._layout)[2][:] = np.nan  # all of W1
     before = [w.copy() for w in net.weights]
     with pytest.raises(ValueError, match="non-finite gradient for layer 1 weights"):
-        step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), grads)
+        step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), grad)
     for w, w0 in zip(net.weights, before):
         assert np.array_equal(w, w0)
 
 
 def test_step_rejects_shape_mismatch_and_wrong_count():
+    # anything but one float64 vector of net.params' size is refused before
+    # any write: backward's own vector as pairs, a list, a wrong size or dtype
     net = small_net()
-    opt = OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1)
-    with pytest.raises(ValueError, match="gradient pairs"):
-        step(net, opt, [])
-    bad = [(np.zeros((3, 2)), np.zeros(3)), (np.zeros((2, 2)), np.zeros(2))]
-    with pytest.raises(ValueError, match="shape mismatch at layer 1"):
-        step(net, opt, bad)
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1)
+    logits, cache = forward(net, np.array([0.5, -1.2]))
+    grad = backward(net, cache, logits)
+    views = _views(grad, net._layout)
+    before = net.params.copy()
+    for bad in (
+        [], list(zip(views[0::2], views[1::2])), list(grad), grad[:-1], np.append(grad, 0.0),
+        grad.reshape(1, -1), grad.astype(np.float32), grad.astype(np.int64),
+    ):
+        with pytest.raises(ValueError, match="^gradient must be backward's float64 vector of 17 entries$"):
+            step(net, opt, bad)
+    assert np.array_equal(net.params, before) and net.param_version == 0
+    assert opt.slot1 is None and opt.slot2 is None and opt.t == 0
+
+
+def test_step_refuses_pairs_that_view_the_vector_in_swapped_order():
+    # on 3 -> 3 -> 3, W0 and W1 share a shape, so pairs matched by shape alone
+    # once applied the gradient meant for W0 to W1; step now takes only the vector
+    net = init_network(dense_specs(3, [3], 3), seed=0)
+    v = np.zeros(net.params.size)
+    v[12:21] = 1.0  # meant for layer 0 by the pairs below, but W1's range of the layout
+    swapped = [(v[12:21].reshape(3, 3), v[21:24]), (v[:9].reshape(3, 3), v[9:12])]
+    before = net.params.copy()
+    with pytest.raises(ValueError, match="gradient must be backward's float64 vector"):
+        step(net, OptimizerState(kind=OptKind.SGD_MOMENTUM, lr=0.1), swapped)
+    assert np.array_equal(net.params, before)
+
+
+@pytest.mark.parametrize("at", ["first", "last"])
+@pytest.mark.parametrize("entry", range(6))
+def test_step_names_the_layer_and_part_of_every_layout_entry(entry, at):
+    # three (3, 3) weights, so no entry can be told from another by shape; every
+    # entry after the named one is bad too, so the first bad entry is the one named
+    net = init_network(dense_specs(3, [3, 3], 3), seed=0)
+    opt = OptimizerState(kind=OptKind.ADAM_LIKE, lr=0.1)
+    x = np.array([[0.5, -1.2, 0.3], [1.5, 0.7, -0.4]])
+    logits, cache = forward(net, x)
+    step(net, opt, backward(net, cache, logits))  # the slots now hold moments
+    logits, cache = forward(net, x)
+    grad = backward(net, cache, logits)
+    lo, hi, _ = net._layout[entry]
+    grad[lo if at == "first" else hi - 1] = np.inf
+    grad[hi:] = np.nan
+    before = [a.copy() for a in (net.params, opt.slot1, opt.slot2)]
+    part = ("weights", "biases")[entry % 2]
+    with pytest.raises(ValueError, match=f"^non-finite gradient for layer {entry // 2} {part}$"):
+        step(net, opt, grad)
+    for a, a0 in zip((net.params, opt.slot1, opt.slot2), before):
+        assert np.array_equal(a, a0)
+    assert opt.t == 1 and net.param_version == 1
 
 
 def test_optimizer_state_validation():
