@@ -148,27 +148,21 @@ def _grid_reg(name) -> str:
 def cmd_gradcheck(args) -> int:
     where = f"config {args.config}: "
     names = {"losses": Loss, "activations": Activation, "regularizers": _grid_reg}
-    fields = {"samples": "int", "h": "float", "tol": "float"} | dict.fromkeys(names, "list[str]")
+    fields = dict.fromkeys(names, "list[str]")
     doc = read_object(args.config, "config", fields, ()) if args.config else {}
     grid = {
         k: [member(parse, v, where + k, "name") for v in doc[k]]
         for k, parse in names.items()
         if k in doc
     }
-    samples = args.samples if args.samples is not None else doc.get("samples", DEFAULT_CASES)
-    h = args.h if args.h is not None else float(doc.get("h", DEFAULT_H))
-    tol = args.tol if args.tol is not None else float(doc.get("tol", DEFAULT_TOL))
-    # each value is reported by where it came from: its flag, else the config
-    settings = ("samples", "h", "tol")
-    labels = [f"--{k}" if getattr(args, k) is not None else where + k for k in settings]
-    _check_settings(samples, h, tol, args.seed, [*labels, "--seed"])
+    _check_settings(args.samples, args.h, args.tol, args.seed, ["--samples", "--h", "--tol", "--seed"])
     results = run_grid(
         losses=grid.get("losses"),
         acts=grid.get("activations"),
         regs=grid.get("regularizers"),
-        n_cases=samples,
-        h=h,
-        tol=tol,
+        n_cases=args.samples,
+        h=args.h,
+        tol=args.tol,
         seed=args.seed,
         corrupt=args.corrupt,
     )
@@ -189,7 +183,7 @@ def cmd_gradcheck(args) -> int:
             file=sys.stderr,
         )
         return EXIT_RUNTIME
-    print(f"all {len(results)} cells passed (tol={_fmt(tol)}, h={_fmt(h)})")
+    print(f"all {len(results)} cells passed (tol={_fmt(args.tol)}, h={_fmt(args.h)})")
     return EXIT_OK
 
 
@@ -291,9 +285,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of analytic gradients")
     p.add_argument("--config", help="optional JSON narrowing the grid")
-    p.add_argument("--samples", type=int, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--samples", type=int, default=DEFAULT_CASES)
+    p.add_argument("--h", type=float, default=DEFAULT_H)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--corrupt", help="cell loss:act:reg to fault-inject (self-test)")
     p.set_defaults(func=cmd_gradcheck)

@@ -115,7 +115,7 @@ def circle_means(k: int, d: int, radius: float) -> np.ndarray:
     return means
 
 
-def make_blobs(spec: BlobSpec, name: str | None = None) -> Dataset:
+def make_blobs(spec: BlobSpec) -> Dataset:
     """Isotropic Gaussian blob per class, class-major sample order."""
     rng = np.random.default_rng(spec.seed)
     feats = []
@@ -127,12 +127,12 @@ def make_blobs(spec: BlobSpec, name: str | None = None) -> Dataset:
         features=np.concatenate(feats),
         labels=np.concatenate(labels),
         k=spec.k,
-        name=name or f"blobs-k{spec.k}-s{spec.seed}",
+        name=f"blobs-k{spec.k}-s{spec.seed}",
         seed=int(spec.seed),
     )
 
 
-def make_ood_shift(base: BlobSpec, shift, name: str | None = None) -> Dataset:
+def make_ood_shift(base: BlobSpec, shift) -> Dataset:
     """The base blobs translated by `shift`, marked out-of-distribution."""
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (base.means.shape[1],):
@@ -142,7 +142,7 @@ def make_ood_shift(base: BlobSpec, shift, name: str | None = None) -> Dataset:
         features=ds.features + shift,
         labels=ds.labels,
         k=ds.k,
-        name=name or f"{ds.name}-ood",
+        name=f"{ds.name}-ood",
         ood=True,
         seed=ds.seed,
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -50,10 +51,11 @@ class LayerSpec:
 
 @dataclass
 class Network:
-    """Construction checks the arrays against specs and packs them into one float64
-    vector, `params`, laid out W0, b0, W1, b1, ...; weights[i] and biases[i] view it."""
+    """Construction checks the specs and keeps them as a tuple, then checks the arrays
+    against them and packs them into one float64 vector, `params`, laid out W0, b0,
+    W1, b1, ...; weights[i] and biases[i] view it."""
 
-    specs: list[LayerSpec]
+    specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]  # each (out_dim, in_dim)
     biases: list[np.ndarray]  # each (out_dim,)
     seed: int
@@ -62,6 +64,8 @@ class Network:
     _layout: list[tuple[int, int, tuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.specs = tuple(self.specs)
+        _validate_specs(self.specs)
         for part, given in (("weights", self.weights), ("biases", self.biases)):
             if len(given) != len(self.specs):
                 raise ValueError(f"{part}: {len(given)} given for {len(self.specs)} layers")
@@ -110,7 +114,7 @@ class ForwardCache:
     param_version: int
 
 
-def _validate_specs(specs: list[LayerSpec]) -> None:
+def _validate_specs(specs: Sequence[LayerSpec]) -> None:
     if not specs:
         raise ValueError("need at least one layer")
     for i, spec in enumerate(specs):
@@ -127,16 +131,13 @@ def _validate_specs(specs: list[LayerSpec]) -> None:
 
 def dense_specs(in_dim: int, hidden_dims: list[int], out_dim: int) -> list[LayerSpec]:
     """ReLU hidden stack followed by an identity output layer."""
-    dims = [in_dim] + list(hidden_dims) + [out_dim]
-    specs = []
-    for i in range(len(dims) - 1):
-        specs.append(LayerSpec(dims[i], dims[i + 1], hidden=i < len(dims) - 2))
-    _validate_specs(specs)
-    return specs
+    dims = [in_dim, *hidden_dims, out_dim]
+    return [LayerSpec(a, b, hidden=i < len(dims) - 2) for i, (a, b) in enumerate(zip(dims, dims[1:]))]
 
 
 def init_network(specs: list[LayerSpec], seed: int) -> Network:
-    """Scaled-uniform fan-in init, uniform(+-sqrt(6/fan_in)); biases zero."""
+    """Scaled-uniform fan-in init, uniform(+-sqrt(6/fan_in)); biases zero. The specs
+    are checked before the draws, which would divide by a zero fan_in."""
     _validate_specs(specs)
     rng = np.random.default_rng(seed)
     weights = []
@@ -145,7 +146,7 @@ def init_network(specs: list[LayerSpec], seed: int) -> Network:
         limit = np.sqrt(6.0 / spec.in_dim)
         weights.append(rng.uniform(-limit, limit, (spec.out_dim, spec.in_dim)))
         biases.append(np.zeros(spec.out_dim))
-    return Network(specs=list(specs), weights=weights, biases=biases, seed=int(seed))
+    return Network(specs=specs, weights=weights, biases=biases, seed=int(seed))
 
 
 def forward(net: Network, x) -> tuple[np.ndarray, ForwardCache]:
@@ -184,8 +185,6 @@ def backward(net: Network, cache: ForwardCache, d_logits) -> np.ndarray:
         raise ValueError(
             f"d_logits shape {d.shape} does not match forward logits shape {logits_shape}"
         )
-    if net.specs[-1].hidden:
-        raise ValueError("final layer must be identity (logits are pre-activation)")
     grad = np.empty(net.params.size)
     views = _views(grad, net._layout)
     for i in reversed(range(len(net.specs))):
@@ -325,22 +324,22 @@ def save_checkpoint(net: Network, path) -> None:
 
 
 def load_checkpoint(path) -> Network:
+    """The network in a save_checkpoint file. The file format is checked here (field
+    types, format, version, the weight counts the reshape needs); Network checks the rest."""
     doc = read_object(path, "checkpoint")
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"not a network checkpoint: {path}")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {doc.get('version')}")
-    specs, weights, biases = [], [], []
-    for i, layer in enumerate(check_fields(_CHECKPOINT_FIELDS, doc, "checkpoint ")["layers"]):
+    layers = check_fields(_CHECKPOINT_FIELDS, doc, "checkpoint ")["layers"]
+    for i, layer in enumerate(layers):
         check_fields(_LAYER_FIELDS, layer, f"checkpoint layer {i} ")
-        spec = LayerSpec(layer["in_dim"], layer["out_dim"], layer["hidden"])
-        w, b = (np.asarray(layer[k], dtype=float) for k in ("weights", "biases"))
-        if w.size != spec.out_dim * spec.in_dim:
+    specs = [LayerSpec(layer["in_dim"], layer["out_dim"], layer["hidden"]) for layer in layers]
+    _validate_specs(specs)  # before the reshape, so a dimension below 1 is named by its layer
+    weights = []
+    for i, (spec, layer) in enumerate(zip(specs, layers)):
+        if len(layer["weights"]) != spec.out_dim * spec.in_dim:
             raise ValueError(f"layer {i}: weight count does not match dimensions")
-        if b.shape != (spec.out_dim,):
-            raise ValueError(f"layer {i}: bias count does not match out_dim")
-        specs.append(spec)
-        weights.append(w.reshape(spec.out_dim, spec.in_dim))
-        biases.append(b)
-    _validate_specs(specs)
-    return Network(specs=specs, weights=weights, biases=biases, seed=doc["seed"])
+        weights.append(np.asarray(layer["weights"], dtype=float).reshape(spec.out_dim, spec.in_dim))
+    return Network(specs=specs, weights=weights, biases=[layer["biases"] for layer in layers],
+                   seed=doc["seed"])

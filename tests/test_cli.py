@@ -637,32 +637,18 @@ def test_gradcheck_flag_validation(tmp_path, capsys):
         assert f"config {cfg}:" in capsys.readouterr().err
     for doc, field in (
         ({"losses": 5}, "losses"),
-        ({"samples": [1]}, "samples"),
         ({"activations": "exp"}, "activations"),
         ({"regularizers": ["bogus"]}, "regularizers"),
-        ({"samples": "x"}, "samples"),
     ):
         cfg = tmp_path / "gc.json"
         cfg.write_text(json.dumps(doc))
         assert main(["gradcheck", "--config", str(cfg)]) == 1
         assert f"config {cfg}: {field}: " in capsys.readouterr().err
-    # JSON text as written: 1e400 overflows to inf; NaN and Infinity are
-    # Python's extensions to JSON
-    for text, field in (
-        ('{"samples": 1e400}', "samples"),
-        ('{"samples": NaN}', "samples"),
-        ('{"samples": 2.5}', "samples"),
-        ('{"h": Infinity}', "h"),
-        ('{"tol": NaN}', "tol"),
-    ):
-        cfg.write_text(text)
+    # samples, h and tol come from their flags only
+    for field in ("samples", "h", "tol"):
+        cfg.write_text(json.dumps({field: 1}))
         assert main(["gradcheck", "--config", str(cfg)]) == 1
-        assert f"config {cfg}: {field}: expected " in capsys.readouterr().err
-    # an out-of-range value is named by the config field it came from
-    for doc, field in (({"samples": 0}, "samples"), ({"h": -1.0}, "h"), ({"tol": 0}, "tol")):
-        cfg.write_text(json.dumps(doc))
-        assert main(["gradcheck", "--config", str(cfg)]) == 1
-        assert f"error: config {cfg}: {field}: must be " in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: config {cfg}: {field}: unknown field\n"
 
 
 # --- sweep -------------------------------------------------------------------------

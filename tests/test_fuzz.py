@@ -49,9 +49,6 @@ GRADCHECK_CONFIG = {
     "losses": ["ev_mse"],
     "activations": ["exp"],
     "regularizers": ["edl_kl"],
-    "samples": 1,
-    "h": 1e-5,
-    "tol": 1e-4,
 }
 # small values of each JSON type, the non-finite numbers among them
 SWAPS = ["x", "", True, False, None, 0, 1, -1, 2.5, float("nan"), float("inf"), -float("inf"),
@@ -127,7 +124,8 @@ EVALUATE = ["evaluate", "--checkpoint", "{w}/checkpoint.json", "--data", "{w}/da
             "--out", "{w}/out.csv"]
 CASES = {
     "run-config": ("run.json", ["train", "--config", "{w}/run.json", "--out", "{w}/out"]),
-    "gradcheck-config": ("gradcheck.json", ["gradcheck", "--config", "{w}/gradcheck.json"]),
+    "gradcheck-config": ("gradcheck.json",
+                         ["gradcheck", "--config", "{w}/gradcheck.json", "--samples", "1"]),
     "checkpoint": ("checkpoint.json", EVALUATE),
     "sidecar": ("data.csv.meta.json", EVALUATE),
     "records": ("records.csv", ["report", "--records", "{w}/records.csv", "--out", "{w}/out"]),

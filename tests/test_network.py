@@ -55,15 +55,43 @@ def test_dense_specs_shapes_and_hidden_flags():
     assert dense_specs(7, [], 3) == [LayerSpec(7, 3, False)]
 
 
+# Each rule of a layer stack, with its one message.
+BAD_STACKS = {
+    "empty": ([], "^need at least one layer$"),
+    "zero-dim": ([LayerSpec(0, 3, False)], "^layer 0: dimensions must be >= 1$"),
+    "unchained": ([LayerSpec(2, 3, True), LayerSpec(4, 2, False)],
+                  "^layer 0 out_dim 3 does not chain into layer 1 in_dim 4$"),
+    "hidden-final": ([LayerSpec(2, 3, True)],
+                     r"^final layer must be identity \(logits are pre-activation\)$"),
+}
+
+
 def test_spec_validation_errors():
-    with pytest.raises(ValueError, match="chain"):
-        init_network([LayerSpec(2, 3, True), LayerSpec(4, 2, False)], seed=0)
-    with pytest.raises(ValueError, match="final layer"):
-        init_network([LayerSpec(2, 3, True)], seed=0)
-    with pytest.raises(ValueError, match="dimensions"):
-        init_network([LayerSpec(0, 3, False)], seed=0)
-    with pytest.raises(ValueError, match="at least one layer"):
-        init_network([], seed=0)
+    for specs, match in BAD_STACKS.values():
+        with pytest.raises(ValueError, match=match):
+            init_network(specs, seed=0)
+
+
+@pytest.mark.parametrize("via", ["Network", "load_checkpoint"])
+@pytest.mark.parametrize("stack", list(BAD_STACKS))
+def test_no_net_is_built_from_a_bad_layer_stack(tmp_path, stack, via):
+    # arrays of the shapes the specs give: only the stack rule can refuse them. A
+    # hand-built hidden-final net once clipped its logits to 0, and an unchained one
+    # failed inside NumPy's matmul
+    specs, match = BAD_STACKS[stack]
+    weights = [np.ones((s.out_dim, s.in_dim)) for s in specs]
+    biases = [np.zeros(s.out_dim) for s in specs]
+    path = tmp_path / "ckpt.json"
+    layers = [{"in_dim": s.in_dim, "out_dim": s.out_dim, "hidden": s.hidden,
+               "weights": w.ravel().tolist(), "biases": b.tolist()}
+              for s, w, b in zip(specs, weights, biases)]
+    path.write_text(json.dumps({"format": "evidkit-network", "version": 1, "seed": 0,
+                                "layers": layers}))
+    with pytest.raises(ValueError, match=match):
+        if via == "Network":
+            Network(specs=specs, weights=weights, biases=biases, seed=0)
+        else:
+            load_checkpoint(path)
 
 
 @pytest.mark.parametrize(
@@ -250,16 +278,20 @@ def test_backward_rejects_stale_cache():
         backward(net, cache, logits)
 
 
-def test_backward_rejects_a_hidden_final_layer_and_keeps_d_logits():
+def test_backward_keeps_d_logits_and_no_net_gains_a_hidden_final_layer():
     net = small_net()
     x = np.array([[0.5, -1.2], [1.5, 0.7]])
     logits, cache = forward(net, x)
     d = logits.copy()
     backward(net, cache, d)
     assert np.array_equal(d, logits)  # the ReLU mask goes on backward's own arrays
-    net.specs[-1] = LayerSpec(3, 2, hidden=True)
+    # the specs are a tuple, so backward never meets a hidden final layer
+    assert isinstance(net.specs, tuple)
+    with pytest.raises(TypeError):
+        net.specs[-1] = LayerSpec(3, 2, hidden=True)
     with pytest.raises(ValueError, match="final layer must be identity"):
-        backward(net, cache, d)
+        Network(specs=[*net.specs[:-1], LayerSpec(3, 2, hidden=True)],
+                weights=net.weights, biases=net.biases, seed=0)
 
 
 def test_backward_rejects_wrong_d_logits_shape():
@@ -668,7 +700,8 @@ def test_load_checkpoint_rejects_foreign_and_corrupt_files(tmp_path):
         load_checkpoint(p)
     # right weight count, but one bias too many or a non-finite value
     for weights, biases, match in (
-        ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0], "layer 0: bias count"),
+        ([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0],
+         r"^layer 0 biases: shape \(3,\), but the spec is \(2,\)$"),
         ([1.0, float("nan"), 3.0, 4.0], [0.0, 0.0],
          r"layer 0 weights: expected list\[finite float\]"),
         ([1.0, 2.0, 3.0, 4.0], [0.0, float("-inf")],
@@ -680,3 +713,9 @@ def test_load_checkpoint_rejects_foreign_and_corrupt_files(tmp_path):
         ))
         with pytest.raises(ValueError, match=match):
             load_checkpoint(p)
+    # a dimension below 1 is named by its layer before the reshape, which
+    # would otherwise fail inside NumPy ("can only specify one unknown dimension")
+    layer = {"in_dim": -1, "out_dim": -2, "hidden": False, "weights": [1, 2], "biases": [0, 0]}
+    p.write_text(json.dumps({"format": "evidkit-network", "version": 1, "seed": 0, "layers": [layer]}))
+    with pytest.raises(ValueError, match="^layer 0: dimensions must be >= 1$"):
+        load_checkpoint(p)
