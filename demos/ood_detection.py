@@ -47,13 +47,11 @@ def main() -> None:
     result = run_experiment(cfg)
     print(f"final test accuracy: {result.final_test_acc:.3f}")
 
-    mean_ind, mean_ood = vacuity_summary(result.records + result.ood_records)
+    mean_ind, mean_ood = vacuity_summary(result.columns, result.ood_columns)
     print(f"mean vacuity, in-distribution:     {mean_ind:.4f}")
     print(f"mean vacuity, out-of-distribution: {mean_ood:.4f}")
 
-    ood_scores = [r.vacuity for r in result.ood_records]
-    ind_scores = [r.vacuity for r in result.records]
-    score = auroc(ood_scores, ind_scores)
+    score = auroc(result.ood_columns.vacuity, result.columns.vacuity)
     print(f"AUROC of vacuity as an OOD score:  {score:.4f}")
     print(
         "\nThe model never saw anything near the foreign cluster, so it\n"

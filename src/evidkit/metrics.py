@@ -2,8 +2,8 @@
 
 Includes the accuracy-vacuity curve, top-K%-confident accuracy, the
 zero-evidence census, InD/OOD vacuity summary, and rank-based AUROC.
-Records are held as NumPy columns (`RecordColumns`); every metric also
-accepts a `SampleRecord` sequence, which it converts to columns first.
+Records are held as NumPy columns (`RecordColumns`), the one form every
+metric and the records CSV take.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from ._arrays import read_csv, write_csv
 
 __all__ = [
     "CENSUS_THRESHOLDS",
-    "SampleRecord",
     "RecordColumns",
     "CensusBuckets",
     "accuracy_vacuity_curve",
@@ -28,7 +27,6 @@ __all__ = [
     "vacuity_summary",
     "auroc",
     "save_records",
-    "load_records",
 ]
 
 # Mean-evidence census bucket edges (cumulative), plus the > 1.0 remainder.
@@ -36,20 +34,6 @@ CENSUS_THRESHOLDS = (0.01, 0.1, 1.0)
 
 DEFAULT_CURVE_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_TOPK_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    predicted: int
-    actual: int
-    vacuity: float
-    mean_evidence: float
-    max_softmax: float | None = None  # populated for the softmax baseline only
-    is_ood: bool = False
-
-    @property
-    def correct(self) -> bool:
-        return self.predicted == self.actual
 
 
 @dataclass(frozen=True)
@@ -73,7 +57,7 @@ class CensusBuckets:
         return dict(zip(self.COLUMNS, astuple(self)))
 
 
-# Column name -> dtype, in SampleRecord field order.
+# Column name -> dtype, in records CSV column order.
 _COLUMN_DTYPES = {
     "predicted": np.int64,
     "actual": np.int64,
@@ -86,7 +70,7 @@ _COLUMN_DTYPES = {
 
 @dataclass(frozen=True, eq=False)
 class RecordColumns:
-    """Evaluation records as parallel (N,) columns, one per SampleRecord field.
+    """Evaluation records as parallel (N,) columns, one per records CSV column.
 
     `max_softmax` is NaN where a record has none (every row outside the
     softmax baseline).
@@ -123,23 +107,6 @@ class RecordColumns:
         return _mean(self.vacuity)
 
     @classmethod
-    def from_records(cls, records: Sequence[SampleRecord]) -> RecordColumns:
-        n = len(records)
-        cols = {
-            name: np.fromiter((getattr(r, name) for r in records), dtype, n)
-            for name, dtype in _COLUMN_DTYPES.items()
-            if name != "max_softmax"
-        }
-        sm = (math.nan if r.max_softmax is None else r.max_softmax for r in records)
-        return cls(max_softmax=np.fromiter(sm, float, n), **cols)
-
-    def to_records(self) -> list[SampleRecord]:
-        sm = [None if math.isnan(v) else v for v in self.max_softmax.tolist()]
-        fields = (self.predicted, self.actual, self.vacuity, self.mean_evidence)
-        rows = zip(*(c.tolist() for c in fields), sm, self.is_ood.tolist())
-        return [SampleRecord(*row) for row in rows]
-
-    @classmethod
     def load(cls, path) -> RecordColumns:
         """Read a records CSV; a malformed row is rejected with its file line."""
         path = Path(path)
@@ -155,14 +122,7 @@ class RecordColumns:
         return cls(pred, actual, vac, mean_ev, max_sm, flag == 1)
 
 
-def _columns(records: RecordColumns | Sequence[SampleRecord]) -> RecordColumns:
-    if isinstance(records, RecordColumns):
-        return records
-    return RecordColumns.from_records(records)
-
-
-def _nonempty(records: RecordColumns | Sequence[SampleRecord]) -> RecordColumns:
-    cols = _columns(records)
+def _nonempty(cols: RecordColumns) -> RecordColumns:
     if not len(cols):
         raise ValueError("empty record list")
     return cols
@@ -175,7 +135,7 @@ def _mean(x: np.ndarray) -> float:
 
 
 def accuracy_vacuity_curve(
-    records: RecordColumns | Sequence[SampleRecord], thresholds: Sequence[float] | None = None
+    records: RecordColumns, thresholds: Sequence[float] | None = None
 ) -> list[tuple[float, float, float | None]]:
     """(threshold, coverage, accuracy) over records with vacuity <= threshold.
 
@@ -201,7 +161,7 @@ def accuracy_vacuity_curve(
 
 
 def topk_confident_accuracy(
-    records: RecordColumns | Sequence[SampleRecord], fractions: Sequence[float] | None = None
+    records: RecordColumns, fractions: Sequence[float] | None = None
 ) -> list[tuple[float, float]]:
     """Accuracy on the ceil(fraction*N) most confident (lowest vacuity) records.
 
@@ -228,7 +188,7 @@ def _count_at_most(cols: RecordColumns, taus) -> dict[float, int]:
     return {float(t): int((cols.mean_evidence <= t).sum()) for t in taus}
 
 
-def evidence_census(records: RecordColumns | Sequence[SampleRecord]) -> CensusBuckets:
+def evidence_census(records: RecordColumns) -> CensusBuckets:
     """Cumulative mean-evidence census with the fixed bucket edges."""
     cols = _nonempty(records)
     le = _count_at_most(cols, CENSUS_THRESHOLDS).values()
@@ -236,12 +196,11 @@ def evidence_census(records: RecordColumns | Sequence[SampleRecord]) -> CensusBu
 
 
 def vacuity_summary(
-    records: RecordColumns | Sequence[SampleRecord],
-    ood_records: RecordColumns | Sequence[SampleRecord] | None = None,
+    records: RecordColumns, ood_records: RecordColumns | None = None
 ) -> tuple[float, float | None]:
     """(mean InD vacuity, mean OOD vacuity) over records, then ood_records,
     split by each record's is_ood flag; the OOD mean is None if absent."""
-    sets = [_columns(r) for r in (records, ood_records) if r is not None]
+    sets = [c for c in (records, ood_records) if c is not None]
     ind = np.concatenate([c.vacuity[~c.is_ood] for c in sets])
     ood = np.concatenate([c.vacuity[c.is_ood] for c in sets])
     if not ind.size:
@@ -293,15 +252,10 @@ def auroc(scores_pos: Sequence[float], scores_neg: Sequence[float]) -> float:
 RECORDS_HEADER = "predicted,actual,vacuity,mean_evidence,max_softmax,is_ood"
 
 
-def save_records(records: RecordColumns | Sequence[SampleRecord], path) -> None:
+def save_records(records: RecordColumns, path) -> None:
     """Write a records CSV: floats as "%.17g" writes them, max_softmax empty
-    where absent."""
-    cols = _columns(records)
-    write_csv(path, RECORDS_HEADER, [getattr(cols, name) for name in _COLUMN_DTYPES])
-
-
-def load_records(path) -> list[SampleRecord]:
-    return RecordColumns.load(path).to_records()
+    where NaN."""
+    write_csv(path, RECORDS_HEADER, [getattr(records, name) for name in _COLUMN_DTYPES])
 
 
 # One records CSV row: max_softmax is an optional float, absent where empty,

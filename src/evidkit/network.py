@@ -51,9 +51,9 @@ class LayerSpec:
 
 @dataclass
 class Network:
-    """Construction checks the specs and keeps them as a tuple, then checks the arrays
-    against them and packs them into one float64 vector, `params`, laid out W0, b0,
-    W1, b1, ...; weights[i] and biases[i] view it."""
+    """Construction checks the specs and keeps them as a tuple, never replaced, then
+    checks the arrays against them and packs them into one float64 vector, `params`,
+    laid out W0, b0, W1, b1, ...; weights[i] and biases[i] view it."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]  # each (out_dim, in_dim)
@@ -64,7 +64,7 @@ class Network:
     _layout: list[tuple[int, int, tuple]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.specs = tuple(self.specs)
+        vars(self)["specs"] = tuple(self.specs)
         _validate_specs(self.specs)
         for part, given in (("weights", self.weights), ("biases", self.biases)):
             if len(given) != len(self.specs):
@@ -96,6 +96,19 @@ class Network:
 
     def param_count(self) -> int:
         return self.params.size
+
+
+class _FixedSpecs:
+    """`Network.specs`: set by construction, then never replaced. With no __get__,
+    a read is a plain instance-dict lookup."""
+
+    def __set__(self, net: Network, specs) -> None:
+        if "specs" in vars(net):
+            raise AttributeError("specs: a network's layer specs are fixed when it is built")
+        vars(net)["specs"] = specs
+
+
+Network.specs = _FixedSpecs()  # set after @dataclass, so the field keeps no default
 
 
 def _views(vector: np.ndarray, layout) -> list[np.ndarray]:

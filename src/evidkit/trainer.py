@@ -233,16 +233,6 @@ class RunResult:
     ood_columns: RecordColumns | None = None
 
     @property
-    def records(self) -> list:
-        """The final evaluation as SampleRecords, built on each access."""
-        return self.columns.to_records()
-
-    @property
-    def ood_records(self) -> list | None:
-        """The OOD evaluation as SampleRecords, built on each access."""
-        return None if self.ood_columns is None else self.ood_columns.to_records()
-
-    @property
     def final_train_acc(self) -> float:
         return self.logs[-1].train_acc
 

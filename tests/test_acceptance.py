@@ -14,7 +14,7 @@ from evidkit.evidence import Activation, activation_grad, evidence_state
 from evidkit.gradcheck import run_grid
 from evidkit.losses import Loss, grad_logits, loss_ev_mse
 from evidkit.metrics import (
-    SampleRecord,
+    RecordColumns,
     accuracy_vacuity_curve,
     auroc,
     evidence_census,
@@ -269,8 +269,8 @@ def test_criterion_08_ood_vacuity_direction_and_auroc():
     t0 = time.monotonic()
     result = run_experiment(ExperimentConfig.from_dict(doc))
     elapsed = time.monotonic() - t0
-    ind_vac = [r.vacuity for r in result.records]
-    ood_vac = [r.vacuity for r in result.ood_records]
+    ind_vac = result.columns.vacuity.tolist()
+    ood_vac = result.ood_columns.vacuity.tolist()
     mean_ind = sum(ind_vac) / len(ind_vac)
     mean_ood = sum(ood_vac) / len(ood_vac)
     assert mean_ood > mean_ind, f"mean vacuity OOD {mean_ood} <= InD {mean_ind}"
@@ -299,9 +299,9 @@ def test_criterion_09_metric_oracles():
         assert auroc(pos, neg) == total / (n_pos * n_neg), f"trial {trial}"
 
     def r(vac, correct, me):
-        return SampleRecord(0, 0 if correct else 1, vac, me)
+        return (0, 0 if correct else 1, vac, me, math.nan, False)
 
-    fixture = [
+    fixture = RecordColumns(*zip(
         r(0.05, True, 0.005),
         r(0.20, True, 0.05),
         r(0.20, False, 0.2),
@@ -309,7 +309,7 @@ def test_criterion_09_metric_oracles():
         r(0.70, False, 1.0),
         r(0.90, True, 3.0),
         r(0.95, False, 0.009),
-    ]
+    ))
     census = evidence_census(fixture)
     assert (census.le_001, census.le_01, census.le_1, census.gt_1) == (2, 3, 6, 1)
 

@@ -20,12 +20,12 @@ EXPORTS = {
     "CensusBuckets", "ConfigError", "DataConfig", "Dataset", "EVIDENTIAL_LOSSES", "EpochLog",
     "EvidenceState", "ExperimentConfig", "ForwardCache", "IncReg", "LOGIT_CLAMP", "LayerSpec",
     "Loss", "LossGrad", "Network", "OptConfig", "OptKind", "OptimizerState", "RED",
-    "RecordColumns", "RunResult", "SampleRecord", "SweepRow", "__version__",
+    "RecordColumns", "RunResult", "SweepRow", "__version__",
     "accuracy_vacuity_curve", "activation_apply", "activation_grad", "anneal_eta1", "auroc",
     "backward", "central_diff", "check_case", "circle_means", "compare_grads", "composite_loss",
     "dense_specs", "derive_sweep_seed", "digamma", "epoch_csv_header", "evaluate",
     "evidence_census", "evidence_state", "forward", "gamma_family", "grad_logits", "grid_cells",
-    "init_network", "load_checkpoint", "load_csv", "load_records", "log_gamma", "loss_ev_ce",
+    "init_network", "load_checkpoint", "load_csv", "log_gamma", "loss_ev_ce",
     "loss_ev_log", "loss_ev_mse", "loss_softmax_ce", "make_blobs", "make_ood_shift", "make_toy4",
     "predict_class", "reg_adl_sum", "reg_correct", "reg_edl_kl", "reg_units_belief",
     "run_experiment", "run_grid", "save_checkpoint", "save_csv", "save_epoch_csv",

@@ -1,37 +1,36 @@
 """Tests for accuracy/uncertainty metrics and the records CSV format."""
 
+import math
+
 import numpy as np
 import pytest
 
 from evidkit.metrics import (
     CensusBuckets,
-    SampleRecord,
+    RecordColumns,
     accuracy_vacuity_curve,
     auroc,
     evidence_census,
-    load_records,
     save_records,
     topk_confident_accuracy,
     vacuity_summary,
 )
 
 
-def rec(vac, correct=True, me=1.0, ood=False, sm=None):
-    return SampleRecord(
-        predicted=0,
-        actual=0 if correct else 1,
-        vacuity=vac,
-        mean_evidence=me,
-        max_softmax=sm,
-        is_ood=ood,
-    )
+def rec(vac, correct=True, me=1.0, ood=False, sm=math.nan):
+    """One record's fields, in column order."""
+    return (0, 0 if correct else 1, vac, me, sm, ood)
+
+
+def cols(*recs):
+    return RecordColumns(*([r[i] for r in recs] for i in range(6)))
 
 
 # --- accuracy-vacuity curve --------------------------------------------------
 
 
 def test_curve_hand_fixture():
-    records = [rec(0.05, True), rec(0.2, True), rec(0.5, False), rec(0.9, True)]
+    records = cols(rec(0.05, True), rec(0.2, True), rec(0.5, False), rec(0.9, True))
     rows = accuracy_vacuity_curve(records, thresholds=[0.1, 0.5, 1.0])
     assert rows == [
         (0.1, 0.25, 1.0),
@@ -41,22 +40,22 @@ def test_curve_hand_fixture():
 
 
 def test_curve_empty_subset_reports_none_not_zero():
-    rows = accuracy_vacuity_curve([rec(0.9, True)], thresholds=[0.1, 1.0])
+    rows = accuracy_vacuity_curve(cols(rec(0.9, True)), thresholds=[0.1, 1.0])
     assert rows[0] == (0.1, 0.0, None)
     assert rows[1] == (1.0, 1.0, 1.0)
 
 
 def test_curve_validation():
     with pytest.raises(ValueError, match="empty record list"):
-        accuracy_vacuity_curve([])
+        accuracy_vacuity_curve(cols())
     with pytest.raises(ValueError, match=r"in \(0, 1\]"):
-        accuracy_vacuity_curve([rec(0.5)], thresholds=[0.0, 0.5])
+        accuracy_vacuity_curve(cols(rec(0.5)), thresholds=[0.0, 0.5])
     with pytest.raises(ValueError, match="strictly ascending"):
-        accuracy_vacuity_curve([rec(0.5)], thresholds=[0.5, 0.5])
+        accuracy_vacuity_curve(cols(rec(0.5)), thresholds=[0.5, 0.5])
 
 
 def test_curve_default_thresholds_are_deciles():
-    rows = accuracy_vacuity_curve([rec(0.5)])
+    rows = accuracy_vacuity_curve(cols(rec(0.5)))
     assert [t for t, _, _ in rows] == [round(0.1 * i, 1) for i in range(1, 11)]
 
 
@@ -66,7 +65,7 @@ def test_curve_default_thresholds_are_deciles():
 def test_topk_ceil_and_stable_ties():
     # stable sort on vacuity: r2 (0.1), then r0 and r1 (tied 0.3, input
     # order), then r3 (0.5)
-    records = [rec(0.3, False), rec(0.3, True), rec(0.1, True), rec(0.5, True)]
+    records = cols(rec(0.3, False), rec(0.3, True), rec(0.1, True), rec(0.5, True))
     rows = topk_confident_accuracy(records, fractions=[0.25, 0.5, 0.75, 1.0])
     assert rows == [
         (0.25, 1.0),  # ceil(1) = 1 -> [r2]
@@ -77,30 +76,30 @@ def test_topk_ceil_and_stable_ties():
 
 
 def test_topk_fraction_rounds_up():
-    records = [rec(0.1, True), rec(0.2, True), rec(0.3, False)]
+    records = cols(rec(0.1, True), rec(0.2, True), rec(0.3, False))
     rows = topk_confident_accuracy(records, fractions=[0.01])
     assert rows == [(0.01, 1.0)]  # ceil(0.03) = 1 record kept
 
 
 def test_topk_validation():
     with pytest.raises(ValueError, match="empty record list"):
-        topk_confident_accuracy([])
+        topk_confident_accuracy(cols())
     with pytest.raises(ValueError, match=r"in \(0, 1\]"):
-        topk_confident_accuracy([rec(0.5)], fractions=[1.5])
+        topk_confident_accuracy(cols(rec(0.5)), fractions=[1.5])
 
 
 # --- census ------------------------------------------------------------------
 
 
 def test_census_buckets_are_cumulative():
-    records = [rec(0.5, me=m) for m in (0.005, 0.05, 0.5, 5.0, 0.01)]
+    records = cols(*(rec(0.5, me=m) for m in (0.005, 0.05, 0.5, 5.0, 0.01)))
     c = evidence_census(records)
     assert c == CensusBuckets(le_001=2, le_01=3, le_1=4, gt_1=1)
     assert c.n == 5
 
 
 def test_census_boundary_values_are_inclusive():
-    c = evidence_census([rec(0.5, me=0.01), rec(0.5, me=0.1), rec(0.5, me=1.0)])
+    c = evidence_census(cols(rec(0.5, me=0.01), rec(0.5, me=0.1), rec(0.5, me=1.0)))
     assert (c.le_001, c.le_01, c.le_1, c.gt_1) == (1, 2, 3, 0)
 
 
@@ -108,19 +107,19 @@ def test_census_boundary_values_are_inclusive():
 
 
 def test_vacuity_summary_split():
-    records = [rec(0.2), rec(0.4), rec(0.8, ood=True)]
+    records = cols(rec(0.2), rec(0.4), rec(0.8, ood=True))
     assert vacuity_summary(records) == (pytest.approx(0.3), 0.8)
 
 
 def test_vacuity_summary_without_ood_is_none():
-    mean_ind, mean_ood = vacuity_summary([rec(0.2), rec(0.6)])
+    mean_ind, mean_ood = vacuity_summary(cols(rec(0.2), rec(0.6)))
     assert mean_ind == pytest.approx(0.4)
     assert mean_ood is None
 
 
 def test_vacuity_summary_requires_ind():
     with pytest.raises(ValueError, match="in-distribution"):
-        vacuity_summary([rec(0.5, ood=True)])
+        vacuity_summary(cols(rec(0.5, ood=True)))
 
 
 # --- AUROC ---------------------------------------------------------------------
@@ -203,48 +202,50 @@ def test_auroc_rejects_empty():
 
 
 def test_records_round_trip_exact(tmp_path):
-    records = [
-        SampleRecord(0, 0, 0.123456789012345678, 3.7e-17, None, False),
-        SampleRecord(2, 1, 0.5, 1.0, 0.98765432109876543, True),
-    ]
+    records = cols(
+        (0, 0, 0.123456789012345678, 3.7e-17, math.nan, False),
+        (2, 1, 0.5, 1.0, 0.98765432109876543, True),
+    )
     path = tmp_path / "records.csv"
     save_records(records, path)
-    back = load_records(path)
-    assert back == records  # dataclass equality, floats bit-exact
+    back = RecordColumns.load(path)
+    for name in ("predicted", "actual", "vacuity", "mean_evidence", "max_softmax", "is_ood"):
+        got, want = getattr(back, name), getattr(records, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name  # NaN too
 
 
-def test_records_none_max_softmax_round_trips_as_empty_field(tmp_path):
+def test_records_nan_max_softmax_writes_an_empty_field_and_reads_back_as_nan(tmp_path):
     path = tmp_path / "r.csv"
-    save_records([rec(0.5)], path)
+    save_records(cols(rec(0.5)), path)
     line = path.read_text().splitlines()[1]
     assert line.split(",")[4] == ""
-    assert load_records(path)[0].max_softmax is None
+    assert np.isnan(RecordColumns.load(path).max_softmax[0])
 
 
 def test_load_records_errors(tmp_path):
     p = tmp_path / "r.csv"
     with pytest.raises(FileNotFoundError, match="records file not found"):
-        load_records(p)
+        RecordColumns.load(p)
     p.write_text("wrong,header\n1,2\n")
     with pytest.raises(ValueError, match="expected header"):
-        load_records(p)
+        RecordColumns.load(p)
     p.write_text("predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n")
     with pytest.raises(ValueError, match="no data rows"):
-        load_records(p)
+        RecordColumns.load(p)
     p.write_text(
         "predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,0.5,1.0,,0\n1,1,x,1.0,,0\n"
     )
     with pytest.raises(ValueError, match="row 3: could not parse"):
-        load_records(p)
+        RecordColumns.load(p)
     p.write_text("predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,0.5\n")
     with pytest.raises(ValueError, match="row 2: expected 6 columns"):
-        load_records(p)
+        RecordColumns.load(p)
     # blank lines count: the bad row sits on file line 5
     p.write_text(
         "predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,0.5,1.0,,0\n\n\n1,1,x,1.0,,0\n"
     )
     with pytest.raises(ValueError, match="row 5: could not parse"):
-        load_records(p)
+        RecordColumns.load(p)
 
 
 @pytest.mark.parametrize(
@@ -269,4 +270,4 @@ def test_load_records_rejects_out_of_range_fields(tmp_path, row, field):
     p = tmp_path / "r.csv"
     p.write_text(f"predicted,actual,vacuity,mean_evidence,max_softmax,is_ood\n0,0,1.0,0.0,1.0,1\n{row}\n")
     with pytest.raises(ValueError, match=f"row 3: {field}"):
-        load_records(p)
+        RecordColumns.load(p)

@@ -294,6 +294,21 @@ def test_backward_keeps_d_logits_and_no_net_gains_a_hidden_final_layer():
                 weights=net.weights, biases=net.biases, seed=0)
 
 
+@pytest.mark.parametrize("how", ["built", "deepcopy", "pickle"])
+def test_a_network_refuses_new_specs(how):
+    # new specs over the old arrays would make forward clip the logits of a
+    # hidden final layer to 0
+    net = init_network(dense_specs(2, [3], 2), seed=0)
+    if how != "built":
+        net = copy.deepcopy(net) if how == "deepcopy" else pickle.loads(pickle.dumps(net))
+    x = np.random.default_rng(0).normal(size=(200, 2))
+    want = forward(net, x)[0]
+    with pytest.raises(AttributeError, match="specs"):
+        net.specs = (LayerSpec(2, 3, hidden=True), LayerSpec(3, 2, hidden=True))
+    assert net.specs == (LayerSpec(2, 3, hidden=True), LayerSpec(3, 2, hidden=False))
+    assert np.array_equal(forward(net, x)[0], want)
+
+
 def test_backward_rejects_wrong_d_logits_shape():
     net = small_net()
     _, cache = forward(net, np.array([[0.5, -1.2]]))

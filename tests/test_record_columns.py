@@ -5,6 +5,7 @@ replaced, exactly, and the records CSV round-trips columns bit for bit.
 import functools
 import math
 import operator
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,10 +16,8 @@ from evidkit.metrics import (
     CENSUS_THRESHOLDS,
     CensusBuckets,
     RecordColumns,
-    SampleRecord,
     accuracy_vacuity_curve,
     evidence_census,
-    load_records,
     save_records,
     topk_confident_accuracy,
     vacuity_summary,
@@ -27,6 +26,25 @@ from evidkit.metrics import (
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 # --- the per-record loops the columnar metrics replaced --------------------------
+
+
+class Row(NamedTuple):
+    """One record, as the loops below read it."""
+
+    predicted: int
+    actual: int
+    vacuity: float
+    mean_evidence: float
+    max_softmax: float  # NaN where absent
+    is_ood: bool
+
+    @property
+    def correct(self) -> bool:
+        return self.predicted == self.actual
+
+
+def columns(rows) -> RecordColumns:
+    return RecordColumns(*([getattr(r, f) for r in rows] for f in Row._fields))
 
 
 def ref_curve(records, thresholds):
@@ -88,11 +106,12 @@ EVIDENCE = st.one_of(
 def record_lists(draw):
     n = draw(st.integers(1, 40))
     ood_mode = draw(st.sampled_from(["all_ind", "mixed"]))
-    max_softmax = draw(st.sampled_from([st.none(), UNIT, st.one_of(st.none(), UNIT)]))
+    absent = st.just(math.nan)
+    max_softmax = draw(st.sampled_from([absent, UNIT, st.one_of(absent, UNIT)]))
     records = []
     for _ in range(n):
         records.append(
-            SampleRecord(
+            Row(
                 predicted=draw(st.integers(0, 3)),
                 actual=draw(st.integers(0, 3)),
                 vacuity=draw(VACUITY),
@@ -113,22 +132,20 @@ FRACTIONS = st.lists(UNIT, min_size=1, max_size=6)
 @PROPERTY
 @given(records=record_lists(), thresholds=THRESHOLDS, fractions=FRACTIONS, cut=st.integers(0, 40))
 def test_columnar_metrics_equal_per_record_loops(records, thresholds, fractions, cut):
-    cols = RecordColumns.from_records(records)
-    for given_ in (records, cols):
-        assert accuracy_vacuity_curve(given_, thresholds) == ref_curve(records, thresholds)
-        assert topk_confident_accuracy(given_, fractions) == ref_topk(records, fractions)
-        assert evidence_census(given_) == ref_census(records)
+    cols = columns(records)
+    assert accuracy_vacuity_curve(cols, thresholds) == ref_curve(records, thresholds)
+    assert topk_confident_accuracy(cols, fractions) == ref_topk(records, fractions)
+    assert evidence_census(cols) == ref_census(records)
     if any(not r.is_ood for r in records):
         assert vacuity_summary(cols) == ref_summary(records)
         # two sets are read as one, in order
         head, tail = records[:cut], records[cut:]
-        assert vacuity_summary(head, tail) == ref_summary(records)
+        assert vacuity_summary(columns(head), columns(tail)) == ref_summary(records)
     else:
         with pytest.raises(ValueError, match="in-distribution"):
             vacuity_summary(cols)
     assert cols.accuracy == sum(r.correct for r in records) / len(records)
     assert cols.mean_vacuity == left_sum(r.vacuity for r in records) / len(records)
-    assert cols.to_records() == records
 
 
 def test_columns_round_trip_through_the_records_csv_bit_for_bit(tmp_path):
@@ -155,11 +172,6 @@ def test_columns_round_trip_through_the_records_csv_bit_for_bit(tmp_path):
     for name in ("predicted", "actual", "vacuity", "mean_evidence", "max_softmax", "is_ood"):
         got, want = getattr(back, name), getattr(cols, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert load_records(path) == cols.to_records()
-    # records and columns write the same bytes
-    text = path.read_text()
-    save_records(cols.to_records(), path)
-    assert path.read_text() == text
 
 
 def test_record_columns_reject_ragged_or_2d_columns():
@@ -177,4 +189,4 @@ def test_record_class_id_outside_int64_does_not_parse(tmp_path):
         f"0,0,0.5,1.0,,0\n{2**63},0,0.5,1.0,,0\n"
     )
     with pytest.raises(ValueError, match="row 3: could not parse"):
-        load_records(p)
+        RecordColumns.load(p)

@@ -209,8 +209,8 @@ def test_run_experiment_shapes_and_log_fields():
     assert len(result.logs) == 4
     assert [log.epoch for log in result.logs] == [0, 1, 2, 3]
     # no test set: records come from the train set and test_acc mirrors train
-    assert len(result.records) == 4
-    assert result.ood_records is None
+    assert len(result.columns) == 4
+    assert result.ood_columns is None
     for log in result.logs:
         assert log.test_acc == log.train_acc
         assert 0.0 <= log.train_acc <= 1.0
@@ -256,7 +256,8 @@ def test_run_is_deterministic_bit_exact():
     for wa, wb in zip(a.net.weights, b.net.weights):
         assert np.array_equal(wa, wb)
     assert [log.train_loss for log in a.logs] == [log.train_loss for log in b.logs]
-    assert a.records == b.records
+    for name in ("predicted", "actual", "vacuity", "mean_evidence", "max_softmax", "is_ood"):
+        assert getattr(a.columns, name).tobytes() == getattr(b.columns, name).tobytes(), name
 
 
 def run_digest(result) -> str:
@@ -498,11 +499,9 @@ def test_eval_every_reuses_stale_test_accuracy():
 
 
 def test_baseline_records_carry_max_softmax():
-    records = run_experiment(tiny_cfg(loss="softmax_ce", epochs=2)).records
-    assert all(r.max_softmax is not None for r in records)
-    assert all(0.25 <= r.max_softmax <= 1.0 for r in records)
-    records = run_experiment(tiny_cfg(epochs=2)).records
-    assert all(r.max_softmax is None for r in records)
+    max_softmax = run_experiment(tiny_cfg(loss="softmax_ce", epochs=2)).columns.max_softmax
+    assert np.all((0.25 <= max_softmax) & (max_softmax <= 1.0))  # NaN fails both
+    assert np.isnan(run_experiment(tiny_cfg(epochs=2)).columns.max_softmax).all()
 
 
 def test_ood_records_are_flagged():
@@ -512,9 +511,9 @@ def test_ood_records_are_flagged():
         epochs=2,
     )
     result = run_experiment(cfg)
-    assert result.ood_records is not None
-    assert all(r.is_ood for r in result.ood_records)
-    assert all(not r.is_ood for r in result.records)
+    assert result.ood_columns is not None
+    assert result.ood_columns.is_ood.all()
+    assert not result.columns.is_ood.any()
 
 
 def test_batched_scores_equal_per_row_states():
