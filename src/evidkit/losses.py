@@ -2,7 +2,8 @@
 
 All gradients are composed as (dL/d alpha_k) * (d e_k / d o_k), the latter
 read from the state's dact, and are validated against central finite
-differences by the gradcheck module.
+differences by the gradcheck module. ev_ce computes its value and dL/d alpha
+together, from one special-function call on [S, alpha_gt].
 Every function takes one sample or a batch: a (K,) state or logit vector
 with an int label, or an (N, K) one with an (N,) label array.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from ._arrays import all_finite
 from .evidence import Activation, EvidenceState, evidence_state
-from .special import _unbox, digamma, trigamma
+from .special import _psi_pair, _unbox
 
 __all__ = [
     "EVIDENTIAL_LOSSES",
@@ -91,11 +92,14 @@ def _ev_mse(state: EvidenceState, y: np.ndarray) -> float | np.ndarray:
 
 def loss_ev_ce(state: EvidenceState, gt) -> float | np.ndarray:
     """Cross-entropy Bayes risk, psi(S) - psi(alpha_gt)."""
-    return _ev_ce(state, _labels(gt, state.evidence.shape))
+    return _ev_ce(state, _labels(gt, state.evidence.shape)).loss
 
 
-def _ev_ce(state: EvidenceState, y: np.ndarray) -> float | np.ndarray:
-    return digamma(state.strength) - digamma(_gather(state.alpha, y))
+def _ev_ce(state: EvidenceState, y: np.ndarray) -> LossGrad:
+    """The loss and its d/d alpha, psi1(S) - y psi1(alpha_gt), from one kernel
+    call on [S, alpha_gt] side by side as (..., 2)."""
+    _, dg, tg = _psi_pair(np.stack((state.strength, _gather(state.alpha, y)), axis=-1), "ev_ce")
+    return LossGrad(_unbox(dg[..., 0] - dg[..., 1]), _col(tg[..., 0]) - y * _col(tg[..., 1]))
 
 
 def loss_ev_log(state: EvidenceState, gt) -> float | np.ndarray:
@@ -145,19 +149,16 @@ def _dalpha_ev_mse(state: EvidenceState, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _dalpha_ev_ce(state: EvidenceState, y: np.ndarray) -> np.ndarray:
-    return _col(trigamma(state.strength)) - y * _col(trigamma(_gather(state.alpha, y)))
-
-
 def _dalpha_ev_log(state: EvidenceState, y: np.ndarray) -> np.ndarray:
     dalpha = np.divide(y, state.alpha)
     return np.subtract(1.0 / _col(state.strength), dalpha, out=dalpha)
 
 
+# each kind's (loss, d loss / d alpha) at a state, for the gt mask y
 _EVIDENTIAL = {
-    Loss.EV_MSE: (_ev_mse, _dalpha_ev_mse),
-    Loss.EV_CE: (_ev_ce, _dalpha_ev_ce),
-    Loss.EV_LOG: (_ev_log, _dalpha_ev_log),
+    Loss.EV_MSE: lambda state, y: (_ev_mse(state, y), _dalpha_ev_mse(state, y)),
+    Loss.EV_CE: _ev_ce,
+    Loss.EV_LOG: lambda state, y: (_ev_log(state, y), _dalpha_ev_log(state, y)),
 }
 EVIDENTIAL_LOSSES = tuple(_EVIDENTIAL)
 
@@ -165,10 +166,9 @@ EVIDENTIAL_LOSSES = tuple(_EVIDENTIAL)
 def _state_loss_grad(kind: Loss, state: EvidenceState, y: np.ndarray) -> LossGrad:
     """Evidential loss and its logit gradient at an already built state,
     for the checked gt mask y."""
-    loss, dalpha = _EVIDENTIAL[kind]
-    grad = dalpha(state, y)  # a fresh (..., K) array from every loss
+    loss, grad = _EVIDENTIAL[kind](state, y)  # a fresh (..., K) grad from every loss
     grad *= state.dact
-    return LossGrad(loss(state, y), grad)
+    return LossGrad(loss, grad)
 
 
 def grad_logits(kind: Loss, act: Activation, o, gt) -> LossGrad:

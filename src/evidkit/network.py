@@ -49,11 +49,12 @@ class LayerSpec:
     hidden: bool  # True: ReLU follows the affine map; the final layer must be False
 
 
-@dataclass
+@dataclass(eq=False)
 class Network:
     """Construction checks the specs and keeps them as a tuple, never replaced, then
     checks the arrays against them and packs them into one float64 vector, `params`,
-    laid out W0, b0, W1, b1, ...; weights[i] and biases[i] view it."""
+    laid out W0, b0, W1, b1, ...; weights[i] and biases[i] view it. `==` is identity:
+    two nets with equal parameters are still two nets."""
 
     specs: tuple[LayerSpec, ...]
     weights: list[np.ndarray]  # each (out_dim, in_dim)

@@ -46,35 +46,38 @@ def reg_edl_kl(state: EvidenceState, gt) -> LossGrad:
 
     The gradient at the gt coordinate is exactly 0; elsewhere it is
     ((alpha_k - 1) psi1(alpha_k) - (A - K) psi1(A)) * dact_k with
-    A = sum alpha~ = S - alpha_gt + 1.
+    A = sum alpha~ = S - alpha_gt + 1. The special functions run on the K-1
+    non-gt alpha~ and A only: at gt alpha~ = 1, whose lgamma and alpha~ - 1
+    are 0, so the class sums skip it with the same bits.
     """
     return _edl_kl(state, _labels(gt, state.evidence.shape))
 
 
 def _edl_kl(state: EvidenceState, y: np.ndarray) -> LossGrad:
     k = state.k
-    # one special-function call: alpha~ and A side by side as (..., K+1),
-    # written in place; the functions are elementwise, so each entry gets what
-    # a call of its own gives
-    arg = np.empty(y.shape[:-1] + (k + 1,))
-    at, a_sum = arg[..., :k], arg[..., k]
-    np.copyto(at, state.alpha)
-    np.putmask(at, y, 1.0)
-    np.add.reduce(at, axis=-1, out=a_sum)
+    ng = ~y
+    # one special-function call: the K-1 non-gt alpha~ and A (summed over all
+    # K in class order) side by side as (..., K); the functions are
+    # elementwise, so each entry gets what a call of its own gives
+    arg = np.empty(y.shape[:-1] + (k,))
+    a_ng, a_sum = arg[..., :-1], arg[..., -1]
+    a_ng[...] = state.alpha[ng].reshape(a_ng.shape)
+    np.add.reduce(np.where(y, 1.0, state.alpha), axis=-1, out=a_sum)
     lg, dg, tg = gamma_family(arg)
-    am1 = at - 1.0
+    am1 = a_ng - 1.0
     # add.accumulate adds strictly left to right, as the per-class sums always have
     loss = (
-        lg[..., k]
+        lg[..., -1]
         - math.lgamma(k)
-        - np.add.accumulate(lg[..., :k], axis=-1)[..., -1]
-        + np.add.accumulate(am1 * (dg[..., :k] - dg[..., k:]), axis=-1)[..., -1]
+        - np.add.accumulate(lg[..., :-1], axis=-1)[..., -1]
+        + np.add.accumulate(am1 * (dg[..., :-1] - dg[..., -1:]), axis=-1)[..., -1]
     )
-    coef = np.multiply(am1, tg[..., :k], out=am1)
-    coef -= _col((a_sum - k) * tg[..., k])
-    np.putmask(coef, y, 0.0)
-    coef *= state.dact
-    return LossGrad(_unbox(loss), coef)
+    coef = np.multiply(am1, tg[..., :-1], out=am1)
+    coef -= _col((a_sum - k) * tg[..., -1])
+    grad = np.zeros(y.shape)  # 0.0 at gt
+    grad[ng] = coef.reshape(-1)
+    grad *= state.dact
+    return LossGrad(_unbox(loss), grad)
 
 
 def reg_adl_sum(state: EvidenceState, gt) -> LossGrad:

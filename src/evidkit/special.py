@@ -2,7 +2,9 @@
 
 Each function works elementwise on an array of any shape, so one call
 covers a whole (N, K) batch; a scalar argument returns a float.
-gamma_family returns all three functions from one pass.
+gamma_family returns all three functions from one pass, built on the
+private _psi_pair, which gives digamma and trigamma alone from one pass
+(the ev_ce loss's one kernel call).
 
 Digamma and trigamma use upward recurrence to push the argument above a
 threshold, then a de Moivre asymptotic series. Accuracy is well below
@@ -155,15 +157,23 @@ def trigamma(z):
     return _unpad(_psi1(ladder, low, lifted, 1.0 / (lifted * lifted)), z.shape)
 
 
-def gamma_family(z):
-    """(log_gamma(z), digamma(z), trigamma(z)), each equal to its own function's
+def _psi_pair(z, name: str):
+    """(z as checked, digamma(z), trigamma(z)), each equal to its own function's
     result bit for bit, from one argument check and one lift ladder; for z >=
-    about 1.5e-154, as trigamma requires."""
-    z = _check_arg(z, "gamma_family", _TRIGAMMA_MIN_Z)
+    about 1.5e-154, as trigamma requires. name is the caller, for the error."""
+    z = _check_arg(z, name, _TRIGAMMA_MIN_Z)
     ladder, low, lifted = _lift(z)
     w = np.multiply(lifted, lifted)
     np.divide(1.0, w, out=w)
     # each series overwrites its ladder: trigamma takes a copy, digamma the original
     tg = _psi1(ladder.copy(), low, lifted, w)
     dg = _psi(ladder, low, lifted, w)
-    return _unbox(_elementwise(math.lgamma, z)), _unpad(dg, z.shape), _unpad(tg, z.shape)
+    return z, _unpad(dg, z.shape), _unpad(tg, z.shape)
+
+
+def gamma_family(z):
+    """(log_gamma(z), digamma(z), trigamma(z)), each equal to its own function's
+    result bit for bit: the digamma and trigamma pair plus lgamma, for z >=
+    about 1.5e-154, as trigamma requires."""
+    z, dg, tg = _psi_pair(z, "gamma_family")
+    return _unbox(_elementwise(math.lgamma, z)), dg, tg

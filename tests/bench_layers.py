@@ -7,15 +7,18 @@ through tests/test_bench_layers.py. Time it with pytest-benchmark:
     PYTHONPATH=src python -m pytest tests/bench_layers.py --benchmark-only
 
 It times the rb-red objective on one (32, 5) mini-batch, the special-function
-kernel on the (32, 6) argument that objective passes it and on the
-(4020, 101) argument of one K = 100 group of the gradient oracle (20
-ev_log:exp:edl_kl cases), one Adam step on a small (2 -> 16 -> 5) and a wide
-(64 -> 1024 -> 1024 -> 10) network, with the gradient vector backward returns,
-forward + backward + step together on the small network (batch 32, Adam),
-one whole rb-red training mini-batch at eta1 = 1 on that network (the
-trainer's mini-batch function, then step), gate 05's single-sample pair
-(evidence_state under ReLU at K = 5, then loss_ev_mse), and one (cell, K)
-group of the gradient oracle: 12 ev_log:exp:edl_kl cases at K = 5. It also times load_csv and RecordColumns.load on 30,000 rows each,
+kernel on the (32, 5) argument that objective passes it (the 4 non-gt
+alpha~ and A per row) and on the (4020, 100) argument of one K = 100 group
+of the gradient oracle (20 ev_log:exp:edl_kl cases), one Adam step on a
+small (2 -> 16 -> 5) and a wide (64 -> 1024 -> 1024 -> 10) network, with
+the gradient vector backward returns, forward + backward + step together on
+the small network (batch 32, Adam), one whole rb-red training mini-batch at
+eta1 = 1 on that network (the trainer's mini-batch function, then step),
+gate 05's single-sample pair (evidence_state under ReLU at K = 5, then
+loss_ev_mse), and one (cell, K) group of the gradient oracle at K = 5 for
+each of two cells: 12 ev_log:exp:edl_kl cases, and 12 ev_ce:exp:none cases,
+whose objective makes one kernel call on [S, alpha_gt]. It also times
+load_csv and RecordColumns.load on 30,000 rows each,
 written as save_csv and save_records write them: a D = 2 dataset, evidential
 records with no max_softmax, and softmax-baseline records with every
 max_softmax present; and it times save_csv and save_records writing those
@@ -68,8 +71,16 @@ def test_composite_loss_rb_red(benchmark):
 
 
 def test_gamma_family(benchmark):
-    alpha = 1.0 + np.exp(np.random.default_rng(1).normal(size=(32, 5)) * 2.0)
-    benchmark(gamma_family, np.concatenate((alpha, alpha.sum(axis=1, keepdims=True)), axis=1))
+    rng = np.random.default_rng(0)  # the mini-batch of test_composite_loss_rb_red
+    o = rng.normal(size=(32, 5)) * 3.0
+    gt = rng.integers(5, size=32)
+    seen = []  # the argument the objective's one kernel call passes: K-1 non-gt alpha~ and A
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularizers, "gamma_family", lambda z: seen.append(z) or gamma_family(z))
+        composite_loss(Loss.EV_LOG, IncReg.EDL_KL, Activation.EXP, o, gt, eta1=1.0, use_correct_reg=True)
+    [z] = seen
+    assert z.shape == (32, 5)
+    benchmark(gamma_family, z)
 
 
 def test_gamma_family_k100_oracle_group(benchmark):
@@ -81,7 +92,7 @@ def test_gamma_family_k100_oracle_group(benchmark):
         mp.setattr(regularizers, "gamma_family", lambda z: seen.append(z) or gamma_family(z))
         check_case(Loss.EV_LOG, Activation.EXP, "edl_kl", o, gt, lambda1=1.0, epoch=epoch)
     [z] = seen
-    assert z.shape == (4020, 101)
+    assert z.shape == (4020, 100)
     benchmark(gamma_family, z)
 
 
@@ -139,6 +150,13 @@ def test_check_case_group(benchmark):
     gt, epoch = rng.integers(5, size=12), rng.integers(1, 13, size=12)
     lambda1 = rng.uniform(0.25, 2.0, size=12)
     benchmark(check_case, Loss.EV_LOG, Activation.EXP, "edl_kl", o, gt, lambda1=lambda1, epoch=epoch)
+
+
+def test_check_case_group_ev_ce(benchmark):
+    rng = np.random.default_rng(3)
+    o = rng.uniform(-4.0, 4.0, size=(12, 5))
+    gt = rng.integers(5, size=12)
+    benchmark(check_case, Loss.EV_CE, Activation.EXP, "none", o, gt)
 
 
 READ_ROWS = 30_000

@@ -19,6 +19,7 @@ from evidkit.losses import (
     softmax,
 )
 from evidkit.regularizers import IncReg, composite_loss, reg_edl_kl
+from evidkit.special import digamma, trigamma
 
 # mpmath (50-digit) oracle: psi(12) - psi(3) for alpha=(3,1,2,6), gt=0
 EV_CE_ORACLE_3126 = 1.519877344877344877345
@@ -146,6 +147,72 @@ def test_ev_ce_harmonic_identity_property():
         s = int(alpha.sum())
         want = sum(1.0 / n for n in range(int(alpha[gt]), s))
         assert loss_ev_ce(state_from_alpha(alpha), gt) == pytest.approx(want, rel=1e-10, abs=1e-12)
+
+
+def ev_ce_four_calls(state, gt):
+    """ev_ce and its logit gradient in the four-call form: digamma and trigamma,
+    each at S and at alpha_gt, each from its own kernel call."""
+    y = _labels(gt, state.evidence.shape)
+    a_gt = _gather(state.alpha, y)
+    tg_s, tg_gt = (np.asarray(trigamma(x))[..., None] for x in (state.strength, a_gt))
+    dalpha = tg_s - y * tg_gt
+    return digamma(state.strength) - digamma(a_gt), dalpha * state.dact
+
+
+def ev_ce_cases():
+    """(head, logits, labels): a batch per head, and exact alphas at the edges
+    (ReLU evidence alpha - 1), alpha_gt = 1 + 1e-12 and S near 1e13."""
+    rng = np.random.default_rng(29)
+    o = rng.uniform(-6.0, 6.0, (40, 5))
+    gt = rng.integers(5, size=40)
+    for act in Activation:
+        yield act, o, gt
+    alpha = np.array([
+        [1.0 + 1e-12, 2.0, 3.0],
+        [1.0 + 1e-12, 1e13, 1.0],
+        [1e13 - 5.0, 1.0 + 1e-12, 4.5],
+        [1.0, 1.0, 1.0],
+    ])
+    yield Activation.RELU, alpha - 1.0, np.array([0, 0, 0, 2])
+    yield Activation.RELU, alpha - 1.0, np.array([1, 1, 1, 0])
+
+
+def test_ev_ce_equals_the_four_call_form_bit_for_bit():
+    for act, o, gt in ev_ce_cases():
+        state = evidence_state(act, o)
+        loss, grad = ev_ce_four_calls(state, gt)
+        assert np.array_equal(loss_ev_ce(state, gt), loss)
+        for pair in (
+            composite_loss(Loss.EV_CE, IncReg.NONE, act, o, gt),
+            grad_logits(Loss.EV_CE, act, o, gt),
+        ):
+            assert np.array_equal(pair.loss, loss)
+            assert np.array_equal(pair.grad, grad)
+        # each row alone is a batch of one: the same bits, a Python-float loss
+        for i in range(len(gt)):
+            one = evidence_state(act, o[i])
+            want_loss, want_grad = ev_ce_four_calls(one, int(gt[i]))
+            got = grad_logits(Loss.EV_CE, act, o[i], int(gt[i]))
+            assert type(loss_ev_ce(one, int(gt[i]))) is float and type(got.loss) is float
+            assert loss_ev_ce(one, int(gt[i])) == got.loss == want_loss == loss[i]
+            assert np.array_equal(got.grad, want_grad)
+
+
+def test_ev_ce_objective_builds_one_ladder(monkeypatch):
+    import evidkit.special as special
+
+    lifts = []
+    lift = special._lift
+    monkeypatch.setattr(special, "_lift", lambda z: lifts.append(np.shape(z)) or lift(z))
+    rng = np.random.default_rng(30)
+    o, gt = rng.uniform(-4.0, 4.0, (7, 5)), rng.integers(5, size=7)
+    for act in Activation:
+        # [S, alpha_gt] side by side: one argument check and one ladder for
+        # digamma and trigamma at both
+        composite_loss(Loss.EV_CE, IncReg.NONE, act, o, gt)
+        grad_logits(Loss.EV_CE, act, o[0], int(gt[0]))
+        assert lifts == [(7, 2), (2,)]
+        lifts.clear()
 
 
 def test_ev_log_worked_examples():

@@ -524,6 +524,15 @@ def test_a_copied_network_has_its_own_vector_and_steps(how):
     assert np.array_equal(net.params, before) and not np.array_equal(twin.params, before)
 
 
+def test_network_equality_is_identity():
+    # a generated field-by-field __eq__ would compare lists of arrays and raise
+    net = init_network(dense_specs(2, [3], 2), seed=0)
+    twin = copy.deepcopy(net)
+    assert net == net
+    assert net != twin and not net == twin
+    assert len({net, twin, net}) == 2
+
+
 def test_backward_returns_one_fresh_vector_that_step_does_not_keep():
     net = small_net()
     logits, cache = forward(net, np.array([[0.5, -1.2], [1.5, 0.7]]))

@@ -164,8 +164,9 @@ def test_edl_kl_calls_each_special_function_once(monkeypatch):
     gt = rng.integers(5, size=33)
     st = evidence_state(Activation.EXP, o)
     got = reg_edl_kl(st, gt)
-    # one kernel call covers log_gamma, digamma and trigamma of alpha~ and A
-    assert calls == [(33, 6)]
+    # one kernel call covers log_gamma, digamma and trigamma of the K-1 non-gt
+    # alpha~ and A; alpha~ = 1 at gt, which the sums never need
+    assert calls == [(33, 5)]
     loss, grad = edl_kl_per_function_calls(st, gt)
     assert np.array_equal(got.loss, loss)
     assert np.array_equal(got.grad, grad)
