@@ -10,6 +10,7 @@ directory for commands that take --out DIR.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -166,6 +167,10 @@ def cmd_gradcheck(args) -> int:
         seed=args.seed,
         corrupt=args.corrupt,
     )
+    if args.json:
+        # one cell a line, max_err as float.hex(): the form of tests/data/gradcheck_n20_seed7.json
+        rows = [json.dumps(dataclasses.asdict(c) | {"max_err": c.max_err.hex()}) for c in results]
+        Path(args.json).write_text("[\n" + ",\n".join(rows) + "\n]\n")
     failed = []
     for cell in results:
         status = "ok" if cell.passed else "FAIL"
@@ -290,6 +295,7 @@ def build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--corrupt", help="cell loss:act:reg to fault-inject (self-test)")
+    p.add_argument("--json", help="also write every cell's result to this JSON file")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("sweep", help="run a lambda1 sweep from a base config")

@@ -8,11 +8,22 @@ one composite_loss call on the base points and every perturbed row
 stacked together, each row carrying its own case's label and eta1. The
 vacuity weight of the correct-evidence term is frozen at the base point so
 the stop-gradient semantics match the analytic form.
+
+Each cell draws its cases in one pass over a block of its PCG64
+generator's raw 64-bit words w: per case its K index, gt, K logits, lambda1
+and epoch, in that order. The integers are NumPy's 32-bit Lemire draws on
+half-words (low half first, the high half buffered for the next integer
+draw), and each double is u = (w >> 11) * 2**-53 of one word, a logit
+being -4.0 + 8.0 * u and lambda1 0.25 + 1.75 * u. These are, bit for bit,
+the cases that Generator.integers, uniform and random give called in that
+order, and they depend only on the raw PCG64 stream, which NumPy keeps
+stable; run_grid's docstring has the details.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -213,9 +224,13 @@ def check_case(
     return analytic, numeric, skip
 
 
-def _check_settings(n_cases, h, tol, seed, names=("n_cases", "h", "tol", "seed")) -> None:
+def _check_settings(
+    n_cases, h, tol, seed, names=("n_cases", "h", "tol", "seed"), ks=DEFAULT_KS
+) -> None:
     """The oracle's settings rule: n_cases >= 1, h and tol finite and > 0 (an
-    infinite tol passes every cell), seed >= 0; a ValueError names the first bad one."""
+    infinite tol passes every cell), seed >= 0, and ks a non-empty sequence of
+    ints >= 2 (the class counts cases draw from); a ValueError names the first
+    bad one."""
     if not n_cases >= 1:
         raise ValueError(f"{names[0]}: must be >= 1")
     for name, value in zip(names[1:3], (h, tol)):
@@ -223,15 +238,70 @@ def _check_settings(n_cases, h, tol, seed, names=("n_cases", "h", "tol", "seed")
             raise ValueError(f"{name}: must be finite and > 0")
     if not seed >= 0:
         raise ValueError(f"{names[3]}: must be >= 0")
+    if len(ks) == 0 or not all(
+        isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 2 for k in ks
+    ):
+        raise ValueError(f"ks: must be a non-empty sequence of ints >= 2, got {tuple(ks)!r}")
 
 
-def _sample_logits(rng: np.random.Generator, k: int, act: Activation) -> np.ndarray:
-    o = rng.uniform(-_LOGIT_RANGE, _LOGIT_RANGE, k)
-    # the smallest |o| is tested as a float first: about 1 case in 16 at K = 5 is near the kink
-    if act == Activation.RELU and min(map(abs, o.tolist())) < _KINK_MARGIN:
-        near = np.abs(o) < _KINK_MARGIN
-        o[near] = np.where(o[near] >= 0, o[near] + _KINK_MARGIN, o[near] - _KINK_MARGIN)
-    return o
+def _draw_cases(rng: np.random.Generator, ks: Sequence[int], n_cases: int, act: Activation):
+    """The cell's cases, from one pass over its generator's raw 64-bit words,
+    in the order and by the formulas that run_grid's docstring gives.
+
+    Returns (k, gt, lambda1, epoch, groups): the first four are (n_cases,)
+    arrays, and groups maps each K, in first-seen order, to (the indices of
+    its cases, their (n, K) logits, nudged off the kink under ReLU).
+    """
+    bitgen = rng.bit_generator
+    # enough words for every case at the largest K when no draw is rejected
+    blocks = [bitgen.random_raw(n_cases * (max(ks) + 3))]
+    words = blocks[0].tolist()
+    pos, half = 0, None  # the next unread word; the buffered high half-word
+
+    def need(n_words):  # a run of rejections can outgrow the first block
+        while len(words) < n_words:
+            blocks.append(bitgen.random_raw(len(words)))
+            words.extend(blocks[-1].tolist())
+
+    def bounded(m):
+        nonlocal pos, half
+        threshold = (2**32 - m) % m
+        while True:
+            if half is None:
+                try:
+                    w = words[pos]
+                except IndexError:
+                    need(pos + 1)
+                    w = words[pos]
+                x, half = w & 0xFFFFFFFF, w >> 32
+                pos += 1
+            else:
+                x, half = half, None
+            x *= m
+            if x & 0xFFFFFFFF >= threshold:
+                return x >> 32
+
+    n_ks = len(ks)
+    k, gt, at, epoch = [], [], [], []  # at: the word of each case's first double
+    for _ in range(n_cases):
+        kk = ks[bounded(n_ks)] if n_ks > 1 else ks[0]
+        k.append(kk)
+        gt.append(bounded(kk))
+        at.append(pos)
+        pos += kk + 1
+        epoch.append(1 + bounded(12))
+    need(pos)  # the last case's doubles
+    u = (np.concatenate(blocks) >> 11) * 2.0**-53
+    # every word read as a logit; uniform(low, high) computes low + (high - low) * u
+    o = -_LOGIT_RANGE + 2 * _LOGIT_RANGE * u
+    if act == Activation.RELU:
+        o = np.where(np.abs(o) < _KINK_MARGIN, np.where(o >= 0, o + _KINK_MARGIN, o - _KINK_MARGIN), o)
+    k, at = np.array(k), np.array(at)
+    groups = {}
+    for kk in dict.fromkeys(k.tolist()):
+        idx = np.flatnonzero(k == kk)
+        groups[kk] = idx, o[at[idx, None] + np.arange(kk)]
+    return k, np.array(gt), 0.25 + 1.75 * u[at + k], np.array(epoch), groups
 
 
 def run_grid(
@@ -247,50 +317,60 @@ def run_grid(
 ) -> list[CellResult]:
     """Run the finite-difference oracle over the grid.
 
-    Each cell draws all of its cases first, then checks the cases that share
-    a K with one check_case call and one compare_grads call; the worst case
-    is the first maximum in case order. `corrupt` must name one of the cells
-    being run, as "loss:act:reg"; its analytic gradient gets a deliberate
-    perturbation, so the harness can prove it catches wrong gradients.
+    Each cell draws all of its cases first, from its own PCG64 generator
+    seeded with [seed, crc32(cell name)], in one pass over a block of its
+    raw 64-bit words w. Per case, in this order:
+
+        k = ks[integers(len(ks))]   no word when ks has one entry
+        gt = integers(k)
+        K logits -4.0 + 8.0 * u     one word each, u = (w >> 11) * 2**-53
+        lambda1 = 0.25 + 1.75 * u   one word
+        epoch = 1 + integers(12)
+
+    integers(m) is NumPy's 32-bit Lemire draw: x is the low half of the next
+    word, or the high half that the last integer draw left buffered (doubles
+    do not touch it); the draw is x * m >> 32, unless (x * m) mod 2**32 <
+    (2**32 - m) % m, which rejects x and draws again. So the cases are bit
+    for bit those of Generator.integers, uniform(-4, 4, k) and random()
+    called in this order. Under ReLU, logits within _KINK_MARGIN of 0 move
+    _KINK_MARGIN away from it.
+
+    It then checks the cases that share a K with one check_case call and
+    one compare_grads call; the worst case is the first maximum in case
+    order. `corrupt` must name one of the cells being run, as
+    "loss:act:reg"; its analytic gradient gets a deliberate perturbation,
+    so the harness can prove it catches wrong gradients.
     """
-    _check_settings(n_cases, h, tol, seed)
+    _check_settings(n_cases, h, tol, seed, ks=ks)
+    ks = [int(k) for k in ks]
     cells = grid_cells(losses, acts, regs)
     results = [CellResult(kind.value, act.value, reg, n_cases) for kind, act, reg in cells]
     if corrupt is not None and corrupt not in [cell.name for cell in results]:
         raise ValueError(f"corrupt: {corrupt} is not a cell of the grid being run")
     for (kind, act, reg), cell in zip(cells, results):
         rng = np.random.default_rng([seed, zlib.crc32(cell.name.encode())])
-        cases = []  # (k, gt, o, lambda1, epoch), drawn in this order per case
-        for _ in range(n_cases):
-            # integers(len) consumes the generator exactly as choice(ks) does
-            k = int(ks[rng.integers(len(ks))])
-            gt = int(rng.integers(k))
-            o = _sample_logits(rng, k, act)
-            # lambda1: uniform(0.25, 2.0) computes exactly this, from the same one draw
-            cases.append((k, gt, o, 0.25 + 1.75 * rng.random(), int(rng.integers(1, 13))))
-        groups = {}  # K -> (case indices, analytic, numeric)
+        k, gt, lambda1, epoch, groups = _draw_cases(rng, ks, n_cases, act)
         passed, errs = np.empty(n_cases, dtype=bool), np.empty(n_cases)
-        for k in dict.fromkeys([c[0] for c in cases]):
-            idx = [i for i, c in enumerate(cases) if c[0] == k]
-            _, gt, o, lambda1, epoch = [np.array(col) for col in zip(*[cases[i] for i in idx])]
+        checked = {}  # K -> (case indices, analytic, numeric)
+        for kk, (idx, o) in groups.items():
             analytic, numeric, skip = check_case(
-                kind, act, reg, o, gt, lambda1=lambda1, epoch=epoch, h=h
+                kind, act, reg, o, gt[idx], lambda1=lambda1[idx], epoch=epoch[idx], h=h
             )
             if cell.name == corrupt:
                 analytic[:, 0] += 1e-2
             passed[idx], errs[idx] = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
             cell.n_skipped += int(skip.sum())
-            groups[k] = idx, analytic, numeric
+            checked[kk] = idx, analytic, numeric
         cell.passed = bool(passed.all())
         # a NaN case fails but is never the worst; argmax keeps the first maximum
         errs[np.isnan(errs)] = 0.0
         worst = int(np.argmax(errs))
         if errs[worst] > 0.0:
-            k, gt = cases[worst][:2]
-            idx, analytic, numeric = groups[k]
-            j = idx.index(worst)
+            kk = int(k[worst])
+            idx, analytic, numeric = checked[kk]
+            j = int(np.searchsorted(idx, worst))
             cell.max_err = float(errs[worst])
-            cell.worst_k = k
+            cell.worst_k = kk
             # copies, so the rows do not keep the group's whole arrays alive
-            cell.worst_detail = (k, gt, analytic[j].copy(), numeric[j].copy())
+            cell.worst_detail = (kk, int(gt[worst]), analytic[j].copy(), numeric[j].copy())
     return results

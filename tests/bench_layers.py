@@ -17,7 +17,9 @@ eta1 = 1 on that network (the trainer's mini-batch function, then step),
 gate 05's single-sample pair (evidence_state under ReLU at K = 5, then
 loss_ev_mse), and one (cell, K) group of the gradient oracle at K = 5 for
 each of two cells: 12 ev_log:exp:edl_kl cases, and 12 ev_ce:exp:none cases,
-whose objective makes one kernel call on [S, alpha_gt]. It also times
+whose objective makes one kernel call on [S, alpha_gt], and one cell's case
+draws in the oracle (50 ev_log:exp:edl_kl cases over DEFAULT_KS, from one
+pass over its generator's raw words). It also times
 load_csv and RecordColumns.load on 30,000 rows each,
 written as save_csv and save_records write them: a D = 2 dataset, evidential
 records with no max_softmax, and softmax-baseline records with every
@@ -34,6 +36,7 @@ by that workload's recipe (the criterion-08 model on its blobs).
 
 import dataclasses
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ import pytest
 from evidkit import regularizers, trainer
 from evidkit.datasets import Dataset, load_csv, save_csv
 from evidkit.evidence import Activation, evidence_state
-from evidkit.gradcheck import check_case
+from evidkit.gradcheck import DEFAULT_KS, DEFAULT_SEED, _draw_cases, check_case
 from evidkit.losses import Loss, loss_ev_mse
 from evidkit.metrics import RecordColumns, auroc, save_records
 from evidkit.network import (
@@ -157,6 +160,13 @@ def test_check_case_group_ev_ce(benchmark):
     o = rng.uniform(-4.0, 4.0, size=(12, 5))
     gt = rng.integers(5, size=12)
     benchmark(check_case, Loss.EV_CE, Activation.EXP, "none", o, gt)
+
+
+def test_draw_cases_one_cell(benchmark):
+    # run_grid's draws for one cell: its generator, seeded as run_grid seeds it, then its cases
+    entropy = [DEFAULT_SEED, zlib.crc32(b"ev_log:exp:edl_kl")]
+    draws = benchmark(lambda: _draw_cases(np.random.default_rng(entropy), DEFAULT_KS, 50, Activation.EXP))
+    assert len(draws[0]) == 50
 
 
 READ_ROWS = 30_000

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -585,6 +586,30 @@ def test_gradcheck_corrupt_cell_exits_two_and_names_it(tmp_path, capsys):
     assert "FAIL ev_mse:relu:none" in captured.out
     assert "gradient check failed for ev_mse:relu:none" in captured.err
     assert "worst case" in captured.err
+
+
+def test_gradcheck_json_writes_the_pinned_oracle_file(tmp_path, capsys):
+    # the command that regenerates tests/data/gradcheck_n20_seed7.json
+    pinned = Path(__file__).parent / "data" / "gradcheck_n20_seed7.json"
+    out = tmp_path / "cells.json"
+    assert main(["gradcheck", "--samples", "20", "--seed", "7", "--json", str(out)]) == 0
+    with_json = capsys.readouterr()
+    assert json.loads(out.read_text()) == json.loads(pinned.read_text())
+    assert out.read_bytes() == pinned.read_bytes()
+    # stdout does not change with --json
+    assert main(["gradcheck", "--samples", "20", "--seed", "7"]) == 0
+    assert capsys.readouterr() == with_json
+
+
+def test_gradcheck_json_is_written_when_a_cell_fails(tmp_path, capsys):
+    cfg = tmp_path / "gc.json"
+    cfg.write_text(json.dumps({"losses": ["ev_mse"], "activations": ["relu"]}))
+    out = tmp_path / "cells.json"
+    argv = ["gradcheck", "--config", str(cfg), "--samples", "3", "--corrupt", "ev_mse:relu:none"]
+    assert main(argv + ["--json", str(out)]) == 2
+    cells = {c["loss"] + ":" + c["act"] + ":" + c["reg"]: c for c in json.loads(out.read_text())}
+    assert len(cells) == 4 and not cells["ev_mse:relu:none"]["passed"]
+    assert float.fromhex(cells["ev_mse:relu:none"]["max_err"]) > 1e-4
 
 
 def test_gradcheck_corrupt_that_names_no_cell_exits_one(tmp_path, capsys):

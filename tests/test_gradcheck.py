@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from evidkit.evidence import Activation, evidence_state
 from evidkit.gradcheck import (
     DEFAULT_KS,
     RED,
+    _draw_cases,
     central_diff,
     check_case,
     compare_grads,
@@ -338,6 +340,151 @@ def test_case_draws_equal_choice_and_uniform(seed):
     assert drawn == set(DEFAULT_KS)
 
 
+# --- the case stream: one pass over raw words, against the Generator loop ----
+
+
+def _reference_cases(rng, ks, n_cases, act):
+    """The per-case Generator loop that _draw_cases reproduces: per case
+    (k, gt, o, lambda1, epoch), drawn in this order."""
+    cases = []
+    for _ in range(n_cases):
+        k = int(ks[rng.integers(len(ks))])
+        gt = int(rng.integers(k))
+        o = rng.uniform(-4.0, 4.0, k)
+        if act == Activation.RELU:  # the kink nudge, entry by entry
+            near = np.abs(o) < 0.05
+            o[near] = np.where(o[near] >= 0, o[near] + 0.05, o[near] - 0.05)
+        cases.append((k, gt, o, 0.25 + 1.75 * rng.random(), int(rng.integers(1, 13))))
+    return cases
+
+
+def _assert_draws_equal(got, cases):
+    k, gt, lambda1, epoch, groups = got
+    assert k.tolist() == [c[0] for c in cases]
+    assert gt.tolist() == [c[1] for c in cases]
+    assert lambda1.tolist() == [c[3] for c in cases]  # floats compared exactly
+    assert epoch.tolist() == [c[4] for c in cases]
+    assert list(groups) == list(dict.fromkeys(c[0] for c in cases))  # first-seen order
+    for kk, (idx, o) in groups.items():
+        assert idx.tolist() == [i for i, c in enumerate(cases) if c[0] == kk]
+        assert o.tobytes() == np.array([cases[i][2] for i in idx]).tobytes()
+
+
+_STREAM_KS = (DEFAULT_KS, (5,), (2, 100), (5, 5))
+
+
+def test_draw_cases_equal_the_generator_loop_over_seeds_and_cells():
+    # 200 seeds x all 39 cells, seven cases each, the streams taking the four ks in turn
+    j = 0
+    for seed in range(200):
+        for kind, act, reg in grid_cells():
+            entropy = [seed, zlib.crc32(f"{kind.value}:{act.value}:{reg}".encode())]
+            ks = _STREAM_KS[j % len(_STREAM_KS)]
+            cases = _reference_cases(np.random.default_rng(entropy), ks, 7, act)
+            _assert_draws_equal(_draw_cases(np.random.default_rng(entropy), ks, 7, act), cases)
+            j += 1
+
+
+@pytest.mark.parametrize("ks", _STREAM_KS, ids=lambda ks: "-".join(map(str, ks)))
+def test_draw_cases_equal_the_generator_loop_at_1_7_and_200_cases(ks):
+    # a stream's first n cases do not depend on how many more are drawn
+    for i, act in enumerate(Activation):
+        cases = _reference_cases(np.random.default_rng([200, i]), ks, 200, act)
+        for n_cases in (1, 7, 200):
+            got = _draw_cases(np.random.default_rng([200, i]), ks, n_cases, act)
+            _assert_draws_equal(got, cases[:n_cases])
+
+
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _generator_whose_next_word_is(word, hi=0x0123456789ABCDEF):
+    """A Generator whose PCG64 state makes `word` the next raw 64-bit word.
+
+    PCG64 steps its 128-bit state s to s * mult + inc, then outputs
+    rotr64(hi ^ lo, hi >> 58) of the new state; this solves that for the
+    low half lo, given the high half hi, and steps back once."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    rot = hi >> 58
+    lo = hi ^ (((word << rot) | (word >> (64 - rot))) & (2**64 - 1))
+    after = (hi << 64) | lo
+    inc = state["state"]["inc"]
+    state["state"]["state"] = (after - inc) * pow(_PCG64_MULT, -1, 2**128) % 2**128
+    rng.bit_generator.state = state
+    return rng
+
+
+def test_generator_whose_next_word_is_sets_the_next_raw_word():
+    for word in (0, 1, 429496730, 2**64 - 1):
+        for hi in (0, 0x0123456789ABCDEF, 2**64 - 1):
+            assert int(_generator_whose_next_word_is(word, hi).bit_generator.random_raw()) == word
+
+
+@pytest.mark.parametrize(
+    "ks, word, m, x",
+    [
+        # the K index (m = 3) rejects x = 0 twice: the low half, then the buffered high half
+        ((2, 3, 5), 0, 3, 0),
+        # gt at K = 10: x * 10 mod 2**32 is 4, below (2**32 - 10) % 10 = 6, though x * 10 >> 32 is 1
+        ((10,), 429496730, 10, 429496730),
+        # the epoch (m = 12) draws from the high half that gt left buffered across the doubles
+        ((2,), 0x40000000 << 32 | 1, 12, 0x40000000),
+    ],
+    ids=["k-index-both-halves", "gt-leftover-4", "epoch-buffered-half"],
+)
+def test_draw_cases_take_the_lemire_rejection_branch_as_integers_does(ks, word, m, x):
+    assert (x * m) % 2**32 < (2**32 - m) % m  # the chosen word's half is rejected
+    for act in (Activation.EXP, Activation.RELU):
+        cases = _reference_cases(_generator_whose_next_word_is(word), ks, 3, act)
+        _assert_draws_equal(_draw_cases(_generator_whose_next_word_is(word), ks, 3, act), cases)
+
+
+def test_draw_cases_extend_the_block_when_rejections_outgrow_it():
+    # one case at ks = (2, 3, 5) reads at most 8 words when nothing is rejected;
+    # two rejections on word 0 and a K of 5 make it read a 9th, past the first block
+    hi = next(
+        hi for hi in range(1, 100)
+        if _reference_cases(_generator_whose_next_word_is(0, hi), (2, 3, 5), 1, Activation.EXP)[0][0] == 5
+    )
+    for n_cases in (1, 2):
+        cases = _reference_cases(_generator_whose_next_word_is(0, hi), (2, 3, 5), n_cases, Activation.EXP)
+        got = _draw_cases(_generator_whose_next_word_is(0, hi), (2, 3, 5), n_cases, Activation.EXP)
+        _assert_draws_equal(got, cases)
+
+
+class _ShortBlocks:
+    """A Generator stand-in whose random_raw hands out at most `size` words a
+    call, so _draw_cases must extend its block, case after case."""
+
+    def __init__(self, rng, size):
+        self.bit_generator = self
+        self.raw, self.size = rng.bit_generator.random_raw, size
+
+    def random_raw(self, n):
+        return self.raw(min(n, self.size))
+
+
+def test_draw_cases_do_not_depend_on_how_the_raw_words_are_blocked():
+    for seed in range(5):
+        for ks in _STREAM_KS:
+            for act in (Activation.EXP, Activation.RELU):
+                cases = _reference_cases(np.random.default_rng(seed), ks, 20, act)
+                for size in (1, 2, 3, 7):
+                    got = _draw_cases(_ShortBlocks(np.random.default_rng(seed), size), ks, 20, act)
+                    _assert_draws_equal(got, cases)
+
+
+def test_run_grid_refuses_a_bad_ks_before_any_draw(monkeypatch):
+    # () and (0,) used to fail inside NumPy, (1,) only after drawing, and (2.7,) ran K = 2
+    import evidkit.gradcheck as gradcheck
+
+    monkeypatch.setattr(gradcheck, "check_case", None)  # no cell may be checked
+    for ks in ((), (0,), (1,), (2.7,), (3, 1), (True, 3), ("5",)):
+        with pytest.raises(ValueError, match=r"^ks: must be a non-empty sequence of ints >= 2"):
+            run_grid(losses=[Loss.EV_LOG], acts=[Activation.EXP], regs=["none"], n_cases=2, ks=ks)
+
+
 def test_run_grid_rejects_a_corrupt_value_that_names_no_cell_being_run():
     grid = dict(losses=[Loss.EV_MSE], acts=[Activation.RELU], n_cases=1)
     # a name that is no cell, and a real cell that this grid leaves out
@@ -405,7 +552,8 @@ def test_run_grid_applies_the_rule_once_per_cell_and_k(monkeypatch):
 
 def test_run_grid_matches_pinned_results():
     # Pinned from the per-case oracle this batched one replaced: every
-    # CellResult field, max_err to the bit, must stay as it was.
+    # CellResult field, max_err to the bit, must stay as it was. Regenerate with
+    #   evidkit gradcheck --samples 20 --seed 7 --json tests/data/gradcheck_n20_seed7.json
     pinned = Path(__file__).parent / "data" / "gradcheck_n20_seed7.json"
     golden = json.loads(pinned.read_text())
     got = [
