@@ -49,7 +49,7 @@ def main() -> None:
         spread = max(accs) - min(accs)
         print(f"\n{arm}:")
         for row in rows:
-            stranded = row.census.le_001
+            stranded = row.census["le_0.01"]
             print(
                 f"  lambda1={row.lambda1:<5g} test_acc={row.final_test_acc:.3f} "
                 f"samples with mean evidence <= 0.01: {stranded}"

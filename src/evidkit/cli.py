@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, evaluate, gradcheck, sweep, census, report.
+Subcommands: gen-data, train, evaluate, gradcheck, sweep, report.
 Exit codes: 0 success, 1 validation error, 2 runtime failure. CSV files
 and stdout give floats with 17 significant digits; JSON files give each
 float as its shortest round-trip repr. EVIDKIT_OUT sets the default output
@@ -26,7 +26,6 @@ from .evidence import Activation
 from .gradcheck import DEFAULT_CASES, DEFAULT_H, DEFAULT_SEED, DEFAULT_TOL, RED, _check_settings, run_grid
 from .losses import Loss
 from .metrics import (
-    CensusBuckets,
     RecordColumns,
     _ood_auroc,
     accuracy_vacuity_curve,
@@ -111,7 +110,7 @@ def cmd_train(args) -> int:
         "name": cfg.name,
         "final_train_acc": result.final_train_acc,
         "final_test_acc": result.final_test_acc,
-        "census": evidence_census(records).as_dict(),
+        "census": evidence_census(records),
         "mean_vacuity": records.mean_vacuity,
     }
     if ood is not None:
@@ -203,24 +202,11 @@ def cmd_sweep(args) -> int:
             f"test_acc={_fmt(row.final_test_acc)}"
         )
     header = ["lambda1", "seed", "final_train_acc", "final_test_acc"]
-    header += [f"census_{c}" for c in CensusBuckets.COLUMNS] + ["mean_test_vacuity"]
-    ints = np.array([(row.seed, *row.census.as_dict().values()) for row in rows], np.int64)
+    header += [f"census_{c}" for c in rows[0].census] + ["mean_test_vacuity"]
+    ints = np.array([(row.seed, *row.census.values()) for row in rows], np.int64)
     f = np.array([(r.lambda1, r.final_train_acc, r.final_test_acc, r.mean_test_vacuity) for r in rows])
     write_csv(out / "sweep.csv", ",".join(header), [f[:, 0], ints[:, 0], f[:, 1:3], ints[:, 1:], f[:, 3]])
     print(f"sweep table at {out / 'sweep.csv'}")
-    return EXIT_OK
-
-
-def _write_census(census: CensusBuckets, path: Path) -> None:
-    counts = census.as_dict()
-    write_csv(path, ",".join([*counts, "n"]), [np.array([[*counts.values(), census.n]])])
-
-
-def cmd_census(args) -> int:
-    census = evidence_census(RecordColumns.load(args.records))
-    out = Path(args.out) if args.out else _out_dir(args) / "census.csv"
-    _write_census(census, out)
-    print(f"census of {census.n} records at {out}")
     return EXIT_OK
 
 
@@ -239,7 +225,10 @@ def cmd_report(args) -> int:
     count = np.ceil(f * len(records)).astype(np.int64)
     write_csv(out / "topk.csv", "fraction,count,accuracy", [f, count, acc])
 
-    _write_census(evidence_census(records), out / "census.csv")
+    census = evidence_census(records)
+    counts = list(census.values())
+    # n: the last le bucket plus the gt remainder
+    write_csv(out / "census.csv", ",".join([*census, "n"]), [np.array([[*counts, sum(counts[-2:])]])])
 
     # InD and OOD are told apart by each record's flag, in either file
     mean_ind, mean_ood = vacuity_summary(records, ood)
@@ -303,11 +292,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="comma-separated lambda1 values")
     p.add_argument("--out", help="output directory (default: EVIDKIT_OUT or .)")
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("census", help="zero-evidence census of a records CSV")
-    p.add_argument("--records", required=True)
-    p.add_argument("--out", help="census CSV path")
-    p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("report", help="metric files from records (and optional OOD records)")
     p.add_argument("--records", required=True)

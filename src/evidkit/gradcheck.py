@@ -227,10 +227,13 @@ def check_case(
 def _check_settings(
     n_cases, h, tol, seed, names=("n_cases", "h", "tol", "seed"), ks=DEFAULT_KS
 ) -> None:
-    """The oracle's settings rule: n_cases >= 1, h and tol finite and > 0 (an
-    infinite tol passes every cell), seed >= 0, and ks a non-empty sequence of
-    ints >= 2 (the class counts cases draw from); a ValueError names the first
-    bad one."""
+    """The oracle's settings rule: n_cases an int >= 1, h and tol finite and
+    > 0 (an infinite tol passes every cell), seed an int >= 0, and ks a
+    non-empty sequence of ints >= 2 (the class counts cases draw from); a
+    ValueError names the first bad one. A bool is no int here."""
+    for name, value in ((names[0], n_cases), (names[3], seed)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ValueError(f"{name}: must be an int, got {value!r}")
     if not n_cases >= 1:
         raise ValueError(f"{names[0]}: must be >= 1")
     for name, value in zip(names[1:3], (h, tol)):

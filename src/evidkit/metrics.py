@@ -1,7 +1,8 @@
 """Uncertainty and accuracy metrics over per-sample evaluation records.
 
 Includes the accuracy-vacuity curve, top-K%-confident accuracy, the
-zero-evidence census, InD/OOD vacuity summary, and rank-based AUROC.
+zero-evidence census (a dict of counts), InD/OOD vacuity summary, and
+rank-based AUROC.
 Records are held as NumPy columns (`RecordColumns`), the one form every
 metric and the records CSV take.
 """
@@ -9,7 +10,7 @@ metric and the records CSV take.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +21,6 @@ from ._arrays import read_csv, write_csv
 __all__ = [
     "CENSUS_THRESHOLDS",
     "RecordColumns",
-    "CensusBuckets",
     "accuracy_vacuity_curve",
     "topk_confident_accuracy",
     "evidence_census",
@@ -34,27 +34,6 @@ CENSUS_THRESHOLDS = (0.01, 0.1, 1.0)
 
 DEFAULT_CURVE_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_TOPK_FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
-
-
-@dataclass(frozen=True)
-class CensusBuckets:
-    """Cumulative counts by mean evidence, plus the > 1.0 remainder."""
-
-    le_001: int
-    le_01: int
-    le_1: int
-    gt_1: int
-
-    # Output column names, one per field in order, from the bucket edges.
-    COLUMNS = (*(f"le_{t}" for t in CENSUS_THRESHOLDS), f"gt_{CENSUS_THRESHOLDS[-1]}")
-
-    @property
-    def n(self) -> int:
-        return self.le_1 + self.gt_1
-
-    def as_dict(self) -> dict[str, int]:
-        """Counts keyed by COLUMNS."""
-        return dict(zip(self.COLUMNS, astuple(self)))
 
 
 # Column name -> dtype, in records CSV column order.
@@ -188,11 +167,15 @@ def _count_at_most(cols: RecordColumns, taus) -> dict[float, int]:
     return {float(t): int((cols.mean_evidence <= t).sum()) for t in taus}
 
 
-def evidence_census(records: RecordColumns) -> CensusBuckets:
-    """Cumulative mean-evidence census with the fixed bucket edges."""
+def evidence_census(records: RecordColumns) -> dict[str, int]:
+    """Cumulative mean-evidence census: "le_<t>" for each edge t of
+    CENSUS_THRESHOLDS, counted as epochs.csv's zero_ev_<t> columns are, then
+    the "gt_<last edge>" remainder."""
     cols = _nonempty(records)
-    le = _count_at_most(cols, CENSUS_THRESHOLDS).values()
-    return CensusBuckets(*le, int((cols.mean_evidence > CENSUS_THRESHOLDS[-1]).sum()))
+    top = CENSUS_THRESHOLDS[-1]
+    census = {f"le_{t}": c for t, c in _count_at_most(cols, CENSUS_THRESHOLDS).items()}
+    census[f"gt_{top}"] = int((cols.mean_evidence > top).sum())
+    return census
 
 
 def vacuity_summary(

@@ -16,7 +16,7 @@ from ._schema import ConfigError, check_fields, member
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class
 from .losses import Loss, softmax
-from .metrics import CENSUS_THRESHOLDS, CensusBuckets, RecordColumns, _count_at_most, evidence_census
+from .metrics import CENSUS_THRESHOLDS, RecordColumns, _count_at_most, evidence_census
 from .network import (
     Network,
     OptKind,
@@ -370,7 +370,7 @@ class SweepRow:
     seed: int
     final_train_acc: float
     final_test_acc: float
-    census: CensusBuckets
+    census: dict[str, int]  # evidence_census(RunResult.columns)
     mean_test_vacuity: float
 
 

@@ -311,7 +311,7 @@ def test_criterion_09_metric_oracles():
         r(0.95, False, 0.009),
     ))
     census = evidence_census(fixture)
-    assert (census.le_001, census.le_01, census.le_1, census.gt_1) == (2, 3, 6, 1)
+    assert (census["le_0.01"], census["le_0.1"], census["le_1.0"], census["gt_1.0"]) == (2, 3, 6, 1)
 
     curve = accuracy_vacuity_curve(fixture, thresholds=[0.2, 0.5, 0.7, 1.0])
     assert curve[0] == (0.2, 3 / 7, 2 / 3)

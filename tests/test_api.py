@@ -17,7 +17,7 @@ MODULES = (evidence, losses, regularizers, gradcheck, network, datasets, metrics
 
 EXPORTS = {
     "Activation", "BlobSpec", "CENSUS_THRESHOLDS", "CORRECT_REG_EPS", "CellResult",
-    "CensusBuckets", "ConfigError", "DataConfig", "Dataset", "EVIDENTIAL_LOSSES", "EpochLog",
+    "ConfigError", "DataConfig", "Dataset", "EVIDENTIAL_LOSSES", "EpochLog",
     "EvidenceState", "ExperimentConfig", "ForwardCache", "IncReg", "LOGIT_CLAMP", "LayerSpec",
     "Loss", "LossGrad", "Network", "OptConfig", "OptKind", "OptimizerState", "RED",
     "RecordColumns", "RunResult", "SweepRow", "__version__",

@@ -64,7 +64,7 @@ def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     assert main(["frobnicate"]) == 1
-    assert main(["census", "--records", str(tmp_path / "none.csv")]) == 1
+    assert main(["report", "--records", str(tmp_path / "none.csv")]) == 1
     assert "records file not found" in capsys.readouterr().err
     assert main(["gen-data", "--kind", "toy4", "--out", str(tmp_path / "t.csv")]) == 0
     assert main(["--help"]) == 0
@@ -358,7 +358,6 @@ def test_evaluate_a_directory_as_data_exits_one_naming_the_field(tmp_path, capsy
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["census", "--records", "adir"], "records file not found: adir"),
         (["report", "--records", "adir", "--out", "r"], "records file not found: adir"),
         (["train", "--config", "adir", "--out", "r"], "config file not found: adir"),
         (["train", "--config", "cfg.json/x", "--out", "r"], "config file not found: cfg.json/x"),
@@ -374,7 +373,7 @@ def test_evaluate_a_directory_as_data_exits_one_naming_the_field(tmp_path, capsy
         ),
     ],
     ids=[
-        "census-records", "report-records", "train-config", "train-config-under-a-file",
+        "report-records", "train-config", "train-config-under-a-file",
         "sweep-config", "gradcheck-config", "evaluate-checkpoint", "evaluate-data-sidecar",
     ],
 )
@@ -538,7 +537,7 @@ def test_train_network_too_large_to_allocate_exits_two(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-def test_read_path_from_train_to_census(tmp_path, capsys):
+def test_read_path_from_train_to_report(tmp_path):
     cfg = write_cfg(tmp_path)  # toy4: K=4 logits, D=2
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
@@ -555,9 +554,9 @@ def test_read_path_from_train_to_census(tmp_path, capsys):
     rep = tmp_path / "rep"
     assert main(["report", "--records", str(tmp_path / "r.csv"),
                  "--ood-records", str(tmp_path / "o.csv"), "--out", str(rep)]) == 0
-    assert json.loads((rep / "summary.json").read_text())["n_ood"] == 12
-    assert main(["census", "--records", str(tmp_path / "o.csv"), "--out", str(tmp_path / "c.csv")]) == 0
-    assert "census of 12 records" in capsys.readouterr().out
+    summary = json.loads((rep / "summary.json").read_text())
+    assert summary["n_ood"] == 12
+    assert (rep / "census.csv").read_text().splitlines()[1].endswith(f",{summary['n']}")
 
 
 # --- gradcheck --------------------------------------------------------------------
@@ -708,28 +707,34 @@ def test_sweep_flag_validation(tmp_path, capsys):
     assert "unrecognized arguments: --workers 0" in capsys.readouterr().err
 
 
-# --- census ------------------------------------------------------------------------
+# --- report -------------------------------------------------------------------------
 
 
-def test_census_exact_counts(tmp_path, capsys):
+def test_census_exact_counts(tmp_path):
     recs = tmp_path / "r.csv"
     mean_ev = [0.005, 0.05, 0.5, 5.0]
     save_records(RecordColumns([0] * 4, [0] * 4, [0.5] * 4, mean_ev, [math.nan] * 4, [False] * 4), recs)
-    out = tmp_path / "census.csv"
-    assert main(["census", "--records", str(recs), "--out", str(out)]) == 0
-    assert out.read_text() == "le_0.01,le_0.1,le_1.0,gt_1.0,n\n1,2,3,1,4\n"
-    assert "census of 4 records" in capsys.readouterr().out
+    assert main(["report", "--records", str(recs), "--out", str(tmp_path / "rep")]) == 0
+    assert (tmp_path / "rep" / "census.csv").read_text() == "le_0.01,le_0.1,le_1.0,gt_1.0,n\n1,2,3,1,4\n"
 
 
-def test_census_uses_evidkit_out_env(tmp_path, monkeypatch):
+def test_report_uses_evidkit_out_env(tmp_path, monkeypatch):
     recs = tmp_path / "r.csv"
     some_records(recs)
     monkeypatch.setenv("EVIDKIT_OUT", str(tmp_path / "envout"))
-    assert main(["census", "--records", str(recs)]) == 0
-    assert (tmp_path / "envout" / "census.csv").exists()
+    assert main(["report", "--records", str(recs)]) == 0
+    for f in ("accuracy_vacuity.csv", "topk.csv", "census.csv", "summary.json"):
+        assert (tmp_path / "envout" / f).exists()
 
 
-# --- report -------------------------------------------------------------------------
+def test_the_census_command_is_gone(tmp_path, capsys):
+    # report writes census.csv; the census command that wrote the same file is gone
+    recs = tmp_path / "r.csv"
+    some_records(recs)
+    assert main(["census", "--records", str(recs), "--out", str(tmp_path / "c.csv")]) == 1
+    captured = capsys.readouterr()
+    assert "invalid choice: 'census'" in captured.err and captured.out == ""
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_report_without_ood_has_null_auroc(tmp_path):

@@ -644,9 +644,22 @@ def test_run_grid_owns_its_settings_rule():
         (dict(h=math.nan), "h: must be finite and > 0"),
         (dict(h=-math.inf), "h: must be finite and > 0"),
         (dict(seed=-1), "seed: must be >= 0"),
+        # non-ints used to fail inside NumPy with a message that named no setting
+        (dict(n_cases=2.5), "n_cases: must be an int, got 2.5"),
+        (dict(n_cases=True), "n_cases: must be an int, got True"),
+        (dict(n_cases="3"), "n_cases: must be an int, got '3'"),
+        (dict(seed=1.5), "seed: must be an int, got 1.5"),
+        (dict(seed=False), "seed: must be an int, got False"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             run_grid(losses=[Loss.EV_LOG], acts=[Activation.EXP], regs=["none"], **setting)
+
+
+def test_run_grid_takes_numpy_ints_as_its_int_settings():
+    cell = dict(losses=[Loss.EV_LOG], acts=[Activation.EXP], regs=["none"])
+    (plain,) = run_grid(n_cases=3, seed=5, **cell)
+    (numpy_ints,) = run_grid(n_cases=np.int64(3), seed=np.uint32(5), **cell)
+    assert numpy_ints == plain
 
 
 def test_cell_worst_detail_mentions_shape_and_values():

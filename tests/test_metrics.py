@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from evidkit.metrics import (
-    CensusBuckets,
     RecordColumns,
     accuracy_vacuity_curve,
     auroc,
@@ -94,13 +93,13 @@ def test_topk_validation():
 def test_census_buckets_are_cumulative():
     records = cols(*(rec(0.5, me=m) for m in (0.005, 0.05, 0.5, 5.0, 0.01)))
     c = evidence_census(records)
-    assert c == CensusBuckets(le_001=2, le_01=3, le_1=4, gt_1=1)
-    assert c.n == 5
+    assert list(c.items()) == [("le_0.01", 2), ("le_0.1", 3), ("le_1.0", 4), ("gt_1.0", 1)]
+    assert c["le_1.0"] + c["gt_1.0"] == 5
 
 
 def test_census_boundary_values_are_inclusive():
     c = evidence_census(cols(rec(0.5, me=0.01), rec(0.5, me=0.1), rec(0.5, me=1.0)))
-    assert (c.le_001, c.le_01, c.le_1, c.gt_1) == (1, 2, 3, 0)
+    assert c == {"le_0.01": 1, "le_0.1": 2, "le_1.0": 3, "gt_1.0": 0}
 
 
 # --- vacuity summary -----------------------------------------------------------

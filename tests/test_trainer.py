@@ -639,7 +639,7 @@ def test_sweep_rows_follow_grid_order_and_seeds():
     assert [r.seed for r in rows] == [derive_sweep_seed(base.seed, i) for i in range(3)]
     for r in rows:
         assert 0.0 <= r.final_train_acc <= 1.0
-        assert r.census.n == 4
+        assert r.census["le_1.0"] + r.census["gt_1.0"] == 4
         assert 0.0 <= r.mean_test_vacuity <= 1.0
 
 

@@ -25,10 +25,8 @@ from evidkit.datasets import BlobSpec, Dataset, circle_means, make_blobs, save_c
 from evidkit.evidence import Activation
 from evidkit.metrics import (
     RECORDS_HEADER,
-    CensusBuckets,
     RecordColumns,
     accuracy_vacuity_curve,
-    evidence_census,
     save_records,
     topk_confident_accuracy,
 )
@@ -216,11 +214,14 @@ def reference_save_epoch_csv(logs, taus, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+CENSUS_COLUMNS = ("le_0.01", "le_0.1", "le_1.0", "gt_1.0")
+
+
 def reference_sweep_csv(rows, path: Path) -> None:
-    census_cols = ",".join(f"census_{c}" for c in CensusBuckets.COLUMNS)
+    census_cols = ",".join(f"census_{c}" for c in CENSUS_COLUMNS)
     lines = [f"lambda1,seed,final_train_acc,final_test_acc,{census_cols},mean_test_vacuity"]
     for row in rows:
-        census = ",".join(map(str, row.census.as_dict().values()))
+        census = ",".join(str(row.census[c]) for c in CENSUS_COLUMNS)
         lines.append(
             f"{_fmt(row.lambda1)},{row.seed},{_fmt(row.final_train_acc)},"
             f"{_fmt(row.final_test_acc)},{census},{_fmt(row.mean_test_vacuity)}"
@@ -228,9 +229,13 @@ def reference_sweep_csv(rows, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def reference_census_csv(census: CensusBuckets, path: Path) -> None:
-    counts = census.as_dict()
-    rows = ([*counts, "n"], [*counts.values(), census.n])
+def reference_census_csv(mean_evidence, path: Path) -> None:
+    counts = [0, 0, 0, 0]  # counted record by record, in CENSUS_COLUMNS order
+    for m in mean_evidence.tolist():
+        for i, t in enumerate((0.01, 0.1, 1.0)):
+            counts[i] += m <= t
+        counts[3] += m > 1.0
+    rows = ([*CENSUS_COLUMNS, "n"], [*counts, counts[2] + counts[3]])
     path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
@@ -299,12 +304,8 @@ def test_report_and_census_tables_are_byte_identical_to_per_row_formatting(tmp_p
         "report", "--records", str(tmp_path / "records.csv"), "--out", str(out),
         "--thresholds", "0.1,0.3,0.7,1", "--fractions", "0.1,0.33,0.5,1",
     ]) == 0
-    assert main(["census", "--records", str(tmp_path / "records.csv"),
-                 "--out", str(tmp_path / "census.csv")]) == 0
     reference_accuracy_vacuity_csv(curve, tmp_path / "accuracy_vacuity.csv")
     reference_topk_csv(topk_confident_accuracy(cols, fractions), N, tmp_path / "topk.csv")
-    reference_census_csv(evidence_census(cols), tmp_path / "old_census.csv")
-    for name in ("accuracy_vacuity.csv", "topk.csv"):
+    reference_census_csv(cols.mean_evidence, tmp_path / "census.csv")
+    for name in ("accuracy_vacuity.csv", "topk.csv", "census.csv"):
         assert_same_bytes(out / name, tmp_path / name)
-    assert_same_bytes(out / "census.csv", tmp_path / "old_census.csv")
-    assert_same_bytes(tmp_path / "census.csv", tmp_path / "old_census.csv")
