@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import write_csv
+from ._csv import write_csv
 from ._schema import member, read_object
 from .datasets import save_csv
 from .evidence import Activation

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import read_csv, write_csv
+from ._csv import read_csv, write_csv
 from ._schema import read_object
 
 __all__ = [

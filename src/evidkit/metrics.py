@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._arrays import read_csv, write_csv
+from ._csv import read_csv, write_csv
 
 __all__ = [
     "CENSUS_THRESHOLDS",

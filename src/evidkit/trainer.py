@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import all_finite, write_csv
+from ._arrays import all_finite
+from ._csv import write_csv
 from ._schema import ConfigError, check_fields, member
 from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
 from .evidence import Activation, evidence_state, predict_class

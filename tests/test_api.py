@@ -1,4 +1,13 @@
-"""The package's public API: one export list, joined from the modules' own."""
+"""The package's public API: one export list, joined from the modules' own,
+and the modules each entry point loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import evidkit
 from evidkit import (
@@ -48,3 +57,56 @@ def test_every_export_resolves_to_its_module_object():
 def test_export_set_is_pinned():
     assert len(evidkit.__all__) == len(EXPORTS)
     assert set(evidkit.__all__) == EXPORTS
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# What `import evidkit.gradcheck` needs: the oracle and the layers it checks.
+ORACLE_CLOSURE = {
+    "evidkit", "evidkit._arrays", "evidkit.special", "evidkit.evidence", "evidkit.losses",
+    "evidkit.regularizers", "evidkit.gradcheck",
+}
+
+
+def _fresh(code: str):
+    """The JSON value that code prints last, run in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _loaded(statement: str) -> set:
+    """The evidkit modules in sys.modules after statement, in a fresh interpreter."""
+    return set(_fresh(
+        f"{statement}\nimport json, sys\n"
+        "print(json.dumps([m for m in sys.modules if m.partition('.')[0] == 'evidkit']))"
+    ))
+
+
+@pytest.mark.parametrize("statement", ["import evidkit", "import evidkit; hasattr(evidkit, '__author__')"])
+def test_import_evidkit_loads_no_submodule(statement):
+    assert _loaded(statement) == {"evidkit"}
+
+
+@pytest.mark.parametrize(
+    "statement", ["import evidkit.gradcheck", "from evidkit import gradcheck", "from evidkit import run_grid"]
+)
+def test_the_oracle_loads_only_its_closure(statement):
+    assert _loaded(statement) == ORACLE_CLOSURE
+
+
+def test_the_trainer_does_not_load_the_oracle():
+    assert "evidkit.gradcheck" not in _loaded("from evidkit import trainer")
+
+
+def test_star_import_and_dir_hold_every_export_and_module():
+    star, listed = _fresh(
+        "import evidkit, json\nlisted = dir(evidkit)\nfrom evidkit import *\n"
+        "print(json.dumps([sorted(globals()), listed]))"
+    )
+    assert EXPORTS <= set(star)
+    assert EXPORTS | {m.__name__.rpartition(".")[2] for m in MODULES} <= set(listed)

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from evidkit._arrays import _BLOCK_ROWS, format_g17, int_cells
+from evidkit._csv import _BLOCK_ROWS, format_g17, int_cells
 from evidkit.cli import main
 from evidkit.datasets import BlobSpec, Dataset, circle_means, make_blobs, save_csv
 from evidkit.evidence import Activation
