@@ -3,11 +3,13 @@
 Runs the (loss x activation x regularizer) grid on random cases and
 compares analytic gradients against central differences of the composite
 loss, so the oracle checks the batched objective that training calls.
-Cases are checked in batches: each cell's cases that share a K go through
-one composite_loss call on the base points and every perturbed row
-stacked together, each row carrying its own case's label and eta1. The
-vacuity weight of the correct-evidence term is frozen at the base point so
-the stop-gradient semantics match the analytic form.
+The grid is checked in stages, one per K: every cell's cases of that K get
+their perturbed rows in one call, each cell makes one composite_loss call
+on its base points and their perturbed rows stacked together, each row
+carrying its own case's label and eta1, and the quotient, skip mask and
+agreement rule run once over the whole stage. The vacuity weight of the
+correct-evidence term is frozen at the base point so the stop-gradient
+semantics match the analytic form.
 
 Each cell draws its cases in one pass over a block of its PCG64
 generator's raw 64-bit words w: per case its K index, gt, K logits, lambda1
@@ -201,27 +203,49 @@ def check_case(
     works row by row, so each row gets the bits a call of its own would give.
     """
     o = np.asarray(o, dtype=float)
-    red = reg == RED
-    inc = IncReg.NONE if red else IncReg(reg)
     k = o.shape[-1]
     n = o.size // k
-    # the case of each row: the n base rows, then each case's 2K perturbed rows
-    at = np.concatenate([np.arange(n), np.repeat(np.arange(n), 2 * k)])
 
-    def per_row(values):
-        return np.broadcast_to(values, o.shape[:-1]).reshape(n)[at]
+    def per_case(values):
+        return np.broadcast_to(values, o.shape[:-1]).reshape(n)
 
-    eta1 = 0.0 if red else anneal_eta1(lambda1, epoch)
-    # stop-gradient: the vacuity weight stays at its base-point value
-    frozen = per_row(evidence_state(act, o).vacuity) if red else None
-    out = composite_loss(
-        kind, inc, act, np.concatenate([o.reshape(n, k), _perturbed_rows(o, h)]), per_row(gt),
-        eta1=per_row(eta1), use_correct_reg=red, correct_weight=frozen,
-    )
-    analytic = out.grad[:n].reshape(o.shape)
-    numeric = _quotient(out.loss[n:], o, h)
-    skip = (o >= LOGIT_CLAMP - 1e-3) & (act == Activation.EXP)
-    return analytic, numeric, skip
+    eta1 = 0.0 if reg == RED else anneal_eta1(lambda1, epoch)
+    checked = _check_stage([(kind, act, reg)], [n], o.reshape(n, k), per_case(gt), per_case(eta1), h)
+    return tuple(a.reshape(o.shape) for a in checked)
+
+
+def _check_stage(cells, counts, o: np.ndarray, gt: np.ndarray, eta1: np.ndarray, h: float):
+    """The oracle's check of one K: (analytic grad, numeric grad, skip mask),
+    each shaped like the (N, K) stack o.
+
+    o holds the base points of every cell of `cells`, cell after cell,
+    counts[i] of them cell i's; gt and eta1 give each point's label and eta1.
+    The perturbed rows of every point are built in one call. Each cell then
+    makes one composite_loss call, on its base points followed by their 2K
+    perturbed rows, where each row carries its case's label, eta1 and frozen
+    vacuity weight.
+    """
+    n, k = o.shape
+    perturbed = _perturbed_rows(o, h)
+    analytic, vals = np.empty_like(o), np.empty(2 * k * n)
+    stop = 0
+    for (kind, act, reg), m in zip(cells, counts):
+        start, stop = stop, stop + m
+        base, pert = o[start:stop], slice(2 * k * start, 2 * k * stop)
+        # the case of each row: the m base rows, then each case's 2K perturbed rows
+        at = np.concatenate([np.arange(m), np.repeat(np.arange(m), 2 * k)])
+        red = reg == RED
+        # stop-gradient: the vacuity weight stays at its base-point value
+        frozen = evidence_state(act, base).vacuity[at] if red else None
+        at += start
+        out = composite_loss(
+            kind, IncReg.NONE if red else IncReg(reg), act, np.concatenate([base, perturbed[pert]]),
+            gt[at], eta1=eta1[at], use_correct_reg=red, correct_weight=frozen,
+        )
+        analytic[start:stop] = out.grad[:m]
+        vals[pert] = out.loss[m:]
+    on_exp = np.repeat([act == Activation.EXP for _, act, _ in cells], counts)
+    return analytic, _quotient(vals, o, h), (o >= LOGIT_CLAMP - 1e-3) & on_exp[:, None]
 
 
 def _check_settings(
@@ -338,42 +362,59 @@ def run_grid(
     called in this order. Under ReLU, logits within _KINK_MARGIN of 0 move
     _KINK_MARGIN away from it.
 
-    It then checks the cases that share a K with one check_case call and
-    one compare_grads call; the worst case is the first maximum in case
-    order. `corrupt` must name one of the cells being run, as
-    "loss:act:reg"; its analytic gradient gets a deliberate perturbation,
-    so the harness can prove it catches wrong gradients.
+    It then checks the grid K by K, in first-seen order: every cell's cases
+    of that K, stacked in grid order and case order, get their perturbed
+    rows in one call, one composite_loss call per cell on its base points
+    and their perturbed rows, and one quotient, skip mask and compare_grads
+    call together. Each cell's worst case is the first maximum in case
+    order; a NaN case fails but is never the worst. `corrupt` must name one
+    of the cells being run, as "loss:act:reg"; its analytic gradient gets a
+    deliberate perturbation, so the harness can prove it catches wrong
+    gradients.
     """
     _check_settings(n_cases, h, tol, seed, ks=ks)
     ks = [int(k) for k in ks]
     cells = grid_cells(losses, acts, regs)
     results = [CellResult(kind.value, act.value, reg, n_cases) for kind, act, reg in cells]
-    if corrupt is not None and corrupt not in [cell.name for cell in results]:
+    names = [cell.name for cell in results]
+    if corrupt is not None and corrupt not in names:
         raise ValueError(f"corrupt: {corrupt} is not a cell of the grid being run")
-    for (kind, act, reg), cell in zip(cells, results):
-        rng = np.random.default_rng([seed, zlib.crc32(cell.name.encode())])
-        k, gt, lambda1, epoch, groups = _draw_cases(rng, ks, n_cases, act)
-        passed, errs = np.empty(n_cases, dtype=bool), np.empty(n_cases)
-        checked = {}  # K -> (case indices, analytic, numeric)
-        for kk, (idx, o) in groups.items():
-            analytic, numeric, skip = check_case(
-                kind, act, reg, o, gt[idx], lambda1=lambda1[idx], epoch=epoch[idx], h=h
-            )
-            if cell.name == corrupt:
-                analytic[:, 0] += 1e-2
-            passed[idx], errs[idx] = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
-            cell.n_skipped += int(skip.sum())
-            checked[kk] = idx, analytic, numeric
-        cell.passed = bool(passed.all())
-        # a NaN case fails but is never the worst; argmax keeps the first maximum
-        errs[np.isnan(errs)] = 0.0
-        worst = int(np.argmax(errs))
-        if errs[worst] > 0.0:
-            kk = int(k[worst])
-            idx, analytic, numeric = checked[kk]
-            j = int(np.searchsorted(idx, worst))
-            cell.max_err = float(errs[worst])
+    k, gt, lambda1, epoch, groups = zip(*(
+        _draw_cases(np.random.default_rng([seed, zlib.crc32(name.encode())]), ks, n_cases, act)
+        for name, (_, act, _) in zip(names, cells)
+    ))
+    # (cell, case) arrays from here on
+    k, gt = np.array(k), np.array(gt)
+    eta1 = anneal_eta1(lambda1, epoch)
+    eta1[[reg == RED for _, _, reg in cells]] = 0.0
+    is_corrupt = np.array([name == corrupt for name in names])
+    passed, errs = np.empty(k.shape, dtype=bool), np.empty(k.shape)
+    skipped, row = np.empty(k.shape, dtype=int), np.empty(k.shape, dtype=int)
+    checked = {}  # K -> (analytic, numeric) of its stage; row: each case's row in them
+    for kk in dict.fromkeys(k.ravel().tolist()):
+        mask = k == kk
+        counts = mask.sum(axis=1)
+        present = np.flatnonzero(counts)
+        o = np.concatenate([groups[c][kk][1] for c in present])
+        analytic, numeric, skip = _check_stage(
+            [cells[c] for c in present], counts[present], o, gt[mask], eta1[mask], h
+        )
+        analytic[np.repeat(is_corrupt, counts), 0] += 1e-2
+        passed[mask], errs[mask] = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
+        skipped[mask] = skip.sum(axis=1)
+        row[mask] = np.arange(len(o))
+        checked[kk] = analytic, numeric
+    errs[np.isnan(errs)] = 0.0  # a NaN case fails but is never the worst
+    worst = errs.argmax(axis=1)  # argmax keeps the first maximum
+    ok, n_skipped = passed.all(axis=1), skipped.sum(axis=1)
+    for c, cell in enumerate(results):
+        cell.passed, cell.n_skipped = bool(ok[c]), int(n_skipped[c])
+        w = worst[c]
+        if errs[c, w] > 0.0:
+            kk = int(k[c, w])
+            analytic, numeric = checked[kk]
+            cell.max_err = float(errs[c, w])
             cell.worst_k = kk
-            # copies, so the rows do not keep the group's whole arrays alive
-            cell.worst_detail = (kk, int(gt[worst]), analytic[j].copy(), numeric[j].copy())
+            # copies, so the rows do not keep the stack's whole arrays alive
+            cell.worst_detail = (kk, int(gt[c, w]), analytic[row[c, w]].copy(), numeric[row[c, w]].copy())
     return results

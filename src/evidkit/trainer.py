@@ -187,6 +187,9 @@ class ExperimentConfig:
             raise ConfigError("hidden_dims: need at least one positive width")
         if any(not t >= 0 for t in self.zero_ev_taus):  # NaN fails the comparison
             raise ConfigError("zero_ev_taus: thresholds must be >= 0")
+        # compared as floats, so 0.1 and 0.10, or 0.0 and -0.0, are one threshold
+        if len(set(map(float, self.zero_ev_taus))) < len(self.zero_ev_taus):
+            raise ConfigError("zero_ev_taus: thresholds must be distinct")
         for name in ("train_data", "test_data", "ood_data"):
             if getattr(self, name) is not None:
                 getattr(self, name).validate(name)

@@ -19,7 +19,8 @@ loss_ev_mse), and one (cell, K) group of the gradient oracle at K = 5 for
 each of two cells: 12 ev_log:exp:edl_kl cases, and 12 ev_ce:exp:none cases,
 whose objective makes one kernel call on [S, alpha_gt], and one cell's case
 draws in the oracle (50 ev_log:exp:edl_kl cases over DEFAULT_KS, from one
-pass over its generator's raw words). It also times
+pass over its generator's raw words), and the oracle's whole grid as the
+benchmark's gradcheck workload runs it (all 39 cells, 50 cases each). It also times
 load_csv and RecordColumns.load on 30,000 rows each,
 written as save_csv and save_records write them: a D = 2 dataset, evidential
 records with no max_softmax, and softmax-baseline records with every
@@ -44,7 +45,7 @@ import pytest
 from evidkit import regularizers, trainer
 from evidkit.datasets import Dataset, load_csv, save_csv
 from evidkit.evidence import Activation, evidence_state
-from evidkit.gradcheck import DEFAULT_KS, DEFAULT_SEED, _draw_cases, check_case
+from evidkit.gradcheck import DEFAULT_KS, DEFAULT_SEED, _draw_cases, check_case, run_grid
 from evidkit.losses import Loss, loss_ev_mse
 from evidkit.metrics import RecordColumns, auroc, save_records
 from evidkit.network import (
@@ -167,6 +168,12 @@ def test_draw_cases_one_cell(benchmark):
     entropy = [DEFAULT_SEED, zlib.crc32(b"ev_log:exp:edl_kl")]
     draws = benchmark(lambda: _draw_cases(np.random.default_rng(entropy), DEFAULT_KS, 50, Activation.EXP))
     assert len(draws[0]) == 50
+
+
+def test_run_grid_workload_op(benchmark):
+    # one op of the benchmark's gradcheck workload: the draws and every K stage of the grid
+    cells = benchmark(run_grid, n_cases=50)
+    assert len(cells) == 39 and all(cell.passed for cell in cells)
 
 
 READ_ROWS = 30_000

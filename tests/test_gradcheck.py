@@ -14,8 +14,13 @@ from hypothesis.extra.numpy import arrays
 
 from evidkit.evidence import Activation, evidence_state
 from evidkit.gradcheck import (
+    DEFAULT_CASES,
+    DEFAULT_H,
     DEFAULT_KS,
+    DEFAULT_SEED,
+    DEFAULT_TOL,
     RED,
+    CellResult,
     _draw_cases,
     central_diff,
     check_case,
@@ -306,7 +311,7 @@ def test_run_grid_makes_one_objective_call_per_distinct_k(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "composite_loss", counting)
     n_cases = 3  # fewer cases than Ks, so some cells see a K twice and others not at all
-    shared = 0
+    shared, per_cell = 0, []
     for ls, act, reg in grid_cells():
         shapes.clear()
         run_grid(losses=[ls], acts=[act], regs=[reg], n_cases=n_cases, seed=4)
@@ -316,7 +321,12 @@ def test_run_grid_makes_one_objective_call_per_distinct_k(monkeypatch):
         assert shapes == [((2 * k + 1) * n, k) for n, (_, k) in zip(per_group, shapes)]
         assert sum(per_group) == n_cases
         shared += any(n > 1 for n in per_group)
+        per_cell += shapes
     assert shared > 0  # some group really holds more than one case
+    # the whole grid, checked K by K, makes the same calls on the same row counts
+    shapes.clear()
+    run_grid(n_cases=n_cases, seed=4)
+    assert sorted(shapes) == sorted(per_cell)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2024, 31337])
@@ -479,7 +489,9 @@ def test_run_grid_refuses_a_bad_ks_before_any_draw(monkeypatch):
     # () and (0,) used to fail inside NumPy, (1,) only after drawing, and (2.7,) ran K = 2
     import evidkit.gradcheck as gradcheck
 
-    monkeypatch.setattr(gradcheck, "check_case", None)  # no cell may be checked
+    # no cell may be drawn or checked
+    monkeypatch.setattr(gradcheck, "_draw_cases", None)
+    monkeypatch.setattr(gradcheck, "composite_loss", None)
     for ks in ((), (0,), (1,), (2.7,), (3, 1), (True, 3), ("5",)):
         with pytest.raises(ValueError, match=r"^ks: must be a non-empty sequence of ints >= 2"):
             run_grid(losses=[Loss.EV_LOG], acts=[Activation.EXP], regs=["none"], n_cases=2, ks=ks)
@@ -511,16 +523,16 @@ def test_run_grid_keeps_the_first_worst_case(monkeypatch):
 def test_run_grid_nan_case_fails_but_is_never_the_worst(monkeypatch):
     import evidkit.gradcheck as gradcheck
 
-    real = gradcheck.check_case
+    real = gradcheck.composite_loss
 
     def nan_first_case(*args, **kwargs):
-        analytic, numeric, skip = real(*args, **kwargs)
+        out = real(*args, **kwargs)
         if first_call:
-            analytic[0, 0] = np.nan  # case 0 opens the first K group
+            out.grad[0, 0] = np.nan  # row 0 of the first call is case 0, which opens the first K
             first_call.clear()
-        return analytic, numeric, skip
+        return out
 
-    monkeypatch.setattr(gradcheck, "check_case", nan_first_case)
+    monkeypatch.setattr(gradcheck, "composite_loss", nan_first_case)
     cell = dict(losses=[Loss.EV_LOG], acts=[Activation.SOFTPLUS], regs=["none"], seed=5)
     for n_cases in (1, 9):
         first_call = [True]
@@ -545,9 +557,72 @@ def test_run_grid_applies_the_rule_once_per_cell_and_k(monkeypatch):
 
     monkeypatch.setattr(gradcheck, "compare_grads", counting)
     results = run_grid(n_cases=50)
-    assert len(calls) <= 39 * 4  # at most one call per (cell, K) group
+    assert len(calls) <= len(DEFAULT_KS)  # one call per K, for every cell's cases of that K
     assert sum(shape[0] for shape in calls) == 39 * 50
     assert all(r.passed for r in results)
+
+
+def per_group_grid(losses=None, acts=None, regs=None, n_cases=DEFAULT_CASES, h=DEFAULT_H,
+                   tol=DEFAULT_TOL, ks=DEFAULT_KS, seed=DEFAULT_SEED, corrupt=None):
+    """Reference: run_grid as a loop over cells and each cell's K groups, one
+    check_case and one compare_grads call per (cell, K); the worst case is the
+    first maximum in case order, a NaN error counting as 0."""
+    results = []
+    for kind, act, reg in grid_cells(losses, acts, regs):
+        cell = CellResult(kind.value, act.value, reg, n_cases)
+        rng = np.random.default_rng([seed, zlib.crc32(cell.name.encode())])
+        k, gt, lambda1, epoch, groups = _draw_cases(rng, list(ks), n_cases, act)
+        passed, errs = np.empty(n_cases, dtype=bool), np.empty(n_cases)
+        checked = {}
+        for kk, (idx, o) in groups.items():
+            analytic, numeric, skip = check_case(
+                kind, act, reg, o, gt[idx], lambda1=lambda1[idx], epoch=epoch[idx], h=h
+            )
+            if cell.name == corrupt:
+                analytic[:, 0] += 1e-2
+            passed[idx], errs[idx] = compare_grads(analytic, numeric, rel_tol=tol, skip=skip)
+            cell.n_skipped += int(skip.sum())
+            checked[kk] = idx, analytic, numeric
+        cell.passed = bool(passed.all())
+        errs[np.isnan(errs)] = 0.0
+        worst = int(np.argmax(errs))
+        if errs[worst] > 0.0:
+            idx, analytic, numeric = checked[int(k[worst])]
+            j = int(np.searchsorted(idx, worst))
+            cell.max_err, cell.worst_k = float(errs[worst]), int(k[worst])
+            cell.worst_detail = (cell.worst_k, int(gt[worst]), analytic[j], numeric[j])
+        results.append(cell)
+    return results
+
+
+def _fields(results):
+    return [dataclasses.asdict(r) | {"max_err": r.max_err.hex()} for r in results]
+
+
+_CORRUPT = "ev_log:exp:edl_kl"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        pytest.param(dict(n_cases=n, seed=seed, corrupt=corrupt), id=f"n{n}-seed{seed}-{corrupt}")
+        for n in (1, 7, 50)
+        for seed in (3, 2024)
+        for corrupt in (None, _CORRUPT)
+    ]
+    + [
+        pytest.param(dict(n_cases=7, seed=3, ks=(3,)), id="ks3"),
+        pytest.param(dict(n_cases=7, seed=3, ks=(3,), corrupt=_CORRUPT), id=f"ks3-{_CORRUPT}"),
+        pytest.param(dict(n_cases=20, seed=11, acts=[Activation.RELU]), id="relu-only"),
+        pytest.param(
+            dict(n_cases=20, seed=11, acts=[Activation.EXP], corrupt="ev_mse:exp:red"),
+            id="exp-only-ev_mse:exp:red",
+        ),
+    ],
+)
+def test_run_grid_equals_the_per_group_loop(grid):
+    # every CellResult field, max_err to the bit and worst_detail's text
+    assert _fields(run_grid(**grid)) == _fields(per_group_grid(**grid))
 
 
 def test_run_grid_matches_pinned_results():

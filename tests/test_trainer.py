@@ -63,6 +63,9 @@ def test_config_error_messages_name_the_field():
         (dict(eval_every=0), "eval_every: must be >= 1"),
         (dict(hidden_dims=[]), "hidden_dims"),
         (dict(zero_ev_taus=[-0.1]), "zero_ev_taus"),
+        # one threshold twice would write two equal epochs.csv columns
+        (dict(zero_ev_taus=[0.1, 1.0, float("0.10")]), "^zero_ev_taus: thresholds must be distinct$"),
+        (dict(zero_ev_taus=[0.0, -0.0]), "^zero_ev_taus: thresholds must be distinct$"),
     ]
     for over, match in cases:
         with pytest.raises(ConfigError, match=match):
@@ -392,14 +395,15 @@ def test_seed_changes_the_run():
     )
 
 
-# Two regularizer-driven collapses under the default optimizer (SGD momentum,
-# lr 0.1), kept as regression tests until a fix in the exp head or the
-# regularizers makes them pass.
+# Two collapses under the default optimizer (SGD momentum, lr 0.1), kept as
+# regression tests until a fix makes them pass; ROADMAP item 4 has the runs
+# behind each reason.
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="FOUND: ev_log + edl_kl (lambda1 = 1) + correct-evidence under exp "
-    "collapses once eta1 anneals up to 1 (train accuracy 0.445 at epoch 13)",
+    reason="ROADMAP item 4: the default step size. ev_log + edl_kl (lambda1 = 1) + "
+    "correct-evidence under exp falls to train accuracy 0.445 at epoch 13 at lr 0.1; the arm "
+    "without edl_kl (lambda1 = 0) is unstable too, and both arms hold at lr 0.03 and 0.01",
 )
 def test_edl_kl_with_correct_evidence_keeps_training_accuracy_under_sgd():
     blobs = dict(kind="blobs", k=5, n_per_class=40)
@@ -422,8 +426,9 @@ def test_edl_kl_with_correct_evidence_keeps_training_accuracy_under_sgd():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="FOUND: ev_mse + exp + adl_sum at lambda1 = 1 drives every sample into "
-    "exp underflow in one epoch (epoch-1 loss 1.78e11, accuracy stays at chance)",
+    reason="ROADMAP item 4: under exp, adl_sum's logit gradient is e_k itself (about 2.4e8 "
+    "at o = 19.3), unbounded in the evidence, so at any lr in {0.1, 0.01, 0.001} the first "
+    "epoch with eta1 > 0 sends every row into exp underflow and accuracy stays at chance",
 )
 def test_adl_sum_under_exp_trains_above_chance_under_sgd():
     cfg = ExperimentConfig(
