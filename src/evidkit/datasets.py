@@ -1,5 +1,5 @@
-"""Desk-scale datasets: the 4-point toy set, Gaussian blobs, shifted-blob
-OOD sets, and a bit-faithful CSV format with a JSON metadata sidecar.
+"""Desk-scale datasets: the 4-point toy set, Gaussian blobs (shifted to make
+an OOD set), and a bit-faithful CSV format with a JSON metadata sidecar.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ from ._schema import read_object
 
 __all__ = [
     "Dataset",
-    "BlobSpec",
     "make_toy4",
     "make_blobs",
-    "make_ood_shift",
     "circle_means",
     "save_csv",
     "load_csv",
@@ -60,33 +58,39 @@ class Dataset:
             raise ValueError(f"labels must lie in [0, {self.k})")
 
 
-@dataclass(frozen=True)
-class BlobSpec:
-    k: int
-    means: np.ndarray  # (K, D)
-    stddev: float
-    n_per_class: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        means = np.asarray(self.means, dtype=float)
-        object.__setattr__(self, "means", means)
-        if means.ndim != 2 or means.shape[0] != self.k:
-            raise ValueError("means must have shape (K, D)")
-        if not np.isfinite(means).all():
-            raise ValueError("means must be finite")
-        if self.stddev <= 0:
-            raise ValueError("stddev must be > 0")
-        if not np.isfinite(self.stddev):
-            raise ValueError("stddev must be finite")
-        if self.n_per_class < 1:
-            raise ValueError("n_per_class must be >= 1")
+def _check_ranges(*, d=2, seed=0, k=2, n_per_class=1, stddev=1.0, radius=0.0, means=None,
+                  shift=None) -> None:
+    """The range rule of each field of a generated dataset, drawing nothing; a
+    message leads with its field. Every default passes every rule."""
+    if seed < 0:
+        raise ValueError("seed: must be >= 0")
+    if d < 2:
+        raise ValueError("d: must be >= 2")
+    if k < 2:
+        raise ValueError("k: must be >= 2")
+    if n_per_class < 1:
+        raise ValueError("n_per_class: must be >= 1")
+    if not 0 < stddev < np.inf:  # NaN fails both comparisons
+        raise ValueError("stddev: must be > 0 and finite")
+    if not np.isfinite(radius):
+        raise ValueError("radius: must be finite")
+    if means is not None:
+        # row by row, so ragged means are named here, not by NumPy
+        if [np.shape(row) for row in means] != [(d,)] * k:
+            raise ValueError(f"means: expected shape ({k}, {d})")
+        if not np.isfinite(np.asarray(means, dtype=float)).all():
+            raise ValueError("means: must be finite")
+    if shift is not None:
+        shift = np.asarray(shift, dtype=float)
+        if shift.shape != (d,):
+            raise ValueError(f"shift: expected {d} components")
+        if not np.isfinite(shift).all():
+            raise ValueError("shift: must be finite")
 
 
 def make_toy4(d: int, seed: int) -> Dataset:
     """Four well-separated Gaussian points with labels 0..3."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_ranges(d=d, seed=seed)
     rng = np.random.default_rng(seed)
     while True:
         pts = rng.normal(0.0, 3.0, (4, d))
@@ -106,8 +110,7 @@ def make_toy4(d: int, seed: int) -> Dataset:
 
 def circle_means(k: int, d: int, radius: float) -> np.ndarray:
     """Class means evenly spaced on a circle in the first two dimensions."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    _check_ranges(k=k, d=d, radius=radius)
     means = np.zeros((k, d))
     angles = 2.0 * np.pi * np.arange(k) / k
     means[:, 0] = radius * np.cos(angles)
@@ -115,36 +118,24 @@ def circle_means(k: int, d: int, radius: float) -> np.ndarray:
     return means
 
 
-def make_blobs(spec: BlobSpec) -> Dataset:
-    """Isotropic Gaussian blob per class, class-major sample order."""
-    rng = np.random.default_rng(spec.seed)
-    feats = []
-    labels = []
-    for c in range(spec.k):
-        feats.append(rng.normal(spec.means[c], spec.stddev, (spec.n_per_class, spec.means.shape[1])))
-        labels.append(np.full(spec.n_per_class, c, dtype=int))
+def make_blobs(*, d: int, seed: int, k: int, n_per_class: int, stddev: float,
+               radius: float = 6.0, means=None, shift=None) -> Dataset:
+    """Isotropic Gaussian blob per class, class-major sample order, around the
+    (K, D) `means`, or around `circle_means(k, d, radius)` when none are given.
+    A `shift` translates the same draws and marks the set out-of-distribution."""
+    _check_ranges(d=d, seed=seed, k=k, n_per_class=n_per_class, stddev=stddev, radius=radius,
+                  means=means, shift=shift)
+    means = circle_means(k, d, radius) if means is None else np.asarray(means, dtype=float)
+    rng = np.random.default_rng(seed)
+    features = np.concatenate([rng.normal(means[c], stddev, (n_per_class, d)) for c in range(k)])
+    ood = shift is not None
     return Dataset(
-        features=np.concatenate(feats),
-        labels=np.concatenate(labels),
-        k=spec.k,
-        name=f"blobs-k{spec.k}-s{spec.seed}",
-        seed=int(spec.seed),
-    )
-
-
-def make_ood_shift(base: BlobSpec, shift) -> Dataset:
-    """The base blobs translated by `shift`, marked out-of-distribution."""
-    shift = np.asarray(shift, dtype=float)
-    if shift.shape != (base.means.shape[1],):
-        raise ValueError(f"shift must have shape ({base.means.shape[1]},)")
-    ds = make_blobs(base)
-    return Dataset(
-        features=ds.features + shift,
-        labels=ds.labels,
-        k=ds.k,
-        name=f"{ds.name}-ood",
-        ood=True,
-        seed=ds.seed,
+        features=features + np.asarray(shift, dtype=float) if ood else features,
+        labels=np.repeat(np.arange(k), n_per_class),
+        k=k,
+        name=f"blobs-k{k}-s{seed}" + ("-ood" if ood else ""),
+        ood=ood,
+        seed=int(seed),
     )
 
 

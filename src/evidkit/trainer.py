@@ -14,7 +14,7 @@ import numpy as np
 from ._arrays import all_finite
 from ._csv import write_csv
 from ._schema import ConfigError, check_fields, member
-from .datasets import BlobSpec, Dataset, circle_means, load_csv, make_blobs, make_ood_shift, make_toy4
+from .datasets import Dataset, _check_ranges, load_csv, make_blobs, make_toy4
 from .evidence import Activation, evidence_state, predict_class
 from .losses import Loss, softmax
 from .metrics import CENSUS_THRESHOLDS, RecordColumns, _count_at_most, evidence_census
@@ -85,47 +85,20 @@ class DataConfig:
             raise ConfigError(f"{where}.path: required for kind=csv")
         if self.path and not Path(self.path).is_file():
             raise ConfigError(f"{where}.path: dataset file not found: {self.path}")
-        if self.seed < 0:
-            raise ConfigError(f"{where}.seed: must be >= 0")
-        if self.d < 2:
-            raise ConfigError(f"{where}.d: must be >= 2")
-        if self.k < 2:
-            raise ConfigError(f"{where}.k: must be >= 2")
-        if self.n_per_class < 1:
-            raise ConfigError(f"{where}.n_per_class: must be >= 1")
-        if not 0 < self.stddev < np.inf:  # NaN fails both comparisons
-            raise ConfigError(f"{where}.stddev: must be > 0 and finite")
-        if not np.isfinite(self.radius):
-            raise ConfigError(f"{where}.radius: must be finite")
-        if self.means is not None:
-            # row by row, so ragged means are named here, not by NumPy
-            if [np.shape(row) for row in self.means] != [(self.d,)] * self.k:
-                raise ConfigError(f"{where}.means: expected shape ({self.k}, {self.d})")
-            if not np.isfinite(np.asarray(self.means, dtype=float)).all():
-                raise ConfigError(f"{where}.means: must be finite")
-        if self.shift is not None:
-            s = np.asarray(self.shift, dtype=float)
-            if s.shape != (self.d,):
-                raise ConfigError(f"{where}.shift: expected {self.d} components")
-            if not np.isfinite(s).all():
-                raise ConfigError(f"{where}.shift: must be finite")
+        # datasets holds the range rules; its messages lead with the field
+        try:
+            _check_ranges(**self._blob_fields())
+        except ValueError as err:
+            raise ConfigError(f"{where}.{err}") from None
+
+    def _blob_fields(self) -> dict:
+        return {name: getattr(self, name) for name in _KIND_READS["blobs"]}
 
     def build(self) -> Dataset:
         if self.kind == "toy4":
             return make_toy4(self.d, self.seed)
         if self.kind == "blobs":
-            means = (
-                np.asarray(self.means, dtype=float)
-                if self.means is not None
-                else circle_means(self.k, self.d, self.radius)
-            )
-            spec = BlobSpec(
-                k=self.k, means=means, stddev=self.stddev, n_per_class=self.n_per_class,
-                seed=self.seed,
-            )
-            if self.shift is not None:
-                return make_ood_shift(spec, np.asarray(self.shift, dtype=float))
-            return make_blobs(spec)
+            return make_blobs(**self._blob_fields())
         return load_csv(self.path)
 
 

@@ -25,7 +25,7 @@ from evidkit import (
 MODULES = (evidence, losses, regularizers, gradcheck, network, datasets, metrics, trainer, special)
 
 EXPORTS = {
-    "Activation", "BlobSpec", "CENSUS_THRESHOLDS", "CORRECT_REG_EPS", "CellResult",
+    "Activation", "CENSUS_THRESHOLDS", "CORRECT_REG_EPS", "CellResult",
     "ConfigError", "DataConfig", "Dataset", "EVIDENTIAL_LOSSES", "EpochLog",
     "EvidenceState", "ExperimentConfig", "ForwardCache", "IncReg", "LOGIT_CLAMP", "LayerSpec",
     "Loss", "LossGrad", "Network", "OptConfig", "OptKind", "OptimizerState", "RED",
@@ -35,7 +35,7 @@ EXPORTS = {
     "dense_specs", "derive_sweep_seed", "digamma", "epoch_csv_header", "evaluate",
     "evidence_census", "evidence_state", "forward", "gamma_family", "grad_logits", "grid_cells",
     "init_network", "load_checkpoint", "load_csv", "log_gamma", "loss_ev_ce",
-    "loss_ev_log", "loss_ev_mse", "loss_softmax_ce", "make_blobs", "make_ood_shift", "make_toy4",
+    "loss_ev_log", "loss_ev_mse", "loss_softmax_ce", "make_blobs", "make_toy4",
     "predict_class", "reg_adl_sum", "reg_correct", "reg_edl_kl", "reg_units_belief",
     "run_experiment", "run_grid", "save_checkpoint", "save_csv", "save_epoch_csv",
     "save_records", "softmax", "step", "sweep", "topk_confident_accuracy", "trigamma",

@@ -1,19 +1,20 @@
 """Tests for dataset generators and the CSV round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
 from evidkit.datasets import (
     TOY4_MIN_DIST,
-    BlobSpec,
     Dataset,
     circle_means,
     load_csv,
     make_blobs,
-    make_ood_shift,
     make_toy4,
     save_csv,
 )
+from evidkit.trainer import ConfigError, DataConfig
 
 
 # --- generators ------------------------------------------------------------
@@ -33,8 +34,10 @@ def test_toy4_shape_labels_and_separation():
 def test_toy4_deterministic_and_d_validated():
     assert np.array_equal(make_toy4(3, 5).features, make_toy4(3, 5).features)
     assert not np.array_equal(make_toy4(2, 5).features, make_toy4(2, 6).features)
-    with pytest.raises(ValueError, match="d must be >= 2"):
+    with pytest.raises(ValueError, match="^d: must be >= 2$"):
         make_toy4(1, 0)
+    with pytest.raises(ValueError, match="^seed: must be >= 0$"):
+        make_toy4(2, -1)
 
 
 def test_circle_means_geometry():
@@ -48,60 +51,71 @@ def test_circle_means_geometry():
 
 
 def test_blobs_class_major_order_and_stats():
-    spec = BlobSpec(k=3, means=circle_means(3, 2, 10.0), stddev=0.5, n_per_class=40, seed=2)
-    ds = make_blobs(spec)
+    ds = make_blobs(k=3, d=2, seed=2, n_per_class=40, stddev=0.5, radius=10.0)
+    means = circle_means(3, 2, 10.0)
     assert ds.n == 120 and ds.d == 2 and ds.k == 3
     assert ds.labels.tolist() == [0] * 40 + [1] * 40 + [2] * 40
+    assert ds.name == "blobs-k3-s2" and not ds.ood and ds.seed == 2
     for c in range(3):
         cluster = ds.features[ds.labels == c]
-        assert np.linalg.norm(cluster.mean(axis=0) - spec.means[c]) < 0.5
-        assert 0.3 < (cluster - spec.means[c]).std() < 0.8
+        assert np.linalg.norm(cluster.mean(axis=0) - means[c]) < 0.5
+        assert 0.3 < (cluster - means[c]).std() < 0.8
 
 
 def test_blobs_deterministic_in_seed():
-    spec = dict(k=2, means=[[0.0, 0.0], [5.0, 0.0]], stddev=1.0, n_per_class=10)
-    a = make_blobs(BlobSpec(seed=7, **spec))
-    b = make_blobs(BlobSpec(seed=7, **spec))
-    c = make_blobs(BlobSpec(seed=8, **spec))
+    spec = dict(k=2, d=2, means=[[0.0, 0.0], [5.0, 0.0]], stddev=1.0, n_per_class=10)
+    a = make_blobs(seed=7, **spec)
+    b = make_blobs(seed=7, **spec)
+    c = make_blobs(seed=8, **spec)
     assert np.array_equal(a.features, b.features)
     assert not np.array_equal(a.features, c.features)
 
 
-def test_blob_spec_validation():
-    with pytest.raises(ValueError, match="shape"):
-        BlobSpec(k=3, means=[[0.0, 0.0]], stddev=1.0, n_per_class=5, seed=0)
-    with pytest.raises(ValueError, match="stddev"):
-        BlobSpec(k=1, means=[[0.0, 0.0]], stddev=0.0, n_per_class=5, seed=0)
-    with pytest.raises(ValueError, match="n_per_class"):
-        BlobSpec(k=1, means=[[0.0, 0.0]], stddev=1.0, n_per_class=0, seed=0)
+GOOD_BLOBS = dict(d=2, seed=0, k=2, n_per_class=5, stddev=1.0, radius=6.0)
+NAN, INF = float("nan"), float("inf")
+# one row per bad field value: the fields over GOOD_BLOBS, and the message
+BAD_BLOBS = {
+    "seed-negative": (dict(seed=-1), "seed: must be >= 0"),
+    "d-one": (dict(d=1), "d: must be >= 2"),
+    "k-one": (dict(k=1), "k: must be >= 2"),
+    "n_per_class-zero": (dict(n_per_class=0), "n_per_class: must be >= 1"),
+    "stddev-zero": (dict(stddev=0.0), "stddev: must be > 0 and finite"),
+    "stddev-nan": (dict(stddev=NAN), "stddev: must be > 0 and finite"),
+    "stddev-inf": (dict(stddev=INF), "stddev: must be > 0 and finite"),
+    "radius-nan": (dict(radius=NAN), "radius: must be finite"),
+    "radius-inf": (dict(radius=-INF), "radius: must be finite"),
+    "means-count": (dict(means=[[0.0, 0.0]]), "means: expected shape (2, 2)"),
+    "means-ragged": (dict(means=[[0.0, 0.0], [1.0]]), "means: expected shape (2, 2)"),
+    "means-nan": (dict(means=[[0.0, NAN], [1.0, 1.0]]), "means: must be finite"),
+    "means-inf": (dict(means=[[-INF, 0.0], [1.0, 1.0]]), "means: must be finite"),
+    "shift-short": (dict(shift=[1.0]), "shift: expected 2 components"),
+    "shift-long": (dict(shift=[1.0, 2.0, 3.0]), "shift: expected 2 components"),
+    "shift-nan": (dict(shift=[0.0, NAN]), "shift: must be finite"),
+    "shift-inf": (dict(shift=[INF, 0.0]), "shift: must be finite"),
+}
 
 
-@pytest.mark.parametrize(
-    "over, message",
-    [
-        (dict(means=[[0.0, float("nan")]]), "means must be finite"),
-        (dict(means=[[float("-inf"), 0.0]]), "means must be finite"),
-        (dict(stddev=float("nan")), "stddev must be finite"),
-        (dict(stddev=float("inf")), "stddev must be finite"),
-    ],
-)
-def test_blob_spec_names_a_non_finite_mean_or_stddev(over, message):
-    spec = dict(k=1, means=[[0.0, 0.0]], stddev=1.0, n_per_class=5, seed=0)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        BlobSpec(**{**spec, **over})
+@pytest.mark.parametrize("row", BAD_BLOBS)
+def test_a_blob_rule_has_one_message(monkeypatch, row):
+    over, message = BAD_BLOBS[row]
+    fields = {**GOOD_BLOBS, **over}
+    # a rule is applied before anything is drawn
+    monkeypatch.setattr(np.random, "default_rng", None)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_blobs(**fields)
+    with pytest.raises(ConfigError, match=f"^train_data.{re.escape(message)}$"):
+        DataConfig(kind="blobs", **fields).validate("train_data")
 
 
 def test_ood_shift_is_exact_translation_and_flagged():
-    base = BlobSpec(k=2, means=[[0.0, 0.0], [4.0, 0.0]], stddev=1.0, n_per_class=8, seed=3)
-    inn = make_blobs(base)
+    base = dict(k=2, d=2, means=[[0.0, 0.0], [4.0, 0.0]], stddev=1.0, n_per_class=8, seed=3)
+    inn = make_blobs(**base)
     shift = np.array([10.0, -3.0])
-    ood = make_ood_shift(base, shift)
+    ood = make_blobs(**base, shift=shift)
     assert ood.ood and not inn.ood
     assert np.array_equal(ood.features, inn.features + shift)  # exact, same draws
     assert np.array_equal(ood.labels, inn.labels)
-    assert ood.name.endswith("-ood")
-    with pytest.raises(ValueError, match="shift must have shape"):
-        make_ood_shift(base, [1.0, 2.0, 3.0])
+    assert ood.name == inn.name + "-ood" and ood.seed == inn.seed
 
 
 def test_dataset_validation():
@@ -127,8 +141,7 @@ def test_dataset_rejects_non_integer_labels():
 
 
 def test_save_load_round_trip_is_bit_exact(tmp_path):
-    spec = BlobSpec(k=3, means=circle_means(3, 2, 6.0), stddev=1.0, n_per_class=7, seed=11)
-    ds = make_blobs(spec)
+    ds = make_blobs(k=3, d=2, seed=11, n_per_class=7, stddev=1.0, radius=6.0)
     path = tmp_path / "blobs.csv"
     save_csv(ds, path)
     back = load_csv(path)
@@ -151,8 +164,9 @@ def test_sidecar_written_and_optional(tmp_path):
 
 
 def test_ood_flag_survives_round_trip(tmp_path):
-    base = BlobSpec(k=2, means=[[0.0, 0.0], [4.0, 0.0]], stddev=1.0, n_per_class=3, seed=5)
-    ood = make_ood_shift(base, [8.0, 8.0])
+    ood = make_blobs(
+        k=2, d=2, means=[[0.0, 0.0], [4.0, 0.0]], stddev=1.0, n_per_class=3, seed=5, shift=[8.0, 8.0]
+    )
     path = tmp_path / "ood.csv"
     save_csv(ood, path)
     assert load_csv(path).ood is True

@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from evidkit._csv import _BLOCK_ROWS, format_g17, int_cells
 from evidkit.cli import main
-from evidkit.datasets import BlobSpec, Dataset, circle_means, make_blobs, save_csv
+from evidkit.datasets import Dataset, make_blobs, save_csv
 from evidkit.evidence import Activation
 from evidkit.metrics import (
     RECORDS_HEADER,
@@ -138,8 +138,7 @@ N = 2 * _BLOCK_ROWS + 37
 
 
 def blobs(k: int, d: int, seed: int) -> Dataset:
-    spec = BlobSpec(k, circle_means(k, d, 3.0), 2.0, -(-N // k), seed)
-    return make_blobs(spec)
+    return make_blobs(k=k, d=d, seed=seed, n_per_class=-(-N // k), stddev=2.0, radius=3.0)
 
 
 def relu_records(baseline: bool) -> RecordColumns:
