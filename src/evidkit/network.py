@@ -261,6 +261,11 @@ def step(net: Network, opt: OptimizerState, grad) -> None:
     of the expression form in the comments is kept, in the same order, so
     the result is bit-identical to it. No parameter is touched unless the
     parameter views, the gradient and the slots match the network.
+
+    The step keeps no reference to grad and no buffer past its return: what
+    it leaves alive is the parameters and the slots, one vector each, so a
+    caller that drops grad after the step holds no gradient until its next
+    backward.
     """
     views = [a for pair in zip(net.weights, net.biases) for a in pair]
     if len(views) != len(net._views) or not all(map(operator.is_, views, net._views)):

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .evidence import Activation, EvidenceState, evidence_state
-from .losses import Loss, LossGrad, _col, _gather, _labels, _softmax_ce, _state_loss_grad, loss_softmax_ce
+from .losses import Loss, LossGrad, _col, _gather, _labels, _state_loss_grad, loss_softmax_ce
 from .special import _unbox, gamma_family
 
 __all__ = [
@@ -156,6 +156,13 @@ def anneal_eta1(lambda1, epoch):
     return _unbox(lambda1 * np.minimum(1.0, epoch / 10.0))
 
 
+def _check_objective(kind: Loss, inc: IncReg, use_correct_reg: bool) -> None:
+    """The one rule on which terms an objective may combine, shared with
+    ExperimentConfig.validate: the softmax baseline takes no evidential term."""
+    if kind == Loss.SOFTMAX_CE and (inc != IncReg.NONE or use_correct_reg):
+        raise ValueError("inc_reg: the softmax baseline takes no evidential regularizers")
+
+
 _INC_REG = {
     IncReg.EDL_KL: _edl_kl,
     IncReg.ADL_SUM: _adl_sum,
@@ -181,21 +188,20 @@ def composite_loss(
     with one weight per sample. The correct-evidence term is included only
     when use_correct_reg; reg_correct rejects any head but EXP. correct_weight
     overrides the vacuity weight; gradient checks use it to hold the weight
-    fixed while logits are perturbed.
+    fixed while logits are perturbed. The softmax baseline takes no other
+    term (_check_objective).
     """
+    _check_objective(kind, inc, use_correct_reg)
     eta1 = _weight(eta1, "eta1")
     if correct_weight is not None:
         correct_weight = _weight(correct_weight, "correct_weight")
     o = np.asarray(o, dtype=float)
-    if kind == Loss.SOFTMAX_CE and inc == IncReg.NONE and not use_correct_reg:
-        return loss_softmax_ce(o, gt)  # the bare baseline builds no state
+    if kind == Loss.SOFTMAX_CE:
+        return loss_softmax_ce(o, gt)  # the baseline builds no state
     state = evidence_state(act, o)
     # checked once, after the state so that bad logits are named first
     y = _labels(gt, o.shape)
-    if kind == Loss.SOFTMAX_CE:
-        total, grad = _softmax_ce(o, y)
-    else:
-        total, grad = _state_loss_grad(kind, state, y)
+    total, grad = _state_loss_grad(kind, state, y)
     # every term returns fresh arrays, so the sums build up in place
     if inc != IncReg.NONE and (eta1 != 0.0 if type(eta1) is float else eta1.any()):
         r = _INC_REG[inc](state, y)

@@ -28,7 +28,7 @@ from .network import (
     init_network,
     step,
 )
-from .regularizers import IncReg, anneal_eta1, composite_loss
+from .regularizers import IncReg, _check_objective, anneal_eta1, composite_loss
 
 __all__ = [
     "ConfigError",
@@ -149,15 +149,20 @@ class ExperimentConfig:
         _check_lambda1([self.lambda1], "lambda1")
         if self.use_correct_reg and act != Activation.EXP:
             raise ConfigError("use_correct_reg: requires activation=exp")
-        if loss == Loss.SOFTMAX_CE and (inc != IncReg.NONE or self.use_correct_reg):
-            raise ConfigError("inc_reg: the softmax baseline takes no evidential regularizers")
+        try:
+            _check_objective(loss, inc, self.use_correct_reg)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
         for name in ("epochs", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
-        if not self.hidden_dims or any(int(h) < 1 for h in self.hidden_dims):
-            raise ConfigError("hidden_dims: need at least one positive width")
+        if not self.hidden_dims:
+            raise ConfigError("hidden_dims: need at least one width")
+        for h in self.hidden_dims:
+            if type(h) is not int or h < 1:  # as in a JSON config, a bool or a float is no width
+                raise ConfigError(f"hidden_dims: each width must be an int >= 1, got {h!r}")
         if any(not t >= 0 for t in self.zero_ev_taus):  # NaN fails the comparison
             raise ConfigError("zero_ev_taus: thresholds must be >= 0")
         # compared as floats, so 0.1 and 0.10, or 0.0 and -0.0, are one threshold
@@ -236,7 +241,14 @@ def _records(logits: np.ndarray, ds: Dataset, act: Activation, baseline: bool) -
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
-    """Train per the config; deterministic for a fixed seed."""
+    """Train per the config; deterministic for a fixed seed.
+
+    Each gradient vector lives from its backward to the step that spends it,
+    so at most one is alive. With P parameters, the peak is the P of the
+    parameters and each optimizer slot (one for SGD, two for Adam) plus the
+    larger of one gradient with one mini-batch's activations, and the
+    scoring pass's activations over one dataset.
+    """
     cfg.validate()
     train = cfg.train_data.build()
     test = cfg.test_data.build() if cfg.test_data is not None else None
@@ -253,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     inc = IncReg(cfg.inc_reg)
     baseline = loss_kind == Loss.SOFTMAX_CE
     objective = (loss_kind, inc, act, cfg.use_correct_reg)
-    specs = dense_specs(train.d, [int(h) for h in cfg.hidden_dims], train.k)
+    specs = dense_specs(train.d, cfg.hidden_dims, train.k)
     net_seed, shuffle_seed = (
         int(s.generate_state(1)[0]) for s in np.random.SeedSequence(cfg.seed).spawn(2)
     )
@@ -283,6 +295,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
                 step(net, opt, grad)
             except ValueError as err:  # backward's vector fits the net: an entry is not finite
                 raise RuntimeError(f"{err} at epoch {epoch}, batch {batch}") from None
+            del grad  # spent: the next backward and the scoring pass run without it
         stats = scored(train, "train_data", epoch)
         # the last epoch always evaluates, so columns end as the run's result
         if test is None:

@@ -27,12 +27,16 @@ records with no max_softmax, and softmax-baseline records with every
 max_softmax present; and it times save_csv and save_records writing those
 same rows back, and save_records writing the 30,000 softmax-baseline records,
 so the writer's filled and all-empty float columns are both timed.
-Last, it times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
+It times load_checkpoint on a 2 -> 300 -> 200 -> 5 network (62,105
 parameters, the shape of the trainer's blocked-step pin), whose reading is
 mostly the JSON parse and the type check of every weight. And it times the
 vacuity AUROC that `report --ood-records` computes in the benchmark's score
 workload: 30,000 OOD rows ranked against 30,000 in-distribution rows, scored
-by that workload's recipe (the criterion-08 model on its blobs).
+by that workload's recipe (the criterion-08 model on its blobs). Last, it
+times one epoch of the benchmark's train-relu-wide recipe (64 -> 1024 ->
+1024 -> 10, ev_mse under ReLU, Adam at lr 0.001, batch 256) on a fixed
+1000-row blob set: run_experiment at one epoch, so the blobs and the
+network are built too, then four mini-batches and the scoring pass.
 """
 
 import dataclasses
@@ -61,7 +65,7 @@ from evidkit.network import (
 )
 from evidkit.regularizers import IncReg, composite_loss
 from evidkit.special import gamma_family
-from evidkit.trainer import DataConfig, ExperimentConfig, evaluate, run_experiment
+from evidkit.trainer import DataConfig, ExperimentConfig, OptConfig, evaluate, run_experiment
 
 
 def test_composite_loss_rb_red(benchmark):
@@ -248,3 +252,15 @@ def test_auroc_score_op(benchmark):
     ood = DataConfig(**blobs, radius=0.5, seed=2, shift=shift).build()
     ind_vac, ood_vac = (evaluate(net, ds, Activation.EXP).vacuity for ds in (ind, ood))
     benchmark(auroc, ood_vac, ind_vac)
+
+
+def test_train_relu_wide_epoch(benchmark):
+    # the wide net's parameters, slots and gradient dwarf the 1000 rows, as in the workload
+    cfg = ExperimentConfig(
+        name="relu-wide",
+        train_data=DataConfig(kind="blobs", d=64, k=10, n_per_class=100, seed=0),
+        hidden_dims=[1024, 1024], loss="ev_mse", activation="relu",
+        optimizer=OptConfig(kind="adam_like", lr=0.001), epochs=1, batch_size=256, seed=0,
+    )
+    result = benchmark(run_experiment, cfg)
+    assert result.net.param_count() == 1_126_410

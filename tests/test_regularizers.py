@@ -347,6 +347,17 @@ def test_composite_correct_reg_requires_exp():
             )
 
 
+@pytest.mark.parametrize(
+    "inc, use_correct_reg",
+    [(IncReg.EDL_KL, False), (IncReg.ADL_SUM, False), (IncReg.UNITS_BELIEF, True), (IncReg.NONE, True)],
+)
+def test_composite_refuses_softmax_with_an_evidential_term(inc, use_correct_reg):
+    # every config refuses the combination, and composite_loss refuses it in the same words
+    o, gt = np.array([[0.5, -1.0, 2.0]]), np.array([2])
+    with pytest.raises(ValueError, match="^inc_reg: the softmax baseline takes no evidential regularizers$"):
+        composite_loss(Loss.SOFTMAX_CE, inc, Activation.EXP, o, gt, eta1=1.0, use_correct_reg=use_correct_reg)
+
+
 def test_composite_correct_reg_survives_exp_underflow():
     # exp(-750) underflows to 0; the gt gradient is still exactly -vacuity
     o = np.array([-750.0, 0.0, 1.0])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ def test_config_error_messages_name_the_field():
         (dict(batch_size=0), "batch_size: must be >= 1"),
         (dict(eval_every=0), "eval_every: must be >= 1"),
         (dict(hidden_dims=[]), "hidden_dims"),
+        # a width is an int >= 1, as in a JSON config: never cast down to one
+        (dict(hidden_dims=[1.5]), r"^hidden_dims: each width must be an int >= 1, got 1.5$"),
+        (dict(hidden_dims=[4, 2.0]), r"^hidden_dims: each width must be an int >= 1, got 2.0$"),
+        (dict(hidden_dims=[True]), "^hidden_dims: each width must be an int >= 1, got True$"),
+        (dict(hidden_dims=[0]), "^hidden_dims: each width must be an int >= 1, got 0$"),
+        (dict(loss="softmax_ce", use_correct_reg=True, activation="exp"),
+         "^inc_reg: the softmax baseline takes no evidential regularizers$"),
         (dict(zero_ev_taus=[-0.1]), "zero_ev_taus"),
         # one threshold twice would write two equal epochs.csv columns
         (dict(zero_ev_taus=[0.1, 1.0, float("0.10")]), "^zero_ev_taus: thresholds must be distinct$"),
@@ -347,6 +355,32 @@ def test_blocked_step_run_is_pinned_bit_for_bit(optimizer, want):
         seed=6,
     )
     assert run_digest(run_experiment(cfg)) == want
+
+
+def test_a_run_holds_one_gradient_vector_at_a_time():
+    # 8 -> 512 -> 512 -> 3 has 268,803 parameters (P), against 96 rows of
+    # 8 features: P-sized vectors dominate the run's memory. Adam keeps the
+    # parameters and two slots, 3P; one live gradient makes 4P, plus the
+    # step's scratch blocks (0.24P) and a mini-batch's activations. A
+    # gradient kept from the last step while backward allocates the next
+    # would add a fifth P (5.26 against 4.26).
+    cfg = ExperimentConfig(
+        name="memory",
+        train_data=DataConfig(kind="blobs", d=8, k=3, n_per_class=32, seed=0),
+        hidden_dims=[512, 512],
+        optimizer=OptConfig(kind="adam_like", lr=0.001),
+        epochs=2,
+        batch_size=32,
+        seed=0,
+    )
+    run_experiment(cfg)  # once untraced, so first-call imports and caches are not counted
+    tracemalloc.start()
+    try:
+        net = run_experiment(cfg).net
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / net.params.nbytes < 4.75
 
 
 @pytest.mark.parametrize(
