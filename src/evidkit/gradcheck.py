@@ -11,15 +11,9 @@ agreement rule run once over the whole stage. The vacuity weight of the
 correct-evidence term is frozen at the base point so the stop-gradient
 semantics match the analytic form.
 
-Each cell draws its cases in one pass over a block of its PCG64
-generator's raw 64-bit words w: per case its K index, gt, K logits, lambda1
-and epoch, in that order. The integers are NumPy's 32-bit Lemire draws on
-half-words (low half first, the high half buffered for the next integer
-draw), and each double is u = (w >> 11) * 2**-53 of one word, a logit
-being -4.0 + 8.0 * u and lambda1 0.25 + 1.75 * u. These are, bit for bit,
-the cases that Generator.integers, uniform and random give called in that
-order, and they depend only on the raw PCG64 stream, which NumPy keeps
-stable; run_grid's docstring has the details.
+Each cell draws its cases as one block of uniform doubles, a row per case
+holding its K, gt, logits, lambda1 and epoch; run_grid's docstring has the
+formulas.
 """
 
 from __future__ import annotations
@@ -69,7 +63,7 @@ _KINK_MARGIN = 0.05
 
 
 def central_diff(
-    f: Callable[[np.ndarray], np.ndarray], o: np.ndarray, h: float = 1e-5
+    f: Callable[[np.ndarray], np.ndarray], o: np.ndarray, h: float = DEFAULT_H
 ) -> np.ndarray:
     """Central finite differences of a per-row scalar function of the logits.
 
@@ -98,7 +92,7 @@ def _quotient(vals, o: np.ndarray, h: float) -> np.ndarray:
 def compare_grads(
     analytic: np.ndarray,
     numeric: np.ndarray,
-    rel_tol: float = 1e-4,
+    rel_tol: float = DEFAULT_TOL,
     skip: np.ndarray | None = None,
 ) -> tuple[bool | np.ndarray, float | np.ndarray]:
     """Apply the gradient agreement rule per coordinate, reducing the last axis.
@@ -192,7 +186,7 @@ def check_case(
     gt,
     lambda1=1.0,
     epoch=10,
-    h: float = 1e-5,
+    h: float = DEFAULT_H,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cases: returns (analytic grad, numeric grad, skip mask), each shaped like o.
 
@@ -272,63 +266,24 @@ def _check_settings(
 
 
 def _draw_cases(rng: np.random.Generator, ks: Sequence[int], n_cases: int, act: Activation):
-    """The cell's cases, from one pass over its generator's raw 64-bit words,
-    in the order and by the formulas that run_grid's docstring gives.
+    """The cell's cases from one rng.random block, row i holding case i's
+    draws u, by the formulas that run_grid's docstring gives.
 
     Returns (k, gt, lambda1, epoch, groups): the first four are (n_cases,)
     arrays, and groups maps each K, in first-seen order, to (the indices of
     its cases, their (n, K) logits, nudged off the kink under ReLU).
     """
-    bitgen = rng.bit_generator
-    # enough words for every case at the largest K when no draw is rejected
-    blocks = [bitgen.random_raw(n_cases * (max(ks) + 3))]
-    words = blocks[0].tolist()
-    pos, half = 0, None  # the next unread word; the buffered high half-word
-
-    def need(n_words):  # a run of rejections can outgrow the first block
-        while len(words) < n_words:
-            blocks.append(bitgen.random_raw(len(words)))
-            words.extend(blocks[-1].tolist())
-
-    def bounded(m):
-        nonlocal pos, half
-        threshold = (2**32 - m) % m
-        while True:
-            if half is None:
-                try:
-                    w = words[pos]
-                except IndexError:
-                    need(pos + 1)
-                    w = words[pos]
-                x, half = w & 0xFFFFFFFF, w >> 32
-                pos += 1
-            else:
-                x, half = half, None
-            x *= m
-            if x & 0xFFFFFFFF >= threshold:
-                return x >> 32
-
-    n_ks = len(ks)
-    k, gt, at, epoch = [], [], [], []  # at: the word of each case's first double
-    for _ in range(n_cases):
-        kk = ks[bounded(n_ks)] if n_ks > 1 else ks[0]
-        k.append(kk)
-        gt.append(bounded(kk))
-        at.append(pos)
-        pos += kk + 1
-        epoch.append(1 + bounded(12))
-    need(pos)  # the last case's doubles
-    u = (np.concatenate(blocks) >> 11) * 2.0**-53
-    # every word read as a logit; uniform(low, high) computes low + (high - low) * u
-    o = -_LOGIT_RANGE + 2 * _LOGIT_RANGE * u
+    u = rng.random((n_cases, max(ks) + 4))
+    k = np.asarray(ks)[(u[:, 0] * len(ks)).astype(int)]
+    o = -_LOGIT_RANGE + 2 * _LOGIT_RANGE * u[:, 2:-2]
     if act == Activation.RELU:
         o = np.where(np.abs(o) < _KINK_MARGIN, np.where(o >= 0, o + _KINK_MARGIN, o - _KINK_MARGIN), o)
-    k, at = np.array(k), np.array(at)
     groups = {}
     for kk in dict.fromkeys(k.tolist()):
         idx = np.flatnonzero(k == kk)
-        groups[kk] = idx, o[at[idx, None] + np.arange(kk)]
-    return k, np.array(gt), 0.25 + 1.75 * u[at + k], np.array(epoch), groups
+        groups[kk] = idx, o[idx, :kk]
+    gt, epoch = (u[:, 1] * k).astype(int), 1 + (12 * u[:, -1]).astype(int)
+    return k, gt, 0.25 + 1.75 * u[:, -2], epoch, groups
 
 
 def run_grid(
@@ -345,22 +300,17 @@ def run_grid(
     """Run the finite-difference oracle over the grid.
 
     Each cell draws all of its cases first, from its own PCG64 generator
-    seeded with [seed, crc32(cell name)], in one pass over a block of its
-    raw 64-bit words w. Per case, in this order:
+    seeded with [seed, crc32(cell name)], as one rng.random((n_cases,
+    max(ks) + 4)) block. Row i holds case i's draws u:
 
-        k = ks[integers(len(ks))]   no word when ks has one entry
-        gt = integers(k)
-        K logits -4.0 + 8.0 * u     one word each, u = (w >> 11) * 2**-53
-        lambda1 = 0.25 + 1.75 * u   one word
-        epoch = 1 + integers(12)
+        k = ks[floor(u[0] * len(ks))]
+        gt = floor(u[1] * k)
+        logits = -4.0 + 8.0 * u[2:2 + k]
+        lambda1 = 0.25 + 1.75 * u[-2]
+        epoch = 1 + floor(12 * u[-1])
 
-    integers(m) is NumPy's 32-bit Lemire draw: x is the low half of the next
-    word, or the high half that the last integer draw left buffered (doubles
-    do not touch it); the draw is x * m >> 32, unless (x * m) mod 2**32 <
-    (2**32 - m) % m, which rejects x and draws again. So the cases are bit
-    for bit those of Generator.integers, uniform(-4, 4, k) and random()
-    called in this order. Under ReLU, logits within _KINK_MARGIN of 0 move
-    _KINK_MARGIN away from it.
+    so a cell's first n cases do not depend on n_cases. Under ReLU, logits
+    within _KINK_MARGIN of 0 move _KINK_MARGIN away from it.
 
     It then checks the grid K by K, in first-seen order: every cell's cases
     of that K, stacked in grid order and case order, get their perturbed

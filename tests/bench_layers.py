@@ -19,7 +19,7 @@ loss_ev_mse), and one (cell, K) group of the gradient oracle at K = 5 for
 each of two cells: 12 ev_log:exp:edl_kl cases, and 12 ev_ce:exp:none cases,
 whose objective makes one kernel call on [S, alpha_gt], and one cell's case
 draws in the oracle (50 ev_log:exp:edl_kl cases over DEFAULT_KS, from one
-pass over its generator's raw words), and the oracle's whole grid as the
+rng.random block), and the oracle's whole grid as the
 benchmark's gradcheck workload runs it (all 39 cells, 50 cases each). It also times
 load_csv and RecordColumns.load on 30,000 rows each,
 written as save_csv and save_records write them: a D = 2 dataset, evidential
